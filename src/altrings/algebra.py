@@ -4,6 +4,11 @@ An algebra over a field F with basis e_1..e_d is described by the tensor
 c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k.  Elements are coordinate
 vectors; all products, commutators, associators, centres and nuclei are
 computed exactly from the tensor.
+
+The tensor is also held once as integers over one common denominator
+(the field's ``to_ints``), so products and operator matrices
+multiply-accumulate plain ints and normalise each coordinate once, at
+the field's ``from_ints``.
 """
 
 from __future__ import annotations
@@ -46,11 +51,19 @@ class Algebra:
         self.tensor = tuple(
             tuple(tuple(row) for row in plane) for plane in tensor
         )
-        # sparse view: _pairs[i][j] lists the nonzero (k, c) of e_i * e_j
+        # c[i][j][k] = _num[i][j][k] / _den, with every _num an int
+        flat, self._den = field.to_ints(
+            [c for plane in tensor for row in plane for c in row]
+        )
+        self._num = tuple(
+            tuple(tuple(flat[(i * dim + j) * dim:(i * dim + j + 1) * dim])
+                  for j in range(dim))
+            for i in range(dim)
+        )
+        # sparse view: _pairs[i][j] lists the nonzero (k, _num[i][j][k])
         self._pairs = tuple(
             tuple(
-                tuple((k, c) for k, c in enumerate(self.tensor[i][j])
-                      if not field.is_zero(c))
+                tuple((k, c) for k, c in enumerate(self._num[i][j]) if c)
                 for j in range(dim)
             )
             for i in range(dim)
@@ -105,49 +118,50 @@ class Algebra:
 
     def mul_coords(self, x, y) -> tuple:
         F = self.field
-        zero, add, mul = F.zero, F.add, F.mul
-        out = [zero] * self.dim
+        xs, x_den = F.to_ints(x)
+        ys, y_den = F.to_ints(y)
+        out = [0] * self.dim
         pairs = self._pairs
-        for i, xi in enumerate(x):
-            if F.is_zero(xi):
+        for i, xi in enumerate(xs):
+            if not xi:
                 continue
             row = pairs[i]
-            for j, yj in enumerate(y):
-                if F.is_zero(yj):
+            for j, yj in enumerate(ys):
+                if not yj:
                     continue
-                scale = mul(xi, yj)
+                scale = xi * yj
                 for k, c in row[j]:
-                    out[k] = add(out[k], mul(scale, c))
-        return tuple(out)
+                    out[k] += scale * c
+        return F.from_ints(out, x_den * y_den * self._den)
 
     def basis_product(self, i: int, j: int) -> tuple:
         return self.tensor[i][j]
 
     def left_mult_matrix(self, y) -> Matrix:
         """Matrix of x -> y * x."""
-        y = self._coerce_coords(y)
-        F = self.field
-        rows = [[F.zero] * self.dim for _ in range(self.dim)]
-        for i, yi in enumerate(y):
-            if F.is_zero(yi):
+        ys, y_den = self.field.to_ints(self._coerce_coords(y))
+        d = self.dim
+        rows = [[0] * d for _ in range(d)]
+        for i, yi in enumerate(ys):
+            if not yi:
                 continue
-            for j in range(self.dim):
-                for k, c in self._pairs[i][j]:
-                    rows[k][j] = F.add(rows[k][j], F.mul(yi, c))
-        return Matrix(F, rows)
+            for j, products in enumerate(self._pairs[i]):
+                for k, c in products:
+                    rows[k][j] += yi * c
+        return Matrix.from_ints(self.field, rows, y_den * self._den, d)
 
     def right_mult_matrix(self, y) -> Matrix:
         """Matrix of x -> x * y."""
-        y = self._coerce_coords(y)
-        F = self.field
-        rows = [[F.zero] * self.dim for _ in range(self.dim)]
-        for j, yj in enumerate(y):
-            if F.is_zero(yj):
+        ys, y_den = self.field.to_ints(self._coerce_coords(y))
+        d = self.dim
+        rows = [[0] * d for _ in range(d)]
+        for j, yj in enumerate(ys):
+            if not yj:
                 continue
-            for i in range(self.dim):
+            for i in range(d):
                 for k, c in self._pairs[i][j]:
-                    rows[k][i] = F.add(rows[k][i], F.mul(yj, c))
-        return Matrix(F, rows)
+                    rows[k][i] += yj * c
+        return Matrix.from_ints(self.field, rows, y_den * self._den, d)
 
     def basis_left_matrix(self, i: int) -> Matrix:
         if i not in self._left_cache:

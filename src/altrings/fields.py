@@ -4,12 +4,21 @@ Two kinds of field are provided: the rationals (backed by
 ``fractions.Fraction``) and prime fields GF(p) (backed by ints reduced
 mod p).  All higher layers talk to scalars only through a field object,
 so the same elimination and algebra code runs over either.
+
+Hot loops do not call the per-scalar operations.  They cross into plain
+integers once with ``to_ints(vec) -> (ints, den)`` (numerators over one
+common denominator; the identity with ``den = 1`` over GF(p)),
+multiply-accumulate ints, and come back once with ``from_ints(ints,
+den)``, which normalises each coordinate (one ``Fraction`` each over Q,
+one ``% p`` each over GF(p)).  Callers never need to know whether an
+element is a Fraction or a residue.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -73,6 +82,18 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def to_ints(self, vec) -> tuple[list[int], int]:
+        """Integer numerators of vec over their least common denominator."""
+        den = lcm(*[v.denominator for v in vec])
+        if den == 1:
+            return [v.numerator for v in vec], 1
+        return [v.numerator * (den // v.denominator) for v in vec], den
+
+    def from_ints(self, ints, den: int = 1) -> tuple:
+        """The coordinates n / den, normalised; zero entries share ``zero``."""
+        zero = self.zero
+        return tuple(Fraction(n, den) if n else zero for n in ints)
 
     def parse(self, token: str) -> Fraction:
         try:
@@ -148,6 +169,18 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def to_ints(self, vec) -> tuple[list[int], int]:
+        """The residues themselves over denominator 1 (reduction is deferred)."""
+        return list(vec), 1
+
+    def from_ints(self, ints, den: int = 1) -> tuple:
+        """The coordinates n / den reduced into [0, p)."""
+        p = self.p
+        if den != 1:
+            inv = self.inv(den)
+            return tuple(n * inv % p for n in ints)
+        return tuple(n % p for n in ints)
 
     def parse(self, token: str) -> int:
         token = token.strip()

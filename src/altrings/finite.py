@@ -306,12 +306,10 @@ def nested_value_set(ring: FiniteRing, n: int, budget: int = 10 ** 7) -> frozens
     S = ring.size
     if S ** n > budget:
         raise BudgetError(f"{S ** n} tuples exceed budget {budget}")
-    out: set[int] = set()
     level = set(range(S))
     for _ in range(n - 1):
         level = {ring.commutator(v, x) for v in level for x in range(S)}
-    out.update(level)
-    return frozenset(out)
+    return frozenset(level)
 
 
 def construct_converse_example(ctx, delta: LinearMap, n: int, seed: int = 0,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (
     Algebra,
@@ -115,16 +116,9 @@ class OperatorSpace:
 
     def random_member(self, rng: random.Random) -> LinearMap:
         """A small random integer combination of the basis maps."""
-        F = self.algebra.field
-        d = self.algebra.dim
-        flat = [F.zero] * (d * d)
-        for row in self.space.basis:
-            c = F.coerce(rng.randint(-4, 4))
-            if F.is_zero(c):
-                continue
-            for i, v in enumerate(row):
-                flat[i] = F.add(flat[i], F.mul(c, v))
-        return LinearMap.from_vector(self.algebra, flat)
+        coeffs = [[rng.randint(-4, 4) for _ in self.space.basis]]
+        flat = Matrix(self.algebra.field, coeffs) @ self.space.basis_matrix()
+        return LinearMap.from_vector(self.algebra, flat.rows[0])
 
     def revalidate(self, samples: int = 50, seed: int = 0) -> bool:
         """Spot-check identity L for every basis map at random tuples."""
@@ -153,24 +147,18 @@ def derivation_space(A: Algebra) -> OperatorSpace:
     d = A.dim
     F = A.field
     acc = echelon(F, d * d)
-    zero = F.zero
+    # every constant is an int over the same A._den: drop that common scale
+    num = A._num
     for i in range(d):
         for j in range(d):
-            prod = A.tensor[i][j]
+            prod = num[i][j]
             for m in range(d):
-                row = [zero] * (d * d)
-                for k in range(d):
-                    c = prod[k]
-                    if not F.is_zero(c):
-                        row[m * d + k] = F.add(row[m * d + k], c)
+                row = [0] * (d * d)
+                row[m * d:(m + 1) * d] = prod
                 for a in range(d):
-                    c = A.tensor[a][j][m]
-                    if not F.is_zero(c):
-                        row[a * d + i] = F.sub(row[a * d + i], c)
+                    row[a * d + i] -= num[a][j][m]
                 for b in range(d):
-                    c = A.tensor[i][b][m]
-                    if not F.is_zero(c):
-                        row[b * d + j] = F.sub(row[b * d + j], c)
+                    row[b * d + j] -= num[i][b][m]
                 acc.add(row)
     space = kernel(Matrix(F, acc.rref_rows(), ncols=d * d))
     return OperatorSpace(A, space, n=None)
@@ -193,7 +181,6 @@ def lie_n_derivation_space(A: Algebra, n: int, n_max: int = 5,
     if d ** n > budget:
         raise BudgetError(f"{d ** n} basis tuples exceed budget {budget}")
     F = A.field
-    zero = F.zero
 
     # bracket-by-basis operators K_j : v -> [v, e_j]
     K = [
@@ -223,7 +210,6 @@ def lie_n_derivation_space(A: Algebra, n: int, n_max: int = 5,
 
     def emit(indices: tuple, prefixes: list, brackets: list):
         """Fold the d constraint rows of one basis tuple."""
-        w = prefixes[-1]
         slot_ops = []
         for t in range(1, n + 1):
             if t == 1:
@@ -233,22 +219,21 @@ def lie_n_derivation_space(A: Algebra, n: int, n_max: int = 5,
                 if B is None:
                     continue
                 op = suffix_op(indices[t:]) @ B
-            slot_ops.append((t, op))
-        if all(F.is_zero(x) for x in w) and not slot_ops:
+            slot_ops.append((indices[t - 1], *op.int_form()))
+        w, w_den = F.to_ints(prefixes[-1])
+        if not any(w) and not slot_ops:
             return
+        # the rows are built as ints over one common denominator
+        den = lcm(w_den, *[op_den for _, _, op_den in slot_ops])
+        w = [wk * (den // w_den) for wk in w]
         for m in range(d):
-            row = [zero] * (d * d)
-            base = m * d
-            for k, wk in enumerate(w):
-                if not F.is_zero(wk):
-                    row[base + k] = F.add(row[base + k], wk)
-            for t, op in slot_ops:
-                col = indices[t - 1]
-                oprow = op.rows[m]
-                for a in range(d):
-                    c = oprow[a]
-                    if not F.is_zero(c):
-                        row[a * d + col] = F.sub(row[a * d + col], c)
+            row = [0] * (d * d)
+            row[m * d:(m + 1) * d] = w
+            for col, op_rows, op_den in slot_ops:
+                scale = den // op_den
+                for a, c in enumerate(op_rows[m]):
+                    if c:
+                        row[a * d + col] -= c * scale
             acc.add(row)
 
     def walk(indices: tuple, prefixes: list, brackets: list):
@@ -281,8 +266,8 @@ def standard_inner_derivation(A: Algebra, y, z) -> LinearMap:
     return LinearMap(A, br(Ly, Lz) + br(Ly, Rz) + br(Ry, Rz))
 
 
-def _z_action_space(ctx: PeirceContext, side: int) -> Subspace:
-    """span{z e1} (side 1) or span{z e2 = z - z e1} (side 2) over a Z basis."""
+def _central_action_vectors(ctx: PeirceContext, side: int) -> list[tuple]:
+    """z e1 (side 1) or z e2 = z - z e1 (side 2) for each z in the Z basis."""
     A = ctx.algebra
     F = A.field
     vectors = []
@@ -292,7 +277,13 @@ def _z_action_space(ctx: PeirceContext, side: int) -> Subspace:
             vectors.append(ze1)
         else:
             vectors.append(tuple(F.sub(a, b) for a, b in zip(z, ze1)))
-    return Subspace.from_vectors(F, A.dim, vectors)
+    return vectors
+
+
+def _z_action_space(ctx: PeirceContext, side: int) -> Subspace:
+    """span{z e1} (side 1) or span{z e2 = z - z e1} (side 2) over a Z basis."""
+    A = ctx.algebra
+    return Subspace.from_vectors(A.field, A.dim, _central_action_vectors(ctx, side))
 
 
 @dataclass(frozen=True)
@@ -353,21 +344,20 @@ def conditions_abc_subspace(ctx: PeirceContext) -> Subspace:
     F = A.field
     d = A.dim
     acc = echelon(F, d * d)
-    zero = F.zero
 
     def add_membership_rows(source_vectors, post: Matrix | None, target: Subspace):
-        # rows of: residual_target( post @ D @ a ) = 0, linear in D
+        # rows of: residual_target( post @ D @ a ) = 0, linear in D; each
+        # row is the outer product lead[r] (x) a, built from the numerators
         res = target.residual_matrix()
         lead = res @ post if post is not None else res
+        lead_rows = lead.int_form()[0]
         for a in source_vectors:
-            for lrow in lead.rows:
-                row = [zero] * (d * d)
+            a_ints = F.to_ints(a)[0]
+            for lrow in lead_rows:
+                row = [0] * (d * d)
                 for m, cm in enumerate(lrow):
-                    if F.is_zero(cm):
-                        continue
-                    for k, ak in enumerate(a):
-                        if not F.is_zero(ak):
-                            row[m * d + k] = F.add(row[m * d + k], F.mul(cm, ak))
+                    if cm:
+                        row[m * d:(m + 1) * d] = [cm * ak for ak in a_ints]
                 acc.add(row)
 
     add_membership_rows(
@@ -457,14 +447,7 @@ def _solve_central_action(ctx: PeirceContext, side: int, target) -> tuple:
                 "diagonal image has a central part but the center is zero",
             )
         return (F.zero,) * A.dim
-    columns = []
-    for z in Z.basis:
-        ze1 = A.mul_coords(z, ctx.e1)
-        if side == 1:
-            columns.append(ze1)
-        else:
-            columns.append(tuple(F.sub(a, b) for a, b in zip(z, ze1)))
-    m = Matrix.from_columns(F, columns)
+    m = Matrix.from_columns(F, _central_action_vectors(ctx, side))
     result = solve(m, target)
     if result is None:
         raise DecompositionError(
@@ -479,12 +462,7 @@ def _solve_central_action(ctx: PeirceContext, side: int, target) -> tuple:
             "central solution is not unique; the center is degenerate "
             "against conditions (2)/(3)",
         )
-    z = [F.zero] * A.dim
-    for c, zb in zip(coeffs, Z.basis):
-        if not F.is_zero(c):
-            for i, v in enumerate(zb):
-                z[i] = F.add(z[i], F.mul(c, v))
-    return tuple(z)
+    return Matrix.from_columns(F, Z.basis).apply(coeffs)
 
 
 def _leibniz_holds(A: Algebra, g: LinearMap) -> bool:
@@ -630,17 +608,16 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
 
 
 def _invert(m: Matrix) -> Matrix:
+    """The inverse of a square matrix, by one elimination of [m | I]."""
     F = m.field
     d = m.nrows
-    columns = []
-    for j in range(d):
-        e = [F.zero] * d
-        e[j] = F.one
-        result = solve(m, tuple(e))
-        if result is None:
-            raise ValueError("matrix is singular")
-        columns.append(result[0])
-    return Matrix.from_columns(F, columns)
+    acc = echelon(F, 2 * d)
+    for i, row in enumerate(m.rows):
+        acc.add(list(row) + [F.one if j == i else F.zero for j in range(d)])
+    # [m | I] has rank d; m is invertible iff every pivot lies in the left half
+    if acc.pivot_columns() != list(range(d)):
+        raise ValueError("matrix is singular")
+    return Matrix(F, [row[d:] for row in acc.rref_rows()], ncols=d)
 
 
 def fosner_inclusion(A: Algebra, n: int, k: int, n_max: int = 12,

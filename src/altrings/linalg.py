@@ -5,12 +5,18 @@ Row spaces are kept in *reduced* row echelon form with rows ordered by
 pivot column, so two subspaces are equal iff their stored bases are
 equal.  An incremental eliminator lets constraint rows be folded in as
 they are generated instead of materialising huge matrices.
+
+Products and eliminations run on plain integers: operands cross over
+once with the field's ``to_ints`` (a matrix caches its integer form),
+and results come back once through ``from_ints``.  Eliminator rows may
+be given as field elements or as ints; any nonzero common scale of a
+row is irrelevant to the span.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .fields import QQ, FieldError
 
@@ -30,15 +36,6 @@ class _RationalEchelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def _scaled(self, row) -> tuple[list[int], int]:
-        fracs = []
-        denom = 1
-        for v in row:
-            f = v if isinstance(v, Fraction) else Fraction(v)
-            fracs.append(f)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        return [int(f * denom) for f in fracs], denom
 
     @staticmethod
     def _normalise(row: list[int]) -> None:
@@ -76,7 +73,7 @@ class _RationalEchelon:
 
     def add(self, row) -> bool:
         """Fold one row into the accumulator; True if it enlarged the span."""
-        work = self._reduced(self._scaled(row)[0])
+        work = self._reduced(QQ.to_ints(row)[0])
         lead_col = -1
         for i, v in enumerate(work):
             if v:
@@ -102,7 +99,7 @@ class _RationalEchelon:
 
     def residual(self, row) -> tuple:
         """The unique vector in row + span with zeros in all pivot columns."""
-        work, scale = self._scaled(row)
+        work, scale = QQ.to_ints(row)
         for col, prow in self.pivots.items():
             v = work[col]
             if v:
@@ -110,19 +107,15 @@ class _RationalEchelon:
                 for i in range(self.width):
                     work[i] = work[i] * lead - prow[i] * v
                 scale *= lead
-        return tuple(Fraction(w, scale) for w in work)
+        return QQ.from_ints(work, scale)
 
     def contains(self, row) -> bool:
-        work = self._reduced(self._scaled(row)[0])
+        work = self._reduced(QQ.to_ints(row)[0])
         return not any(work)
 
     def rref_rows(self) -> list[tuple]:
-        rows = []
-        for col in sorted(self.pivots):
-            prow = self.pivots[col]
-            lead = prow[col]
-            rows.append(tuple(Fraction(v, lead) for v in prow))
-        return rows
+        pivots = self.pivots
+        return [QQ.from_ints(pivots[col], pivots[col][col]) for col in sorted(pivots)]
 
     def pivot_columns(self) -> list[int]:
         return sorted(self.pivots)
@@ -197,7 +190,7 @@ def echelon(field, width: int):
 class Matrix:
     """An immutable matrix over a fixed field."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_ints")
 
     def __init__(self, field, rows, ncols: int | None = None):
         self.field = field
@@ -209,6 +202,26 @@ class Matrix:
             self.ncols = 0 if ncols is None else ncols
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
+        self._ints = None
+
+    @classmethod
+    def from_ints(cls, field, int_rows, den: int, ncols: int) -> "Matrix":
+        """The matrix with entries n / den for the ints n of int_rows."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = tuple(field.from_ints(row, den) for row in int_rows)
+        m.nrows = len(m.rows)
+        m.ncols = ncols
+        m._ints = None
+        return m
+
+    def int_form(self) -> tuple[list[list[int]], int]:
+        """(int rows, den) with every entry equal to its int over den; cached."""
+        if self._ints is None:
+            n = self.ncols
+            flat, den = self.field.to_ints([v for row in self.rows for v in row])
+            self._ints = ([flat[i * n:(i + 1) * n] for i in range(self.nrows)], den)
+        return self._ints
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
@@ -281,36 +294,21 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        F = self.field
-        zero, add, mul = F.zero, F.add, F.mul
-        out = []
-        other_rows = other.rows
-        for row in self.rows:
-            acc = [zero] * other.ncols
-            for k, a in enumerate(row):
-                if F.is_zero(a):
-                    continue
-                orow = other_rows[k]
-                for j, b in enumerate(orow):
-                    if not F.is_zero(b):
-                        acc[j] = add(acc[j], mul(a, b))
-            out.append(acc)
-        return Matrix(F, out)
+        a_rows, a_den = self.int_form()
+        b_rows, b_den = other.int_form()
+        b_cols = list(zip(*b_rows)) or [()] * other.ncols
+        out = [[sum(map(mul, row, col)) for col in b_cols] for row in a_rows]
+        return Matrix.from_ints(self.field, out, a_den * b_den, other.ncols)
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product (vectors are plain tuples of scalars)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        F = self.field
-        zero, add, mul = F.zero, F.add, F.mul
-        out = []
-        for row in self.rows:
-            s = zero
-            for a, v in zip(row, vec):
-                if not (F.is_zero(a) or F.is_zero(v)):
-                    s = add(s, mul(a, v))
-            out.append(s)
-        return tuple(out)
+        rows, den = self.int_form()
+        ints, vec_den = self.field.to_ints(vec)
+        return self.field.from_ints(
+            [sum(map(mul, row, ints)) for row in rows], den * vec_den
+        )
 
     def is_zero(self) -> bool:
         return all(self.field.is_zero(v) for row in self.rows for v in row)
@@ -325,15 +323,20 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: {body})"
 
 
+def _echelon_of(matrix: Matrix):
+    acc = echelon(matrix.field, matrix.ncols)
+    for row in matrix.rows:
+        acc.add(row)
+    return acc
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, int]:
     """Canonical reduced row echelon form and rank.
 
     The result keeps the shape of the input: non-pivot rows appear as
     trailing zero rows.  Row spaces are equal iff the nonzero parts agree.
     """
-    acc = echelon(matrix.field, matrix.ncols)
-    for row in matrix.rows:
-        acc.add(row)
+    acc = _echelon_of(matrix)
     rows = acc.rref_rows()
     zero_row = tuple(matrix.field.zero for _ in range(matrix.ncols))
     while len(rows) < matrix.nrows:
@@ -342,18 +345,12 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(matrix: Matrix) -> int:
-    acc = echelon(matrix.field, matrix.ncols)
-    for row in matrix.rows:
-        acc.add(row)
-    return acc.rank
+    return _echelon_of(matrix).rank
 
 
 def kernel(matrix: Matrix) -> "Subspace":
     """The right null space {x : M x = 0} as a subspace of F^ncols."""
-    acc = echelon(matrix.field, matrix.ncols)
-    for row in matrix.rows:
-        acc.add(row)
-    return _nullspace_from_echelon(matrix.field, matrix.ncols, acc)
+    return _nullspace_from_echelon(matrix.field, matrix.ncols, _echelon_of(matrix))
 
 
 def _nullspace_from_echelon(field, width: int, acc) -> "Subspace":
@@ -486,32 +483,17 @@ class Subspace:
         return Subspace.from_vectors(F, n, vectors)
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis)
+        return Matrix(self.field, self.basis, ncols=self.ambient)
 
     def residual_matrix(self) -> Matrix:
         """Matrix whose kernel is exactly this subspace.
 
-        Rows express the elimination residual: applying the matrix to a
-        vector gives zero iff the vector lies in the subspace.  Used to
-        turn membership conditions into linear constraints.
+        Applying the matrix to a vector gives zero iff the vector lies in
+        the subspace: its rows span the null space of the basis, whose
+        orthogonal complement is the row space.  Used to turn membership
+        conditions into linear constraints.
         """
-        F = self.field
-        n = self.ambient
-        acc = self._acc()
-        pivot_cols = acc.pivot_columns()
-        rows = acc.rref_rows()
-        pivot_set = set(pivot_cols)
-        out = []
-        zero, one, neg = F.zero, F.one, F.neg
-        for j in range(n):
-            if j in pivot_set:
-                continue
-            row = [zero] * n
-            row[j] = one
-            for prow, pc in zip(rows, pivot_cols):
-                row[pc] = neg(prow[j])
-            out.append(row)
-        return Matrix(F, out, ncols=n)
+        return kernel(self.basis_matrix()).basis_matrix()
 
     def vectors(self):
         """Enumerate all vectors (finite fields only)."""
@@ -520,19 +502,9 @@ class Subspace:
             raise FieldError("cannot enumerate a subspace over an infinite field")
         from itertools import product
 
-        zero = F.zero
-        if not self.basis:
-            yield tuple([zero] * self.ambient)
-            return
+        columns = list(zip(*self.basis)) or [()] * self.ambient
         for coeffs in product(F.elements(), repeat=self.dim):
-            vec = [zero] * self.ambient
-            for c, row in zip(coeffs, self.basis):
-                if F.is_zero(c):
-                    continue
-                for i, v in enumerate(row):
-                    if not F.is_zero(v):
-                        vec[i] = F.add(vec[i], F.mul(c, v))
-            yield tuple(vec)
+            yield F.from_ints([sum(map(mul, coeffs, col)) for col in columns])
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:

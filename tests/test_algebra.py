@@ -220,3 +220,55 @@ def test_zorn_center_commutes(a):
     for zvec in center(Z).basis:
         z = Z.element(zvec)
         assert commutator(z, x).is_zero()
+
+
+# The integer kernels of Algebra against an independent per-scalar
+# reference: fractional, mixed-denominator constants over Q (the catalog has
+# integer constants only) and unreduced ints over GF(p).
+
+FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+
+def scalars(F):
+    if F is QQ:
+        return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    return st.integers(-5 * F.p, 5 * F.p)
+
+
+def normal(F, v):
+    """The reference's normal form: a Fraction over Q, an int in [0, p) over GF(p)."""
+    return Fraction(v) if F is QQ else v % F.p
+
+
+@st.composite
+def algebra_data(draw):
+    F = draw(st.sampled_from(FIELDS))
+    d = draw(st.integers(1, 4))
+    index = st.tuples(*[st.integers(0, d - 1)] * 3)
+    consts = draw(st.dictionaries(index, scalars(F), max_size=2 * d * d))
+    vec = st.lists(scalars(F), min_size=d, max_size=d)
+    return F, d, consts, draw(vec), draw(vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_data())
+def test_products_and_operators_match_per_scalar_reference(case):
+    F, d, consts, x, y = case
+    A = Algebra(F, d, consts)
+    xy = [0] * d
+    left = [[0] * d for _ in range(d)]    # L_y[k][j] = sum_i y_i c_ijk
+    right = [[0] * d for _ in range(d)]   # R_y[k][i] = sum_j y_j c_ijk
+    for (i, j, k), c in consts.items():
+        xy[k] += x[i] * y[j] * c
+        left[k][j] += y[i] * c
+        right[k][i] += y[j] * c
+    got = A.mul_coords(x, y)
+    assert got == tuple(normal(F, v) for v in xy)
+    L, R = A.left_mult_matrix(y), A.right_mult_matrix(y)
+    assert L.rows == tuple(tuple(normal(F, v) for v in row) for row in left)
+    assert R.rows == tuple(tuple(normal(F, v) for v in row) for row in right)
+    for v in got + L.rows[0] + R.rows[0]:
+        if F is QQ:
+            assert type(v) is Fraction
+        else:
+            assert type(v) is int and 0 <= v < F.p

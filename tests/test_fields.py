@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,3 +75,22 @@ def test_gf7_ring_axioms(a, b):
 def test_gf7_inverse_roundtrip(a):
     F = GF(7)
     assert F.inv(F.inv(a)) == a
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 15)), max_size=6))
+def test_rational_integer_boundary_roundtrip(vec):
+    ints, den = QQ.to_ints(vec)
+    assert all(type(n) is int for n in ints)
+    assert den == lcm(*(v.denominator for v in vec))
+    back = QQ.from_ints(ints, den)
+    assert back == tuple(vec)
+    assert all(type(v) is Fraction for v in back)
+    assert all(v is QQ.zero for v in back if v == 0)
+
+
+@given(st.lists(st.integers(-100, 100), max_size=6), st.integers(1, 6))
+def test_prime_integer_boundary(vec, den):
+    F = GF(7)
+    assert F.to_ints(vec) == (vec, 1)
+    assert F.from_ints(vec) == tuple(v % 7 for v in vec)
+    assert all(F.mul(v, den) == n % 7 for v, n in zip(F.from_ints(vec, den), vec))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from altrings.algebra import BudgetError, LinearMap, commutator
 from altrings.catalog import catalog
 from altrings.fields import GF, QQ
+from altrings.linalg import Matrix
 from altrings.lietype import (
     DecompositionError,
     NormalizationError,
@@ -20,6 +22,7 @@ from altrings.lietype import (
     nested_commutator,
     nested_commutator_span,
     normalize_at_idempotent,
+    _invert,
     standard_inner_derivation,
 )
 from altrings.peirce import peirce_context
@@ -316,3 +319,26 @@ def test_lie3_members_satisfy_identity_everywhere(a, b, c):
     for D in lie_n_derivation_space(A, 3).maps():
         xs = [A.element(a), A.element(b), A.element(c)]
         assert lie_leibniz_residual(A, D, xs).is_zero()
+
+
+@pytest.mark.parametrize("F, rows", [
+    (QQ, [[Fraction(1, 2), 3, 0], [Fraction(-2, 3), 0, Fraction(5, 7)], [1, 1, 1]]),
+    (QQ, [[0, 1], [Fraction(7, 4), Fraction(1, 9)]]),
+    (GF(5), [[2, 3, 1], [0, 4, 4], [1, 0, 3]]),
+    (GF(2), [[0, 1, 1], [1, 0, 1], [1, 1, 1]]),
+])
+def test_invert_is_a_two_sided_inverse(F, rows):
+    P = Matrix(F, rows)
+    ident = Matrix.identity(F, P.nrows)
+    assert P @ _invert(P) == ident
+    assert _invert(P) @ P == ident
+
+
+@pytest.mark.parametrize("F, rows", [
+    (QQ, [[Fraction(1, 2), 1], [1, 2]]),
+    (QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+    (GF(3), [[1, 2, 0], [2, 1, 0], [0, 1, 1]]),
+])
+def test_invert_rejects_singular(F, rows):
+    with pytest.raises(ValueError):
+        _invert(Matrix(F, rows))

@@ -166,3 +166,134 @@ def test_modular_law_for_sums_and_meets(rows_a, rows_b):
     assert a.contains_subspace(meet) and b.contains_subspace(meet)
     assert join.contains_subspace(a) and join.contains_subspace(b)
     assert meet.dim + join.dim == a.dim + b.dim
+
+
+# Integer kernels against an independent per-scalar reference.  Over Q the
+# entries have mixed denominators; over GF(p) the inputs are unreduced ints.
+
+FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+
+def scalars(F):
+    if F is QQ:
+        return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    return st.integers(-5 * F.p, 5 * F.p)
+
+
+def rows_of(F, nrows, ncols):
+    row = st.lists(scalars(F), min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+def normal(F, v):
+    """The reference's normal form: a Fraction over Q, an int in [0, p) over GF(p)."""
+    return Fraction(v) if F is QQ else v % F.p
+
+
+def assert_normal_form(F, values):
+    for v in values:
+        if F is QQ:
+            assert type(v) is Fraction
+        else:
+            assert type(v) is int and 0 <= v < F.p
+
+
+def reference_rref(F, rows, ncols):
+    """Textbook Gauss-Jordan on the raw entries; returns (nonzero rows, rank)."""
+    m = [[normal(F, v) for v in row] for row in rows]
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead if F is QQ else v * pow(lead, -1, F.p) % F.p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [normal(F, a - f * b) for a, b in zip(m[i], m[r])]
+        r += 1
+    return [tuple(row) for row in m[:r]], r
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_products_match_per_scalar_reference(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(rows_of(F, n, k))
+    b = data.draw(rows_of(F, k, m))
+    vec = data.draw(rows_of(F, 1, k))[0]
+    A, B = Matrix(F, a, ncols=k), Matrix(F, b, ncols=m)
+    product = A @ B
+    assert (product.nrows, product.ncols) == (n, m)
+    for i in range(n):
+        expected = [normal(F, sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m)]
+        assert list(product.rows[i]) == expected
+        assert_normal_form(F, product.rows[i])
+    image = A.apply(vec)
+    assert list(image) == [normal(F, sum(x * y for x, y in zip(row, vec))) for row in a]
+    assert_normal_form(F, image)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rref_and_kernel_match_per_scalar_reference(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    n, k = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    raw = data.draw(rows_of(F, n, k))
+    M = Matrix(F, raw, ncols=k)
+    expected, expected_rank = reference_rref(F, raw, k)
+    reduced, rk = rref(M)
+    assert rk == expected_rank == rank(M)
+    assert list(reduced.rows[:rk]) == expected
+    assert all(v == 0 for row in reduced.rows[rk:] for v in row)
+    for row in reduced.rows:
+        assert_normal_form(F, row)
+    ker = kernel(M)
+    assert ker.dim == k - expected_rank
+    for v in ker.basis:
+        assert_normal_form(F, v)
+        assert all(normal(F, sum(x * y for x, y in zip(row, v))) == 0 for row in raw)
+    # the stored basis is itself in canonical reduced echelon form
+    assert reference_rref(F, ker.basis, k)[0] == list(ker.basis)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_domain(sympy, F):
+    """sympy's domain for F, with maps into it and back."""
+    if F is QQ:
+        return (sympy.QQ, lambda v: sympy.QQ(v.numerator, v.denominator),
+                lambda e: Fraction(int(e.numerator), int(e.denominator)))
+    dom = sympy.GF(F.p)
+    return dom, dom, lambda e: int(e) % F.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_rank_nullspace_agree_with_sympy(sympy, data):
+    from sympy.polys.matrices import DomainMatrix
+
+    F = data.draw(st.sampled_from(FIELDS))
+    n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    M = Matrix(F, data.draw(rows_of(F, n, k)))
+    dom, to_dom, back = sympy_domain(sympy, F)
+    dm = DomainMatrix([[to_dom(v) for v in row] for row in M.rows], (n, k), dom)
+
+    reduced, rk = rref(M)
+    sym_reduced, _ = dm.rref()
+    assert [tuple(back(e) for e in row) for row in sym_reduced.to_list()] == list(reduced.rows)
+    assert rk == dm.rank()
+
+    null_rows = dm.nullspace().to_list()
+    if null_rows:
+        null = DomainMatrix(null_rows, (len(null_rows), k), dom).rref()[0].to_list()
+        null = [tuple(back(e) for e in row) for row in null if any(row)]
+    else:
+        null = []
+    assert list(kernel(M).basis) == null
