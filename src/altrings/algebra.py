@@ -20,6 +20,9 @@ from .fields import FieldError
 from .linalg import Matrix, Subspace, echelon, kernel, solve
 
 
+_UNSOLVED = object()
+
+
 class AlgebraError(ValueError):
     """Raised for inconsistent algebra data (bad unit, bad idempotent, ...)."""
 
@@ -71,6 +74,7 @@ class Algebra:
         self._left_cache: dict[int, Matrix] = {}
         self._right_cache: dict[int, Matrix] = {}
         self._prime_cache: dict = {}
+        self._solved_unit = _UNSOLVED  # find_unit's memo; never read as `unit`
         self.unit = None
         if unit is not None:
             u = self._coerce_coords(unit)
@@ -376,6 +380,22 @@ def mul_operator(A: Algebra, y, side: str) -> LinearMap:
     raise ValueError("side must be 'left' or 'right'")
 
 
+def is_derivation(A: Algebra, g: LinearMap) -> bool:
+    """Whether g(e_i e_j) = g(e_i) e_j + e_i g(e_j) on every basis pair."""
+    F = A.field
+    basis = [A.basis_element(i).coords for i in range(A.dim)]
+    images = [g.apply_coords(e) for e in basis]
+    for i, (ei, gi) in enumerate(zip(basis, images)):
+        for j, (ej, gj) in enumerate(zip(basis, images)):
+            lhs = g.apply_coords(A.basis_product(i, j))
+            rhs = tuple(
+                F.add(a, b) for a, b in zip(A.mul_coords(gi, ej), A.mul_coords(ei, gj))
+            )
+            if lhs != rhs:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Which standard identities the multiplication satisfies.
@@ -534,9 +554,17 @@ def center(A: Algebra) -> Subspace:
 
 
 def find_unit(A: Algebra) -> AlgebraElement | None:
-    """Solve for a two-sided identity element, if one exists."""
+    """The declared unit, or else the solved two-sided identity, if any.
+
+    The solution is memoised on the algebra but never recorded as its
+    declared ``unit``, so serialisation and unit-guarded checks do not
+    depend on whether this ran.
+    """
     if A.unit is not None:
         return AlgebraElement(A, A.unit)
+    if A._solved_unit is not _UNSOLVED:
+        u = A._solved_unit
+        return None if u is None else AlgebraElement(A, u)
     d = A.dim
     F = A.field
     rows = []
@@ -551,11 +579,8 @@ def find_unit(A: Algebra) -> AlgebraElement | None:
             rows.append([A.tensor[j][i][m] for i in range(d)])
             rhs.append(F.one if m == j else F.zero)
     result = solve(Matrix(F, rows), tuple(rhs))
-    if result is None:
-        return None
-    u = result[0]
-    A.unit = u
-    return AlgebraElement(A, u)
+    u = A._solved_unit = None if result is None else result[0]
+    return None if u is None else AlgebraElement(A, u)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,20 @@ commutator rule
 
 quantified over ALL element tuples, not just basis tuples, since tables
 need not be linear.
+
+The scans read whole rows of index tables: ``add_rows[i][j]`` and
+``comm_rows[i][j]`` are the indices of x_i + x_j and [x_i, x_j].  A row
+is built on first use in O(S) (S the ring size): addition and negation
+act digit by digit, and y -> [x_i, y] is additive, so its row follows
+from the d basis images.  The scan over tuples carries two values down
+its depth-first walk, p_k = p_k(x1..xk) and the right-hand side
+acc_k = sum_{t<=k} p_k(..., T(x_t), ...).  The commutator is biadditive
+in any ring, so
+
+    p_{k+1} = [p_k, x],    acc_{k+1} = [acc_k, x] + [p_k, T(x)]
+
+exactly, and a tuple violates (1) iff T(p_n) != acc_n.  Each node of
+the walk costs two row lookups and one addition.
 """
 
 from __future__ import annotations
@@ -25,13 +39,60 @@ from .algebra import (
     BudgetError,
     LinearMap,
     center,
+    is_derivation,
 )
 from .fields import FieldError
 from .verdict import Verdict
 
 
+class _RowTable(dict):
+    """Rows keyed by element index; a missing row is built on first use."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, i: int) -> list[int]:
+        row = self[i] = self._build(i)
+        return row
+
+
+class _PointRows:
+    """Row-table look-alike that computes each entry on demand and stores
+    nothing; lets a scan that touches few pairs share the row-based code."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, i: int) -> "_PointRow":
+        return _PointRow(self.op, i)
+
+
+class _PointRow:
+    __slots__ = ("op", "i")
+
+    def __init__(self, op, i: int):
+        self.op = op
+        self.i = i
+
+    def __getitem__(self, j: int) -> int:
+        return self.op(self.i, j)
+
+
 class FiniteRing:
-    """Index tables over a finite algebra: lazy add/mul rows, p_n, center."""
+    """Index arithmetic on the elements of a finite algebra.
+
+    Whole-ring scans read the lazily built row tables ``add_rows``,
+    ``comm_rows`` and ``negatives``; the point ops ``add``, ``neg``,
+    ``sub``, ``mul`` and ``commutator`` read a row only if it already
+    exists and otherwise compute from coordinates, so sparse use (sampled
+    checks) builds nothing.  Rows have no size budget: a scan that reads
+    them all is bounded by its own tuple budget.
+    """
 
     def __init__(self, A: Algebra, budget: int = 2 ** 16):
         if not A.field.is_finite:
@@ -41,51 +102,100 @@ class FiniteRing:
             raise BudgetError(f"ring size {size} exceeds budget {budget}")
         self.algebra = A
         self.size = size
+        self.p = A.field.p
         self.elements = tuple(x.coords for x in A.elements())
         self.index = {coords: i for i, coords in enumerate(self.elements)}
-        self._add: dict[tuple[int, int], int] = {}
-        self._mul: dict[tuple[int, int], int] = {}
-        self._neg: dict[int, int] = {}
+        self.add_rows = _RowTable(self._add_row)
+        self.comm_rows = _RowTable(self._comm_row)
+        self._negatives: list[int] | None = None
         self._central: frozenset[int] | None = None
 
     def element(self, i: int) -> AlgebraElement:
         return AlgebraElement(self.algebra, self.elements[i])
 
-    def add(self, i: int, j: int) -> int:
-        key = (i, j)
-        out = self._add.get(key)
-        if out is None:
-            F = self.algebra.field
-            coords = tuple(
-                F.add(a, b) for a, b in zip(self.elements[i], self.elements[j])
-            )
-            out = self.index[coords]
-            self._add[key] = out
+    # ---- row builders
+
+    def _digitwise(self, digit_maps) -> list[int]:
+        """Table of the map sending digit t of every index k through
+        digit_maps[t]; built like a Kronecker product, in O(S)."""
+        out, weight = [0], 1
+        for m in digit_maps:
+            out = [v + s for s in [a * weight for a in m] for v in out]
+            weight *= self.p
         return out
 
-    def neg(self, i: int) -> int:
-        out = self._neg.get(i)
-        if out is None:
-            F = self.algebra.field
-            coords = tuple(F.neg(a) for a in self.elements[i])
-            out = self.index[coords]
-            self._neg[i] = out
+    def _add_row(self, i: int) -> list[int]:
+        p = self.p
+        return self._digitwise(
+            [[(c + a) % p for a in range(p)] for c in self.elements[i]]
+        )
+
+    def _linear_row(self, images) -> list[int]:
+        """Table of the additive map sending basis vector e_t to element
+        images[t]: one add_rows lookup per entry."""
+        add = self.add_rows
+        out = [0]
+        for b in images:
+            shifts, m = [], 0
+            for _ in range(self.p):  # rows of the multiples 0, b, ..., (p-1)b
+                shifts.append(add[m])
+                m = add[b][m]
+            out = [r[v] for r in shifts for v in out]
         return out
+
+    def _comm_row(self, i: int) -> list[int]:
+        A = self.algebra
+        x = self.elements[i]
+        return self._linear_row(
+            [self._commutator_of(x, A.basis_element(t).coords)
+             for t in range(A.dim)]
+        )
+
+    @property
+    def negatives(self) -> list[int]:
+        """negatives[i] is the index of -x_i."""
+        if self._negatives is None:
+            p = self.p
+            self._negatives = self._digitwise(
+                [[-a % p for a in range(p)]] * self.algebra.dim
+            )
+        return self._negatives
+
+    # ---- point ops
+
+    def _commutator_of(self, x, y) -> int:
+        """Index of [x, y] for coordinate tuples x, y."""
+        A, p = self.algebra, self.p
+        return self.index[tuple(
+            (a - b) % p for a, b in zip(A.mul_coords(x, y), A.mul_coords(y, x))
+        )]
+
+    def add(self, i: int, j: int) -> int:
+        row = self.add_rows.get(i)
+        if row is not None:
+            return row[j]
+        p = self.p
+        return self.index[tuple(
+            (a + b) % p for a, b in zip(self.elements[i], self.elements[j])
+        )]
+
+    def neg(self, i: int) -> int:
+        if self._negatives is not None:
+            return self._negatives[i]
+        p = self.p
+        return self.index[tuple(-a % p for a in self.elements[i])]
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        out = self._mul.get(key)
-        if out is None:
-            coords = self.algebra.mul_coords(self.elements[i], self.elements[j])
-            out = self.index[coords]
-            self._mul[key] = out
-        return out
+        return self.index[self.algebra.mul_coords(self.elements[i], self.elements[j])]
 
     def commutator(self, i: int, j: int) -> int:
-        return self.sub(self.mul(i, j), self.mul(j, i))
+        row = self.comm_rows.get(i)
+        if row is not None:
+            return row[j]
+        return self._commutator_of(self.elements[i], self.elements[j])
 
     def nested(self, indices) -> int:
         """p_n on element indices (left-nested)."""
@@ -127,10 +237,11 @@ class MapTable:
 
     @classmethod
     def from_linear_map(cls, ring: FiniteRing, D: LinearMap) -> "MapTable":
-        values = [
-            ring.index[D.apply_coords(coords)] for coords in ring.elements
-        ]
-        return cls(ring, values)
+        A = ring.algebra
+        return cls(ring, ring._linear_row(
+            [ring.index[D.apply_coords(A.basis_element(t).coords)]
+             for t in range(A.dim)]
+        ))
 
     def apply_index(self, i: int) -> int:
         return self.values[i]
@@ -139,11 +250,13 @@ class MapTable:
         return self.ring.element(self.values[self.ring.index[x.coords]])
 
     def is_additive(self) -> bool:
-        ring = self.ring
+        add = self.ring.add_rows
         T = self.values
-        for a in range(ring.size):
-            for b in range(a, ring.size):
-                if T[ring.add(a, b)] != ring.add(T[a], T[b]):
+        S = self.ring.size
+        for a in range(S):
+            ra, rta = add[a], add[T[a]]
+            for b in range(a, S):
+                if T[ra[b]] != rta[T[b]]:
                     return False
         return True
 
@@ -176,17 +289,14 @@ class LieIdentityReport:
         return self.status is Verdict.HOLDS
 
 
-def _tuple_residual(ring: FiniteRing, T, xs: tuple, prefixes: tuple) -> int:
-    """Index of T(p(xs)) - sum_t p(..., T(x_t), ...); prefixes[k] = p_{k+1}."""
-    n = len(xs)
-    lhs = T[prefixes[-1]]
-    rhs = 0  # index of zero element
-    for t in range(n):
-        acc = T[xs[t]] if t == 0 else ring.commutator(prefixes[t - 1], T[xs[t]])
-        for s in range(t + 1, n):
-            acc = ring.commutator(acc, xs[s])
-        rhs = ring.add(rhs, acc)
-    return ring.sub(lhs, rhs)
+def _lie_step(comm, add, T, pv, acc, x):
+    """(p_{k+1}, acc_{k+1}) from (p_k, acc_k) and the next element x.
+
+    acc_k = sum_{t<=k} p_k(..., T(x_t), ...); by biadditivity of the
+    commutator acc_{k+1} = [acc_k, x] + [p_k, T(x)].  ``comm``/``add`` are
+    row tables (or _PointRows) of the ring, T a value table."""
+    cp = comm[pv]
+    return cp[x], add[comm[acc][x]][cp[T[x]]]
 
 
 def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
@@ -195,8 +305,9 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
     """Test identity (1) at all element tuples, or a sample when too many.
 
     Exhaustive mode scans tuples in lexicographic element order (slot 1
-    slowest) and reports the first violation; the sampled fallback can
-    only refute, never confirm, so a clean sample is `undecided`.
+    slowest) on the ring's row tables and reports the first violation.  The
+    sampled fallback builds no rows; it can only refute, never confirm, so
+    a clean sample is `undecided`.
     """
     if n < 2:
         raise ValueError("the identity needs n >= 2")
@@ -207,57 +318,55 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
     values = T.values
 
     if S ** n <= budget:
-        count = 0
-        # depth-first over tuples, sharing nested-commutator prefixes
-        stack_xs: list[int] = []
-        stack_pv: list[int] = []
+        comm, add = ring.comm_rows, ring.add_rows
+        xs = [0] * n
 
-        def walk():
-            nonlocal count
-            depth = len(stack_xs)
-            if depth == n:
-                count += 1
-                res = _tuple_residual(ring, values, tuple(stack_xs), tuple(stack_pv))
-                if res != 0:
-                    return res
+        def walk(depth, pv, acc):
+            """First violating leaf below the node xs[:depth], or None."""
+            if depth == n - 1:
+                for x in range(S):
+                    q, a = _lie_step(comm, add, values, pv, acc, x)
+                    if values[q] != a:
+                        xs[depth] = x
+                        return q, a
                 return None
             for x in range(S):
-                stack_xs.append(x)
-                stack_pv.append(
-                    x if depth == 0 else ring.commutator(stack_pv[-1], x)
-                )
-                bad = walk()
-                if bad is not None:
-                    return bad
-                stack_xs.pop()
-                stack_pv.pop()
+                found = walk(depth + 1, *_lie_step(comm, add, values, pv, acc, x))
+                if found is not None:
+                    xs[depth] = x
+                    return found
             return None
 
-        res = walk()
-        if res is not None:
-            return LieIdentityReport(
-                status=Verdict.FAILS,
-                mode="exhaustive",
-                checked=count,
-                witness=tuple(ring.elements[x] for x in stack_xs),
-                residual=ring.elements[res],
-            )
-        return LieIdentityReport(status=Verdict.HOLDS, mode="exhaustive", checked=count)
+        for x0 in range(S):
+            found = walk(1, x0, values[x0])
+            if found is not None:
+                xs[0] = x0
+                break
+        else:
+            return LieIdentityReport(status=Verdict.HOLDS, mode="exhaustive", checked=S ** n)
+        q, a = found
+        return LieIdentityReport(
+            status=Verdict.FAILS,
+            mode="exhaustive",
+            checked=1 + sum(x * S ** (n - 1 - t) for t, x in enumerate(xs)),
+            witness=tuple(ring.elements[x] for x in xs),
+            residual=ring.elements[ring.sub(values[q], a)],
+        )
 
+    comm, add = _PointRows(ring.commutator), _PointRows(ring.add)
     rng = random.Random(seed)
     for trial in range(samples):
         xs = tuple(rng.randrange(S) for _ in range(n))
-        prefixes = []
-        for x in xs:
-            prefixes.append(x if not prefixes else ring.commutator(prefixes[-1], x))
-        res = _tuple_residual(ring, values, xs, tuple(prefixes))
-        if res != 0:
+        pv, acc = xs[0], values[xs[0]]
+        for x in xs[1:]:
+            pv, acc = _lie_step(comm, add, values, pv, acc, x)
+        if values[pv] != acc:
             return LieIdentityReport(
                 status=Verdict.FAILS,
                 mode="sampled",
                 checked=trial + 1,
                 witness=tuple(ring.elements[x] for x in xs),
-                residual=ring.elements[res],
+                residual=ring.elements[ring.sub(values[pv], acc)],
             )
     return LieIdentityReport(status=Verdict.UNDECIDED, mode="sampled", checked=samples)
 
@@ -281,11 +390,13 @@ def almost_additivity_defect(A: Algebra, T: MapTable,
         raise BudgetError(f"{S * S} pairs exceed budget {budget}")
     central = ring.central
     values = T.values
+    add, neg = ring.add_rows, ring.negatives
     count = 0
     for a in range(S):
+        ra, rta = add[a], add[values[a]]
         for b in range(a, S):
             count += 1
-            defect = ring.sub(values[ring.add(a, b)], ring.add(values[a], values[b]))
+            defect = add[values[ra[b]]][neg[rta[values[b]]]]
             if defect not in central:
                 return AdditivityReport(
                     all_central=False,
@@ -306,9 +417,10 @@ def nested_value_set(ring: FiniteRing, n: int, budget: int = 10 ** 7) -> frozens
     S = ring.size
     if S ** n > budget:
         raise BudgetError(f"{S ** n} tuples exceed budget {budget}")
+    comm = ring.comm_rows
     level = set(range(S))
     for _ in range(n - 1):
-        level = {ring.commutator(v, x) for v in level for x in range(S)}
+        level = {c for v in level for c in comm[v]}
     return frozenset(level)
 
 
@@ -327,7 +439,7 @@ def construct_converse_example(ctx, delta: LinearMap, n: int, seed: int = 0,
     if n > 4:
         raise ValueError("n capped at 4 for table construction")
     ring = FiniteRing(A)
-    if not _is_derivation(A, delta):
+    if not is_derivation(A, delta):
         raise ValueError("delta must satisfy the Leibniz rule")
     P = nested_value_set(ring, n, budget=budget)
     central = sorted(ring.central)
@@ -341,28 +453,15 @@ def construct_converse_example(ctx, delta: LinearMap, n: int, seed: int = 0,
     tau = [0] * ring.size
     for i in free:
         tau[i] = central[rng.randrange(len(central))]
-    values = [
-        ring.add(ring.index[delta.apply_coords(coords)], tau[i])
-        for i, coords in enumerate(ring.elements)
-    ]
-    T = MapTable(ring, values)
+    add = ring.add_rows  # rows of the few central tau values only
+    delta_values = MapTable.from_linear_map(ring, delta).values
+    T = MapTable(ring, [add[t][v] for t, v in zip(tau, delta_values)])
     report = verify_lie_n_identity(A, T, n, budget=budget)
     if not report.ok:
         raise AssertionError(
             "constructed table fails the identity; construction is broken"
         )
     return T
-
-
-def _is_derivation(A: Algebra, g: LinearMap) -> bool:
-    for i in range(A.dim):
-        ei = A.basis_element(i)
-        gei = g(ei)
-        for j in range(A.dim):
-            ej = A.basis_element(j)
-            if g(ei * ej) != gei * ej + ei * g(ej):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -408,13 +507,13 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
         return report
 
     # constraints grouped by the highest element index they mention
+    comm, add = ring.comm_rows, ring.add_rows
     by_last: list[list[tuple]] = [[] for _ in range(S)]
     for xs in _tuples(S, n):
-        prefixes = []
-        for x in xs:
-            prefixes.append(x if not prefixes else ring.commutator(prefixes[-1], x))
-        needed = max(max(xs), prefixes[-1])
-        by_last[needed].append((xs, tuple(prefixes)))
+        pv = xs[0]
+        for x in xs[1:]:
+            pv = comm[pv][x]
+        by_last[max(max(xs), pv)].append(xs)
 
     table = [0] * S
     nodes = 0
@@ -446,8 +545,11 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
                 return
             table[pos] = v
             ok = True
-            for xs, prefixes in by_last[pos]:
-                if _tuple_residual(ring, table, xs, prefixes) != 0:
+            for xs in by_last[pos]:
+                pv, acc = xs[0], table[xs[0]]
+                for x in xs[1:]:
+                    pv, acc = _lie_step(comm, add, table, pv, acc, x)
+                if table[pv] != acc:
                     ok = False
                     break
             if ok:

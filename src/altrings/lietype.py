@@ -27,6 +27,8 @@ from .algebra import (
     BudgetError,
     LinearMap,
     commutator,
+    find_unit,
+    is_derivation,
     mul_operator,
 )
 from .linalg import Matrix, Subspace, echelon, kernel, solve
@@ -387,8 +389,8 @@ class NormalizationError(ValueError):
 def normalize_at_idempotent(ctx: PeirceContext, D: LinearMap):
     """Subtract f_{y,e1} with y the off-diagonal part of D(e1).
 
-    Returns (D', f) with D' = D - f, certifying D'(e1) central and, when a
-    unit is recorded, D'(unit - e1) central as well.
+    Returns (D', f) with D' = D - f, certifying D'(e1) central and, when
+    A has a unit (declared or solved), D'(unit - e1) central as well.
     """
     A = ctx.algebra
     F = A.field
@@ -404,8 +406,9 @@ def normalize_at_idempotent(ctx: PeirceContext, D: LinearMap):
             "D(e1) minus the inner correction is not central; "
             "the ring-side hypotheses fail upstream",
         )
-    if A.unit is not None:
-        e2 = tuple(F.sub(a, b) for a, b in zip(A.unit, ctx.e1))
+    unit = find_unit(A)
+    if unit is not None:
+        e2 = tuple(F.sub(a, b) for a, b in zip(unit.coords, ctx.e1))
         if not ctx.center.contains(Dp.apply_coords(e2)):
             raise NormalizationError(
                 "central_normalization_complement",
@@ -463,19 +466,6 @@ def _solve_central_action(ctx: PeirceContext, side: int, target) -> tuple:
             "against conditions (2)/(3)",
         )
     return Matrix.from_columns(F, Z.basis).apply(coeffs)
-
-
-def _leibniz_holds(A: Algebra, g: LinearMap) -> bool:
-    for i in range(A.dim):
-        ei = A.basis_element(i)
-        gei = g(ei)
-        for j in range(A.dim):
-            ej = A.basis_element(j)
-            lhs = g(ei * ej)
-            rhs = gei * ej + ei * g(ej)
-            if lhs != rhs:
-                return False
-    return True
 
 
 def decompose(ctx: PeirceContext, D: LinearMap, n: int,
@@ -579,7 +569,7 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
         raise DecompositionError(
             "sum_mismatch", "delta + tau does not reproduce D"
         )
-    if not _leibniz_holds(A, delta):
+    if not is_derivation(A, delta):
         raise DecompositionError(
             "leibniz_failure", "delta violates the Leibniz rule on a basis pair"
         )

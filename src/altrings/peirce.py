@@ -369,7 +369,7 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
             entries["4"] = ConditionVerdict(
                 Verdict.FAILS, "central z with zR != R", witness=bad
             )
-    elif Z.dim == 1 and A.unit is not None:
+    elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one rank decides every nonzero z
         z0 = Z.basis[0]
         if rank(A.left_mult_matrix(z0)) == d:
             entries["4"] = ConditionVerdict(

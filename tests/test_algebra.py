@@ -14,6 +14,7 @@ from altrings.algebra import (
     commutator,
     find_idempotents,
     find_unit,
+    is_derivation,
     is_idempotent,
     jordan_product,
     mul_operator,
@@ -22,6 +23,7 @@ from altrings.algebra import (
 )
 from altrings.catalog import catalog
 from altrings.fields import GF, QQ, FieldError
+from altrings.linalg import Matrix
 
 
 @pytest.fixture(scope="module")
@@ -272,3 +274,34 @@ def test_products_and_operators_match_per_scalar_reference(case):
             assert type(v) is Fraction
         else:
             assert type(v) is int and 0 <= v < F.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_data(), st.data())
+def test_is_derivation_matches_structure_constant_reference(case, data):
+    from altrings.lietype import derivation_space
+
+    F, d, consts, _, _ = case
+    A = Algebra(F, d, consts)
+    c = {key: normal(F, v) for key, v in consts.items()}
+
+    def reference(M):
+        # g(e_i e_j) = g(e_i) e_j + e_i g(e_j), coordinate k, column j = g(e_j)
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    lhs = sum(c.get((i, j, m), 0) * M[k][m] for m in range(d))
+                    rhs = sum(M[a][i] * c.get((a, j, k), 0) for a in range(d))
+                    rhs += sum(M[b][j] * c.get((i, b, k), 0) for b in range(d))
+                    if normal(F, lhs - rhs) != normal(F, 0):
+                        return False
+        return True
+
+    rows = data.draw(st.lists(st.lists(scalars(F), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+    maps = [LinearMap(A, Matrix(F, rows))]
+    maps += derivation_space(A).maps()[:2]
+    for g in maps:
+        expected = reference([[normal(F, v) for v in row] for row in g.matrix.rows])
+        assert is_derivation(A, g) is expected
+    assert all(is_derivation(A, g) for g in maps[1:])

@@ -1,3 +1,5 @@
+import itertools
+import random
 import warnings
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from altrings.algebra import BudgetError, LinearMap
 from altrings.catalog import catalog
 from altrings.fields import GF, QQ, FieldError
+from altrings.linalg import Matrix
 from altrings.finite import (
     FiniteRing,
     MapTable,
@@ -266,3 +269,243 @@ def test_table_call_matches_index_application(a, b):
     x = ring.element(a)
     y = ring.element(b)
     assert T(x + y).coords == ring.elements[T.values[ring.add(a, b)]]
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against an independent oracle: per-coordinate
+# arithmetic straight from arbitrary (not necessarily alternative) bilinear
+# structure constants, element k <-> base-p digits of k, and the identity
+# checked per tuple by rebuilding every slot term.
+
+class Oracle:
+    def __init__(self, p, d, consts):
+        self.p, self.d = p, d
+        self.c = {key: v % p for key, v in consts.items()}
+        self.S = p ** d
+        S = self.S
+        self.add_t = [[self.idx(self.add_c(self.co(i), self.co(j))) for j in range(S)]
+                      for i in range(S)]
+        self.neg_t = [self.idx(tuple(-a % p for a in self.co(i))) for i in range(S)]
+        self.mul_t = [[self.idx(self.mul_c(self.co(i), self.co(j))) for j in range(S)]
+                      for i in range(S)]
+        self.comm_t = [[self.add_t[self.mul_t[i][j]][self.neg_t[self.mul_t[j][i]]]
+                        for j in range(S)] for i in range(S)]
+        self.center = {z for z in range(S) if not any(self.comm_t[z])}
+
+    def co(self, k):
+        return tuple((k // self.p ** t) % self.p for t in range(self.d))
+
+    def idx(self, coords):
+        return sum(a * self.p ** t for t, a in enumerate(coords))
+
+    def add_c(self, x, y):
+        return tuple((a + b) % self.p for a, b in zip(x, y))
+
+    def mul_c(self, x, y):
+        out = [0] * self.d
+        for (i, j, k), c in self.c.items():
+            out[k] += x[i] * y[j] * c
+        return tuple(v % self.p for v in out)
+
+    def sub(self, i, j):
+        return self.add_t[i][self.neg_t[j]]
+
+    def nested(self, xs):
+        acc = xs[0]
+        for x in xs[1:]:
+            acc = self.comm_t[acc][x]
+        return acc
+
+    def residual(self, T, xs):
+        """T(p(xs)) - sum_t p(..., T(x_t), ...), each slot term rebuilt."""
+        rhs = 0
+        for t in range(len(xs)):
+            slot = list(xs)
+            slot[t] = T[xs[t]]
+            rhs = self.add_t[rhs][self.nested(slot)]
+        return self.sub(T[self.nested(xs)], rhs)
+
+    def verify(self, T, n, budget=10 ** 7, samples=2000, seed=0):
+        """(status, mode, checked, witness, residual) as coordinate tuples."""
+        S = self.S
+        if S ** n <= budget:
+            mode, tuples = "exhaustive", itertools.product(range(S), repeat=n)
+        else:
+            rng = random.Random(seed)
+            mode = "sampled"
+            tuples = (tuple(rng.randrange(S) for _ in range(n)) for _ in range(samples))
+        checked = 0
+        for xs in tuples:
+            checked += 1
+            res = self.residual(T, xs)
+            if res:
+                return ("fails", mode, checked,
+                        tuple(self.co(x) for x in xs), self.co(res))
+        return ("holds" if mode == "exhaustive" else "undecided", mode, checked, None, None)
+
+    def value_set(self, n):
+        return {self.nested(xs) for xs in itertools.product(range(self.S), repeat=n)}
+
+    def defect(self, T):
+        checked = 0
+        for a in range(self.S):
+            for b in range(a, self.S):
+                checked += 1
+                dft = self.sub(T[self.add_t[a][b]], self.add_t[T[a]][T[b]])
+                if dft not in self.center:
+                    return False, checked, (self.co(a), self.co(b), self.co(dft))
+        return True, checked, None
+
+    def additive(self, T):
+        S = self.S
+        return all(T[self.add_t[a][b]] == self.add_t[T[a]][T[b]]
+                   for a in range(S) for b in range(S))
+
+    def linear_table(self, M):
+        """Values of the linear map with matrix M (column j = image of e_j)."""
+        return [self.idx(tuple(sum(M[r][j] * x[j] for j in range(self.d)) % self.p
+                               for r in range(self.d)))
+                for x in map(self.co, range(self.S))]
+
+
+@st.composite
+def small_rings(draw):
+    p, d = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                 (3, 3), (5, 1), (5, 2)]))
+    index = st.tuples(*[st.integers(0, d - 1)] * 3)
+    consts = draw(st.dictionaries(index, st.integers(-2 * p, 2 * p), max_size=2 * d * d))
+    return p, d, consts
+
+
+def build(case):
+    from altrings.algebra import Algebra
+
+    p, d, consts = case
+    return Algebra(GF(p), d, consts), Oracle(p, d, consts)
+
+
+def tables(A, orc, rng, n):
+    """A random table with T(0) = 0, a delta + tau table (tau central, zero
+    on p_n values) and that table with one entry changed."""
+    from altrings.lietype import derivation_space
+
+    S = orc.S
+    out = [[0] + [rng.randrange(S) for _ in range(S - 1)]]
+    ders = derivation_space(A).maps()
+    M = [[0] * orc.d for _ in range(orc.d)]
+    for D in ders:
+        k = rng.randrange(orc.p)
+        M = [[(a + k * b) % orc.p for a, b in zip(r, row)]
+             for r, row in zip(M, D.matrix.rows)]
+    delta = orc.linear_table(M)
+    values = orc.value_set(n)
+    central = sorted(orc.center)
+    good = [orc.add_t[v][central[rng.randrange(len(central))] if i not in values else 0]
+            for i, v in enumerate(delta)]
+    out.append(good)
+    bent = list(good)
+    bent[rng.randrange(S)] = rng.randrange(S)
+    out.append(bent)
+    return out
+
+
+def report_tuple(rep):
+    return (rep.status.value, rep.mode, rep.checked, rep.witness, rep.residual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings())
+def test_ring_ops_and_rows_match_coordinate_arithmetic(case):
+    A, orc = build(case)
+    ring = FiniteRing(A)
+    S = orc.S
+    assert ring.elements == tuple(orc.co(k) for k in range(S))
+
+    def point_ops():
+        for i in range(S):
+            assert ring.neg(i) == orc.neg_t[i]
+            for j in range(S):
+                assert ring.add(i, j) == orc.add_t[i][j]
+                assert ring.sub(i, j) == orc.sub(i, j)
+                assert ring.mul(i, j) == orc.mul_t[i][j]
+                assert ring.commutator(i, j) == orc.comm_t[i][j]
+
+    point_ops()  # computed from coordinates
+    assert not ring.add_rows and not ring.comm_rows
+    assert ring.negatives == orc.neg_t
+    for i in range(S):
+        assert ring.add_rows[i] == orc.add_t[i]
+        assert ring.comm_rows[i] == orc.comm_t[i]
+    point_ops()  # read from the rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_rings(), st.integers(0, 2 ** 16), st.sampled_from([2, 3]))
+def test_verify_matches_per_tuple_reference(case, seed, n):
+    A, orc = build(case)
+    if orc.S ** n > 20000:
+        n = 2
+    ring = FiniteRing(A)
+    rng = random.Random(seed)
+    for k, values in enumerate(tables(A, orc, rng, n)):
+        T = MapTable(ring, values)
+        expected = orc.verify(values, n)
+        assert report_tuple(verify_lie_n_identity(A, T, n)) == expected
+        if k == 1:  # delta + tau
+            assert expected == ("holds", "exhaustive", orc.S ** n, None, None)
+        sampled = verify_lie_n_identity(A, T, n, budget=0, samples=60, seed=seed)
+        assert report_tuple(sampled) == orc.verify(values, n, budget=0, samples=60, seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_rings(), st.integers(0, 2 ** 16))
+def test_value_set_defect_and_additivity_match_reference(case, seed):
+    A, orc = build(case)
+    ring = FiniteRing(A)
+    assert set(ring.central) == orc.center
+    for n in (2, 3):
+        if orc.S ** n <= 20000:
+            assert nested_value_set(ring, n) == orc.value_set(n)
+    rng = random.Random(seed)
+    M = [[rng.randrange(orc.p) for _ in range(orc.d)] for _ in range(orc.d)]
+    for values in tables(A, orc, rng, 2) + [orc.linear_table(M)]:
+        T = MapTable(ring, values)
+        rep = almost_additivity_defect(A, T)
+        assert (rep.all_central, rep.checked, rep.witness) == orc.defect(values)
+        assert T.is_additive() is orc.additive(values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_rings(), st.integers(0, 2 ** 16))
+def test_from_linear_map_matches_reference(case, seed):
+    A, orc = build(case)
+    rng = random.Random(seed)
+    rows = [[rng.randrange(orc.p) for _ in range(orc.d)] for _ in range(orc.d)]
+    D = LinearMap(A, Matrix(A.field, rows))
+    assert list(MapTable.from_linear_map(FiniteRing(A), D).values) == orc.linear_table(rows)
+
+
+def test_sampled_verify_builds_no_rows(monkeypatch):
+    built = []
+    for name in ("_add_row", "_comm_row", "_linear_row", "_digitwise"):
+        original = getattr(FiniteRing, name)
+
+        def spy(self, *args, _original=original, _name=name):
+            built.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(FiniteRing, name, spy)
+    A = catalog("zorn", GF(3))
+    ring = FiniteRing(A)
+    D = ad(A, 1)
+    values = [ring.index[D.apply_coords(x)] for x in ring.elements]
+    statuses = []
+    for T in (MapTable(ring, [0] * ring.size), MapTable(ring, values),
+              MapTable.identity(ring)):  # T(p) = p but the slots sum to 2p
+        rep = verify_lie_n_identity(A, T, 2)
+        assert rep.mode == "sampled"
+        statuses.append(rep.status)
+    assert statuses == [Verdict.UNDECIDED, Verdict.UNDECIDED, Verdict.FAILS]
+    assert rep.residual != (0,) * 8
+    assert built == []
+    assert not ring.add_rows and not ring.comm_rows and ring._negatives is None

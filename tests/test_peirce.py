@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altrings.catalog import catalog
+from altrings.algebra import Algebra, find_unit
+from altrings.catalog import catalog, parse, serialize
 from altrings.fields import GF, QQ
 from altrings.peirce import (
     PeirceError,
@@ -111,6 +112,52 @@ def test_condition_4_three_valued():
     P2 = catalog("product2", GF(2))
     ctx2 = peirce_context(P2, P2.idempotent)
     assert check_conditions_1_to_4(ctx2).entries["4"].status is Verdict.FAILS
+
+
+def test_solved_unit_is_not_recorded_as_declared():
+    """A unit that find_unit solves for never reaches the .saf bytes."""
+    A = parse(b"saf 1\nfield GF 3\ndim 2\nidem 1 0\nmul 1 1 1 1\nmul 2 2 2 1\n")
+    before = serialize(A)
+    peirce_context(A, A.idempotent)
+    assert find_unit(A).coords == (1, 1)
+    assert A.unit is None
+    assert serialize(A) == before
+    assert b"unit" not in before
+
+
+def _unitless_mat2_q():
+    M = catalog("mat2", QQ)
+    triples = {(i, j, k): c for i in range(4) for j in range(4)
+               for k, c in enumerate(M.tensor[i][j]) if c}
+    return Algebra(QQ, 4, triples, idempotent=M.idempotent)
+
+
+def _central_nilpotent_q():
+    """e1 e1 = e1, e1 m = m, z central with zA = 0: Z = Q z, no unit."""
+    return Algebra(QQ, 3, {(0, 0, 0): 1, (0, 1, 1): 1}, idempotent=(1, 0, 0))
+
+
+@pytest.mark.parametrize("build, expected", [
+    (_unitless_mat2_q, Verdict.HOLDS),
+    (_central_nilpotent_q, Verdict.FAILS),
+])
+def test_condition_4_rank_one_center_ignores_the_unit(build, expected):
+    declared = catalog("mat2", QQ)
+    verdicts = []
+    for solve_first in (False, True):
+        A = build()
+        if solve_first:
+            find_unit(A)
+        entry = check_conditions_1_to_4(peirce_context(A, A.idempotent)).entries["4"]
+        assert A.unit is None
+        verdicts.append((entry.status, entry.witness))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] is expected
+    if expected is Verdict.FAILS:
+        assert verdicts[0][1] == (0, 0, 1)
+    else:
+        ctx = peirce_context(declared, declared.idempotent)
+        assert check_conditions_1_to_4(ctx).entries["4"].status is expected
 
 
 def test_offdiag_commutant(ctx_mat2, ctx_zorn):
