@@ -87,11 +87,11 @@ class FiniteRing:
     """Index arithmetic on the elements of a finite algebra.
 
     Whole-ring scans read the lazily built row tables ``add_rows``,
-    ``comm_rows`` and ``negatives``; the point ops ``add``, ``neg``,
-    ``sub``, ``mul`` and ``commutator`` read a row only if it already
-    exists and otherwise compute from coordinates, so sparse use (sampled
-    checks) builds nothing.  Rows have no size budget: a scan that reads
-    them all is bounded by its own tuple budget.
+    ``comm_rows`` and ``negatives``.  The point ops ``add``, ``neg``,
+    ``sub``, ``mul`` and ``commutator`` compute from coordinates and never
+    touch a row, so sparse use (sampled checks) builds nothing.  Rows have
+    no size budget: a scan that reads them all is bounded by its own tuple
+    budget.
     """
 
     def __init__(self, A: Algebra, budget: int = 2 ** 16):
@@ -171,17 +171,12 @@ class FiniteRing:
         )]
 
     def add(self, i: int, j: int) -> int:
-        row = self.add_rows.get(i)
-        if row is not None:
-            return row[j]
         p = self.p
         return self.index[tuple(
             (a + b) % p for a, b in zip(self.elements[i], self.elements[j])
         )]
 
     def neg(self, i: int) -> int:
-        if self._negatives is not None:
-            return self._negatives[i]
         p = self.p
         return self.index[tuple(-a % p for a in self.elements[i])]
 
@@ -192,9 +187,6 @@ class FiniteRing:
         return self.index[self.algebra.mul_coords(self.elements[i], self.elements[j])]
 
     def commutator(self, i: int, j: int) -> int:
-        row = self.comm_rows.get(i)
-        if row is not None:
-            return row[j]
         return self._commutator_of(self.elements[i], self.elements[j])
 
     def nested(self, indices) -> int:

@@ -372,6 +372,8 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
     elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one rank decides every nonzero z
         z0 = Z.basis[0]
         if rank(A.left_mult_matrix(z0)) == d:
+            # "invertible" here means L_{z0} is, i.e. z0 R = R; the README
+            # example and the benchmark oracle pin this text byte for byte
             entries["4"] = ConditionVerdict(
                 Verdict.HOLDS,
                 "dim Z = 1 and the central generator is invertible",

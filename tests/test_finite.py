@@ -421,22 +421,18 @@ def test_ring_ops_and_rows_match_coordinate_arithmetic(case):
     S = orc.S
     assert ring.elements == tuple(orc.co(k) for k in range(S))
 
-    def point_ops():
-        for i in range(S):
-            assert ring.neg(i) == orc.neg_t[i]
-            for j in range(S):
-                assert ring.add(i, j) == orc.add_t[i][j]
-                assert ring.sub(i, j) == orc.sub(i, j)
-                assert ring.mul(i, j) == orc.mul_t[i][j]
-                assert ring.commutator(i, j) == orc.comm_t[i][j]
-
-    point_ops()  # computed from coordinates
-    assert not ring.add_rows and not ring.comm_rows
+    for i in range(S):
+        assert ring.neg(i) == orc.neg_t[i]
+        for j in range(S):
+            assert ring.add(i, j) == orc.add_t[i][j]
+            assert ring.sub(i, j) == orc.sub(i, j)
+            assert ring.mul(i, j) == orc.mul_t[i][j]
+            assert ring.commutator(i, j) == orc.comm_t[i][j]
+    assert not ring.add_rows and not ring.comm_rows  # point ops build no rows
     assert ring.negatives == orc.neg_t
     for i in range(S):
         assert ring.add_rows[i] == orc.add_t[i]
         assert ring.comm_rows[i] == orc.comm_t[i]
-    point_ops()  # read from the rows
 
 
 @settings(max_examples=30, deadline=None)
