@@ -179,7 +179,10 @@ def _content_lines(text: str):
 
 
 def parse(data) -> Algebra:
-    """Parse .saf bytes (or text) into an Algebra."""
+    """Parse .saf bytes (or text) into an Algebra.
+
+    A ``name`` line sets ``Algebra.name``; ``serialize`` does not write it.
+    """
     if isinstance(data, (bytes, bytearray)):
         try:
             text = data.decode("utf-8")
@@ -230,6 +233,7 @@ def parse(data) -> Algebra:
     if dim < 1:
         raise SafError(number, f"dimension must be positive, got {dim}")
 
+    name = None
     unit = None
     unit_line = None
     idem = None
@@ -251,7 +255,13 @@ def parse(data) -> Algebra:
         pos += 1
         parts = line.split()
         head = parts[0]
-        if head == "unit":
+        if head == "name":
+            if name is not None:
+                raise SafError(number, "duplicate name line")
+            if len(parts) < 2:
+                raise SafError(number, f"expected 'name <str>', got {line!r}")
+            name = line.split(None, 1)[1]
+        elif head == "unit":
             if unit is not None:
                 raise SafError(number, "duplicate unit line")
             unit = parse_coords(number, parts[1:], "unit")
@@ -284,7 +294,7 @@ def parse(data) -> Algebra:
             raise SafError(number, f"unknown directive {head!r}")
 
     try:
-        return Algebra(field, dim, triples, unit=unit, idempotent=idem)
+        return Algebra(field, dim, triples, unit=unit, idempotent=idem, name=name)
     except AlgebraError as exc:
         bad_line = unit_line if "unit" in str(exc) else idem_line
         raise SafError(bad_line or 1, str(exc)) from exc

@@ -350,10 +350,13 @@ def rank(matrix: Matrix) -> int:
 
 def kernel(matrix: Matrix) -> "Subspace":
     """The right null space {x : M x = 0} as a subspace of F^ncols."""
-    return _nullspace_from_echelon(matrix.field, matrix.ncols, _echelon_of(matrix))
+    F, n = matrix.field, matrix.ncols
+    return Subspace.from_vectors(F, n, kernel_vectors(F, n, _echelon_of(matrix)))
 
 
-def _nullspace_from_echelon(field, width: int, acc) -> "Subspace":
+def kernel_vectors(field, width: int, acc) -> list[list]:
+    """One null vector of acc's rows per free column of its RREF, in column
+    order: 1 at that column, 0 at the other free columns."""
     pivot_cols = acc.pivot_columns()
     rows = acc.rref_rows()
     pivot_set = set(pivot_cols)
@@ -366,7 +369,7 @@ def _nullspace_from_echelon(field, width: int, acc) -> "Subspace":
         for prow, pc in zip(rows, pivot_cols):
             vec[pc] = field.neg(prow[f])
         vectors.append(vec)
-    return Subspace.from_vectors(field, width, vectors)
+    return vectors
 
 
 def solve(matrix: Matrix, rhs) -> tuple[tuple, "Subspace"] | None:

@@ -21,7 +21,7 @@ from .algebra import (
     center,
     is_idempotent,
 )
-from .linalg import Matrix, Subspace, echelon, kernel, rank
+from .linalg import Matrix, Subspace, echelon, kernel, kernel_vectors, rank
 from .verdict import ConditionVerdict, Verdict, combine
 
 
@@ -34,6 +34,7 @@ class PeirceError(ValueError):
 
 
 _SLOTS = ((1, 1), (1, 2), (2, 1), (2, 2))
+_RAY_BUDGET = 2 ** 17  # rays of a primality or condition (4) enumeration
 
 
 @dataclass(frozen=True)
@@ -354,21 +355,25 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
             Verdict.HOLDS, "center is zero; nothing to check"
         )
     elif F.is_finite:
-        bad = None
-        for z in Z.vectors():
-            if all(F.is_zero(v) for v in z):
-                continue
-            if rank(A.left_mult_matrix(z)) != d:
-                bad = z
-                break
-        if bad is None:
+        rays = (F.p ** Z.dim - 1) // (F.p - 1)
+        if rays > _RAY_BUDGET:
             entries["4"] = ConditionVerdict(
-                Verdict.HOLDS, "all nonzero central z have zR = R (enumerated)"
+                Verdict.UNDECIDED,
+                f"{rays} central rays exceed the enumeration budget {_RAY_BUDGET}",
             )
         else:
-            entries["4"] = ConditionVerdict(
-                Verdict.FAILS, "central z with zR != R", witness=bad
-            )
+            # L_{cz} = c L_z, so each ray is decided by its first vector in
+            # the enumeration, the one whose first nonzero coordinate is 1
+            bad = next((z for z in Z.vectors() if next((v for v in z if v), 0) == 1
+                        and rank(A.left_mult_matrix(z)) != d), None)
+            if bad is None:
+                entries["4"] = ConditionVerdict(
+                    Verdict.HOLDS, "all nonzero central z have zR = R (enumerated)"
+                )
+            else:
+                entries["4"] = ConditionVerdict(
+                    Verdict.FAILS, "central z with zR != R", witness=bad
+                )
     elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one rank decides every nonzero z
         z0 = Z.basis[0]
         if rank(A.left_mult_matrix(z0)) == d:
@@ -423,76 +428,89 @@ def _ray_representatives(A: Algebra):
                 yield vec
 
 
-def _kernel_after_left_products(A: Algebra, a, p: int) -> list | None:
-    """Basis of {b : (a e_t) b = 0 for all t} over GF(p), or None when zero.
+def _first_failing_ray(A: Algebra, p: int):
+    """(rays checked, a, rows) at the first ray a with aRb = 0 for some b != 0.
 
-    Maintains a small mod-p elimination; exits as soon as the rank hits d.
+    {b : (a r) b = 0 for all r} depends only on aR, the column space of
+    L_a, so a ray costs one rank test of L_a and, when that falls short of
+    d, one rank test of the stacked L_y for a basis y of aR.  rank L_a = d
+    passes at once: then aR = R, and Rb = 0 would put b in ker L_a = 0.
+    Operators are ints of w-bit slots, entry (k, j) of a d-column matrix
+    at slot k*d + j; no slot exceeds V before one SWAR Barrett step
+    reduces them all mod p.  The rows returned span the constraints on b;
+    a is None when every ray passes.
     """
     d = A.dim
-    pairs = A._pairs
-    pivots: dict[int, list[int]] = {}
+    # a slot holds at most a sum of d products c*c' (operator) or
+    # v*x + (p - c)*y (pivot_shifts), with all of c, c', v, x, y below p
+    V = max(d * (p - 1) ** 2, (2 * p - 1) * (p - 1))
+    b = V.bit_length()
+    s = b + p.bit_length()
+    w = b + s
+    rw = w * d  # one row
+    m = (1 << s) // p + 1
+    digit = (1 << w) - 1
+    qmask = sum(((1 << b) - 1) << (w * k) for k in range(d ** 3))
+    column = sum(digit << (rw * k) for k in range(d * d))
+    p_column = [sum(p << (rw * k) for k in range(n)) for n in range(d * d + 1)]
+    packed = [
+        sum(c << (w * (k * d + j)) for j in range(d) for k, c in A._pairs[i][j])
+        for i in range(d)
+    ]
 
-    for t in range(d):
-        # y = a * e_t, computed sparsely
-        y = [0] * d
-        for i, ai in enumerate(a):
-            if ai:
-                for k, c in pairs[i][t]:
-                    y[k] = (y[k] + ai * c) % p
-        if not any(y):
+    def reduce(x):
+        # per slot x - p*floor(x/p): exact below 2**b, where m's excess over
+        # 2**s / p costs less than 1/p in the quotient
+        return x - p * (((x * m) >> s) & qmask)
+
+    def operator(y):
+        """L_y with every entry in 0..p-1."""
+        return reduce(sum(c * packed[i] for i, c in enumerate(y) if c))
+
+    def pivot_shifts(M, nrows):
+        """Bit offsets of the pivot columns of M, up to d of them.
+
+        One step clears the pivot's column in every row at once:
+        M * v + (p - M[k][col]) * (pivot row), v the pivot."""
+        shifts = []
+        while M:
+            low = (M & -M).bit_length() - 1
+            shift = low % rw - low % w
+            shifts.append(shift)
+            if len(shifts) == d:
+                break
+            prow = (M >> (low - low % rw)) & ((1 << rw) - 1)
+            v = (prow >> shift) & digit
+            M = reduce(M * v + (p_column[nrows] - ((M >> shift) & column)) * prow)
+        return shifts
+
+    checked = 0
+    for a in _ray_representatives(A):
+        checked += 1
+        left = operator(a)
+        shifts = pivot_shifts(left, d)
+        if len(shifts) == d:
             continue
-        # rows of L_y: (y * x)_m = sum_j x_j * sum_i y_i c[i][j][m]
-        rows = [[0] * d for _ in range(d)]
-        for i, yi in enumerate(y):
-            if yi:
-                for j in range(d):
-                    for k, c in pairs[i][j]:
-                        rows[k][j] = (rows[k][j] + yi * c) % p
-        for row in rows:
-            work = row[:]
-            for col, prow in pivots.items():
-                v = work[col]
-                if v:
-                    for idx in range(d):
-                        work[idx] = (work[idx] - v * prow[idx]) % p
-            lead = -1
-            for idx, v in enumerate(work):
-                if v:
-                    lead = idx
-                    break
-            if lead < 0:
-                continue
-            inv = pow(work[lead], -1, p)
-            if inv != 1:
-                work = [(v * inv) % p for v in work]
-            for prow in pivots.values():
-                v = prow[lead]
-                if v:
-                    for idx in range(d):
-                        prow[idx] = (prow[idx] - v * work[idx]) % p
-            pivots[lead] = work
-            if len(pivots) == d:
-                return None
-    # back out a kernel basis from the reduced rows
-    pivot_cols = sorted(pivots)
-    free = [j for j in range(d) if j not in pivots]
-    vectors = []
-    for f in free:
-        vec = [0] * d
-        vec[f] = 1
-        for pc in pivot_cols:
-            vec[pc] = (-pivots[pc][f]) % p
-        vectors.append(vec)
-    return vectors
+        stack = 0  # L_y for y = a e_t at the pivot columns t
+        for i, shift in enumerate(shifts):
+            y = [(left >> (rw * k + shift)) & digit for k in range(d)]
+            stack |= operator(y) << (rw * d * i)
+        nrows = d * len(shifts)
+        if len(pivot_shifts(stack, nrows)) < d:
+            return checked, a, [[(stack >> (rw * k + w * j)) & digit for j in range(d)]
+                                for k in range(nrows)]
+    return checked, None, None
 
 
-def is_prime(A: Algebra, budget: int = 2 ** 17, samples: int = 50,
+def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
              seed: int = 0) -> PrimeReport:
     """Theorem-style primality: a R b = 0 forces a = 0 or b = 0.
 
-    Exhaustive over GF(p) by looping a over scalar rays (one representative
-    each) and requiring the stacked left-multiplication kernel in b to be
-    trivial.  Over Q the loop is sampled, so "no witness" is undecided.
+    Exhaustive over GF(p), one representative a per scalar ray: the b with
+    aRb = 0 are those with yb = 0 for all y in aR, the column space of L_a.
+    A ray with rank L_a = d has aR = R and passes at once; otherwise the
+    stacked L_y over a basis y of aR must have rank d.  Over Q the loop is
+    sampled, so "no witness" is undecided.
     Char-3 rings get a torsion warning: the equivalence with ideal-primality
     needs 3-torsion-freeness.
     """
@@ -511,15 +529,16 @@ def is_prime(A: Algebra, budget: int = 2 ** 17, samples: int = 50,
     return report
 
 
-def _first_kernel_witness(A: Algebra, a, vectors) -> tuple:
-    """Prefer b = a itself when a kills itself; else the first basis vector."""
+def _first_kernel_witness(A: Algebra, a, rows) -> tuple:
+    """b = a when a kills itself (rows . a = 0 mod p); else the null vector of
+    rows that is 1 at the first free column of their RREF, 0 at the others."""
     F = A.field
-    acc = echelon(F, A.dim)
-    for v in vectors:
-        acc.add(v)
-    if acc.contains(list(a)):
+    if not any(sum(r * x for r, x in zip(row, a)) % F.p for row in rows):
         return tuple(a)
-    return tuple(F.coerce(v) for v in vectors[0])
+    acc = echelon(F, A.dim)
+    for row in rows:
+        acc.add(row)
+    return tuple(F.coerce(v) for v in kernel_vectors(F, A.dim, acc)[0])
 
 
 def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> PrimeReport:
@@ -530,19 +549,15 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
         rays = (p ** d - 1) // (p - 1)
         if rays > budget:
             raise BudgetError(f"{rays} rays exceed the primality budget {budget}")
-        checked = 0
-        for a in _ray_representatives(A):
-            checked += 1
-            vectors = _kernel_after_left_products(A, a, p)
-            if vectors:
-                witness_b = _first_kernel_witness(A, a, vectors)
-                return PrimeReport(
-                    status=Verdict.FAILS,
-                    mode="exhaustive",
-                    checked=checked,
-                    witness=(tuple(a), witness_b),
-                    detail="a R b = 0 with both nonzero",
-                )
+        checked, a, rows = _first_failing_ray(A, p)
+        if a is not None:
+            return PrimeReport(
+                status=Verdict.FAILS,
+                mode="exhaustive",
+                checked=checked,
+                witness=(tuple(a), _first_kernel_witness(A, a, rows)),
+                detail="a R b = 0 with both nonzero",
+            )
         return PrimeReport(
             status=Verdict.HOLDS,
             mode="exhaustive",

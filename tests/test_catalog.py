@@ -122,6 +122,13 @@ def test_parse_rational_and_residue_literals():
     assert B.tensor[0][0][0] == 6
 
 
+def test_name_line_is_read_but_not_written():
+    A = parse(b"saf 1\nfield Q\ndim 1\nname field copy  # a comment\nmul 1 1 1 1\n")
+    assert A.name == "field copy"
+    assert serialize(A) == b"saf 1\nfield Q\ndim 1\nmul 1 1 1 1\n"
+    assert parse(serialize(A)).name is None
+
+
 @pytest.mark.parametrize(
     "payload, lineno, needle",
     [
@@ -135,6 +142,8 @@ def test_parse_rational_and_residue_literals():
         (b"saf 1\nfield Q\ndim 1\nunit 1\nunit 1\n", 5, "duplicate"),
         (b"saf 1\nfield Q\ndim 1\nmul 1 1 1\n", 4, "mul"),
         (b"saf 1\nfield Q\ndim 1\nidem 1\n", 4, "idempotent"),
+        (b"saf 1\nfield Q\ndim 1\nname a\nmul 1 1 1 1\nname b\n", 6, "duplicate name"),
+        (b"saf 1\nfield Q\ndim 1\nname\n", 4, "name"),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(payload, lineno, needle):

@@ -1,3 +1,7 @@
+import random
+from itertools import product
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -239,6 +243,171 @@ def test_cross_invariants_on_catalog():
             if one_to_three:
                 assert check_offdiag_commutant(ctx, "12").contained_in_center
                 assert check_offdiag_commutant(ctx, "21").contained_in_center
+
+
+def _inverse_mod(P, p):
+    """P^-1 mod p by Gauss-Jordan, or None when P is singular."""
+    n = len(P)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(P)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c] % p), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [v * inv % p for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def _dense_rebase(A, p, seed):
+    """A over GF(p) in the seeded random basis f_i = sum_r P[i][r] e_r."""
+    d = A.dim
+    rng = random.Random(seed)
+    while True:
+        P = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        Q = _inverse_mod(P, p)
+        if Q is not None:
+            break
+    c = A.tensor
+    triples = {}
+    for i in range(d):
+        for j in range(d):
+            # f_i f_j = sum P[i][r] P[j][s] e_r e_s, and e_k = sum_l Q[k][l] f_l
+            e = [sum(P[i][r] * P[j][s] * int(c[r][s][k]) for r in range(d) for s in range(d))
+                 for k in range(d)]
+            for l in range(d):
+                v = sum(e[k] * Q[k][l] for k in range(d)) % p
+                if v:
+                    triples[(i, j, l)] = v
+    return Algebra(GF(p), d, triples)
+
+
+_HOLDS = "all {} rays have trivial annihilator"
+_FAILS = "a R b = 0 with both nonzero"
+
+# (status, mode, checked, witness, detail) of is_prime, as frozen before the
+# scan was rewritten on packed operators
+FROZEN_PRIME = {
+    "zorn/GF(2)": (Verdict.HOLDS, "exhaustive", 255, None, _HOLDS.format(255)),
+    "zorn/GF(3)": (Verdict.HOLDS, "exhaustive", 3280, None, _HOLDS.format(3280)),
+    "zorn~dense1/GF(3)": (Verdict.HOLDS, "exhaustive", 3280, None, _HOLDS.format(3280)),
+    "zorn~dense2/GF(3)": (Verdict.HOLDS, "exhaustive", 3280, None, _HOLDS.format(3280)),
+    "zorn~dense3/GF(3)": (Verdict.HOLDS, "exhaustive", 3280, None, _HOLDS.format(3280)),
+    "mat2/GF(5)": (Verdict.HOLDS, "exhaustive", 156, None, _HOLDS.format(156)),
+    "mat2/GF(7)": (Verdict.HOLDS, "exhaustive", 400, None, _HOLDS.format(400)),
+    "mat2/GF(11)": (Verdict.HOLDS, "exhaustive", 1464, None, _HOLDS.format(1464)),
+    "mat2/GF(13)": (Verdict.HOLDS, "exhaustive", 2380, None, _HOLDS.format(2380)),
+    "tri2/GF(2)": (Verdict.FAILS, "exhaustive", 2, ((0, 1, 0), (0, 1, 0)), _FAILS),
+    "tri2/GF(3)": (Verdict.FAILS, "exhaustive", 2, ((0, 1, 0), (0, 1, 0)), _FAILS),
+    "product2/GF(2)": (Verdict.FAILS, "exhaustive", 1, ((1, 0), (0, 1)), _FAILS),
+    "product2/GF(3)": (Verdict.FAILS, "exhaustive", 1, ((1, 0), (0, 1)), _FAILS),
+    "product2/GF(5)": (Verdict.FAILS, "exhaustive", 1, ((1, 0), (0, 1)), _FAILS),
+}
+
+
+@pytest.mark.filterwarnings("ignore:primality loop")
+@pytest.mark.parametrize("case", sorted(FROZEN_PRIME))
+def test_prime_reports_are_frozen(case):
+    name, field = case.split("/")
+    p = int(field[3:-1])
+    if "~dense" in name:
+        A = _dense_rebase(catalog("zorn", GF(p)), p, int(name[-1]))
+    else:
+        A = catalog(name, GF(p))
+    rep = is_prime(A)
+    assert (rep.status, rep.mode, rep.checked, rep.witness, rep.detail) == FROZEN_PRIME[case]
+
+
+def _mul(c, p, x, y):
+    d = len(x)
+    return tuple(
+        sum(x[i] * y[j] * c[i][j][k] for i in range(d) for j in range(d)) % p
+        for k in range(d)
+    )
+
+
+def _brute_prime(c, p, d):
+    """(checked, a, b) at the first failing ray in the documented order, or
+    (rays, None, None); b is a when a kills itself, else the kernel vector
+    whose last nonzero slot comes first, scaled to 1 there."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays = units + [
+        v for lead in range(d) for tail in product(range(p), repeat=d - lead - 1)
+        if (v := (0,) * lead + (1,) + tail) not in units
+    ]
+    nonzero = [v for v in product(range(p), repeat=d) if any(v)]
+    for checked, a in enumerate(rays, 1):
+        aR = [_mul(c, p, a, e) for e in units]
+        killed = [b for b in nonzero if not any(any(_mul(c, p, y, b)) for y in aR)]
+        if killed:
+            if a in killed:
+                return checked, a, a
+            last = {b: max(i for i in range(d) if b[i]) for b in killed}
+            return checked, a, min((b for b in killed if b[last[b]] == 1), key=last.get)
+    return len(rays), None, None
+
+
+@st.composite
+def small_algebras(draw):
+    """Structure constants over GF(2), GF(3), GF(5) in dim <= 3: arbitrary
+    (mostly unit-less), with e_0 as unit, or with R e_{d-1} = 0."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("any", "unital", "right_annihilator")))
+    scalar = st.one_of(st.just(0), st.integers(0, p - 1))
+    c = [[[draw(scalar) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for k in range(d):
+            if shape == "unital":
+                c[0][i][k] = c[i][0][k] = int(i == k)
+            elif shape == "right_annihilator":
+                c[i][d - 1][k] = 0
+    return p, d, c
+
+
+@pytest.mark.filterwarnings("ignore:primality loop")
+@settings(max_examples=200, deadline=None)
+@given(small_algebras())
+def test_prime_scan_matches_brute_force(alg):
+    p, d, c = alg
+    triples = {(i, j, k): c[i][j][k] for i in range(d) for j in range(d) for k in range(d)}
+    rep = is_prime(Algebra(GF(p), d, triples))
+    checked, a, b = _brute_prime(c, p, d)
+    assert rep.mode == "exhaustive" and rep.checked == checked
+    if a is None:
+        assert rep.status is Verdict.HOLDS and rep.witness is None
+        return
+    assert rep.status is Verdict.FAILS and rep.witness == (a, b)
+    assert any(a) and any(b)
+    for r in product(range(p), repeat=d):
+        assert not any(_mul(c, p, _mul(c, p, a, r), b))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_condition_4_witness_is_the_first_central_zero_divisor(p):
+    P = catalog("product2", GF(p))
+    entry = check_conditions_1_to_4(peirce_context(P, P.idempotent)).entries["4"]
+    assert entry.status is Verdict.FAILS
+    assert entry.witness == (0, 1)
+    assert entry.detail == "central z with zR != R"
+
+
+def test_condition_4_over_budget_is_undecided_without_enumerating():
+    # GF(2)^18: commutative, so Z = R has 2^18 - 1 rays, past the 2^17 budget
+    d = 18
+    A = Algebra(GF(2), d, {(i, i, i): 1 for i in range(d)},
+                idempotent=(1,) + (0,) * (d - 1))
+    ctx = peirce_context(A, A.idempotent)
+    assert ctx.center.dim == d
+    start = perf_counter()
+    entry = check_conditions_1_to_4(ctx).entries["4"]
+    assert perf_counter() - start < 10.0
+    assert entry.status is Verdict.UNDECIDED
+    assert entry.detail == "262143 central rays exceed the enumeration budget 131072"
 
 
 coeff = st.integers(-3, 3)
