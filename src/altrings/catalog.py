@@ -1,4 +1,4 @@
-"""Built-in example algebras, combinators, and the .saf file format.
+"""Built-in example algebras, combinators, and the three file formats.
 
 The catalog carries four families over any supported field: the full and
 upper-triangular 2x2 matrix algebras, the split-octonion Zorn
@@ -7,13 +7,18 @@ Each instance records its unit and a designated nontrivial idempotent.
 
 The ``.saf`` format is a line-oriented UTF-8 description of a
 structure-constant algebra; serialization is canonical (sorted triples,
-reduced scalars) so round-trips are byte-identical.
+reduced scalars) so round-trips are byte-identical.  ``.lmap`` holds
+a linear map as matrix rows and ``.tmap`` a value table on a finite ring.
+All three share one line reader: blank lines and ``#`` comments are
+skipped, and every error is a ``SafError`` naming the line at fault.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, AlgebraError, classify_identities
+from .algebra import Algebra, AlgebraError, LinearMap, classify_identities
 from .fields import GF, QQ, FieldError
+from .finite import FiniteRing, MapTable
+from .linalg import Matrix
 
 CATALOG_NAMES = ("mat2", "tri2", "zorn", "product2")
 
@@ -164,18 +169,64 @@ def opposite(A: Algebra) -> Algebra:
 
 
 class SafError(ValueError):
-    """A .saf parse/validation failure, carrying the offending line number."""
+    """A .saf/.lmap/.tmap parse or validation failure, carrying the offending
+    line number; ``detail`` is the message without the line."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.detail = message
 
 
-def _content_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
+def _content_lines(data) -> list:
+    """(number, text) of each line that is not blank once its ``#`` comment
+    is cut, numbered from 1.  Bytes must be UTF-8; a bad byte names its line."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise SafError(line, f"not valid UTF-8: {exc}") from exc
+    lines = []
+    for number, raw in enumerate(data.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield number, line
+            lines.append((number, line))
+    return lines
+
+
+def _missing(lines: list, what: str) -> SafError:
+    """The error for a line the file lacks: it names the line after the last."""
+    return SafError(lines[-1][0] + 1 if lines else 1, f"missing {what}")
+
+
+def _take(lines: list, pos: int, expected: str) -> tuple:
+    if pos >= len(lines):
+        raise _missing(lines, f"{expected} line")
+    return lines[pos]
+
+
+def _magic(lines: list, magic: str) -> None:
+    """Check the magic line that opens every file."""
+    number, line = _take(lines, 0, "magic")
+    if line != magic:
+        raise SafError(number, f"expected {magic!r} magic, got {line!r}")
+
+
+def _count(lines: list, pos: int, key: str) -> tuple:
+    """The positive integer n of the ``key <n>`` header line at pos,
+    as (line number, n)."""
+    number, line = _take(lines, pos, key)
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key:
+        raise SafError(number, f"expected '{key} <n>', got {line!r}")
+    try:
+        n = int(parts[1])
+    except ValueError as exc:
+        raise SafError(number, f"bad {key} {parts[1]!r}") from exc
+    if n < 1:
+        raise SafError(number, f"{key} must be positive, got {n}")
+    return number, n
 
 
 def parse(data) -> Algebra:
@@ -183,32 +234,10 @@ def parse(data) -> Algebra:
 
     A ``name`` line sets ``Algebra.name``; ``serialize`` does not write it.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SafError(0, f"not valid UTF-8: {exc}") from exc
-    else:
-        text = data
+    lines = _content_lines(data)
+    _magic(lines, "saf 1")
 
-    lines = list(_content_lines(text))
-    pos = 0
-
-    def take(expected: str):
-        nonlocal pos
-        if pos >= len(lines):
-            raise SafError(
-                lines[-1][0] + 1 if lines else 1, f"missing {expected} line"
-            )
-        number, line = lines[pos]
-        pos += 1
-        return number, line
-
-    number, line = take("magic")
-    if line != "saf 1":
-        raise SafError(number, f"expected 'saf 1' magic, got {line!r}")
-
-    number, line = take("field")
+    number, line = _take(lines, 1, "field")
     parts = line.split()
     if parts[0] != "field":
         raise SafError(number, f"expected 'field ...', got {line!r}")
@@ -222,16 +251,7 @@ def parse(data) -> Algebra:
     else:
         raise SafError(number, f"unknown field specification {line!r}")
 
-    number, line = take("dim")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise SafError(number, f"expected 'dim <d>', got {line!r}")
-    try:
-        dim = int(parts[1])
-    except ValueError as exc:
-        raise SafError(number, f"bad dimension {parts[1]!r}") from exc
-    if dim < 1:
-        raise SafError(number, f"dimension must be positive, got {dim}")
+    _, dim = _count(lines, 2, "dim")
 
     name = None
     unit = None
@@ -250,9 +270,7 @@ def parse(data) -> Algebra:
         except FieldError as exc:
             raise SafError(number, f"bad {label} coordinate: {exc}") from exc
 
-    while pos < len(lines):
-        number, line = lines[pos]
-        pos += 1
+    for number, line in lines[3:]:
         parts = line.split()
         head = parts[0]
         if head == "name":
@@ -320,3 +338,63 @@ def serialize(A: Algebra) -> bytes:
                 if not F.is_zero(c):
                     out.append(f"mul {i + 1} {j + 1} {k + 1} {F.format(c)}")
     return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def parse_linear_map(data, A: Algebra) -> LinearMap:
+    """Parse .lmap bytes (or text): ``lmap 1``, ``dim <d>``, then d
+    ``row <d scalars>`` lines giving the matrix rows of a map on A."""
+    lines = _content_lines(data)
+    _magic(lines, "lmap 1")
+    number, d = _count(lines, 1, "dim")
+    if d != A.dim:
+        raise SafError(number, f"map dim {d} does not match algebra dim {A.dim}")
+    rows = []
+    for number, line in lines[2:]:
+        parts = line.split()
+        if parts[0] != "row" or len(parts) != d + 1:
+            raise SafError(number, f"expected 'row' and {d} scalars, got {line!r}")
+        if len(rows) == d:
+            raise SafError(number, f"extra row line; the map has {d} rows")
+        try:
+            rows.append([A.field.parse(tok) for tok in parts[1:]])
+        except FieldError as exc:
+            raise SafError(number, f"bad scalar: {exc}") from exc
+    if len(rows) < d:
+        raise _missing(lines, f"row line: expected {d}, got {len(rows)}")
+    return LinearMap(A, Matrix(A.field, rows, ncols=d))
+
+
+def parse_map_table(data, ring: FiniteRing) -> MapTable:
+    """Parse .tmap bytes (or text): ``tmap 1``, ``size <S>``, then S
+    ``map <i> <j>`` lines, each sending element i of the ring to element j."""
+    lines = _content_lines(data)
+    _magic(lines, "tmap 1")
+    number, size = _count(lines, 1, "size")
+    if size != ring.size:
+        raise SafError(
+            number, f"table size {size} does not match ring size {ring.size}"
+        )
+    values = [None] * size
+    for number, line in lines[2:]:
+        parts = line.split()
+        if parts[0] != "map" or len(parts) != 3:
+            raise SafError(number, f"expected 'map <i> <j>', got {line!r}")
+        try:
+            i, j = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise SafError(number, "indices must be integers") from exc
+        if not (0 <= i < size and 0 <= j < size):
+            raise SafError(number, f"index out of range 0..{size - 1}")
+        if values[i] is not None:
+            raise SafError(number, f"duplicate entry for element {i}")
+        values[i] = j
+    if None in values:
+        raise _missing(lines, f"map line for element {values.index(None)}")
+    return MapTable(ring, values)
+
+
+def dump_map_table(T: MapTable) -> str:
+    """Canonical .tmap text: the header, then one map line per element."""
+    lines = ["tmap 1", f"size {T.ring.size}"]
+    lines += [f"map {i} {v}" for i, v in enumerate(T.values)]
+    return "\n".join(lines) + "\n"

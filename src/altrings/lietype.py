@@ -427,15 +427,15 @@ class DecompositionError(ValueError):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """D = delta + tau with delta a derivation absorbing the normalizer."""
+    """D = delta + tau with delta a derivation absorbing the normalizer.
+
+    Only a fully certified split is returned: each failed check in
+    ``decompose`` raises DecompositionError instead.
+    """
 
     delta: LinearMap
     tau: LinearMap
     normalizer: LinearMap
-    leibniz_ok: bool
-    tau_central_ok: bool
-    tau_kills_pn_ok: bool
-    conditions_abc_ok: bool
 
 
 def _solve_central_action(ctx: PeirceContext, side: int, target) -> tuple:
@@ -586,15 +586,7 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
                 "tau does not vanish on the nested-commutator span",
             )
 
-    return Decomposition(
-        delta=delta,
-        tau=tau,
-        normalizer=f,
-        leibniz_ok=True,
-        tau_central_ok=True,
-        tau_kills_pn_ok=True,
-        conditions_abc_ok=True,
-    )
+    return Decomposition(delta=delta, tau=tau, normalizer=f)
 
 
 def _invert(m: Matrix) -> Matrix:

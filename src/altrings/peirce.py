@@ -82,42 +82,32 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
     ident = Matrix.identity(F, d)
 
     # compatibility e1(a e1) = (e1 a)e1, needed for well-defined projections
-    if L1 @ R1 != R1 @ L1:
+    LR = L1 @ R1
+    if LR != R1 @ L1:
         raise PeirceError(
             "decomposition_failure",
             "e1-(a)-e1 brackets disagree: e1(a e1) != (e1 a)e1 on some a",
         )
-
-    pi = {
-        (1, 1): L1 @ R1,
-        (1, 2): L1 @ (ident - R1),
-        (2, 1): (ident - L1) @ R1,
-        (2, 2): (ident - L1) @ (ident - R1),
-    }
-
-    total = Matrix.zeros(F, d, d)
-    for m in pi.values():
-        total = total + m
-    if total != ident:
-        raise PeirceError("decomposition_failure", "projections do not sum to identity")
-    for s, m in pi.items():
+    # With L1 R1 = R1 L1, the four maps below are orthogonal idempotents
+    # summing to the identity exactly when L1 and R1 are idempotent, since
+    # L1 = pi11 + pi12 and R1 = pi11 + pi21.
+    for side, m in (("left", L1), ("right", R1)):
         if m @ m != m:
             raise PeirceError(
-                "decomposition_failure", f"projection onto R{s[0]}{s[1]} is not idempotent"
+                "decomposition_failure",
+                f"{side} multiplication by e1 is not idempotent",
             )
-        for t, m2 in pi.items():
-            if t != s and not (m @ m2).is_zero():
-                raise PeirceError(
-                    "decomposition_failure",
-                    f"projections onto R{s[0]}{s[1]} and R{t[0]}{t[1]} overlap",
-                )
 
+    pi = {
+        (1, 1): LR,
+        (1, 2): L1 - LR,  # L1 (1 - R1)
+        (2, 1): R1 - LR,  # (1 - L1) R1
+        (2, 2): ident - L1 - R1 + LR,  # (1 - L1)(1 - R1)
+    }
     components = {
         s: Subspace.from_vectors(F, d, [m.column(j) for j in range(d)])
         for s, m in pi.items()
     }
-    if sum(c.dim for c in components.values()) != d:
-        raise PeirceError("decomposition_failure", "component dimensions do not sum to d")
 
     projections = {s: LinearMap(A, m) for s, m in pi.items()}
     return PeirceContext(

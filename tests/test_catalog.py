@@ -6,11 +6,15 @@ from altrings.catalog import (
     SafError,
     catalog,
     direct_sum,
+    dump_map_table,
     opposite,
     parse,
+    parse_linear_map,
+    parse_map_table,
     serialize,
 )
 from altrings.fields import GF, QQ
+from altrings.finite import FiniteRing, MapTable
 
 
 def test_catalog_names():
@@ -151,6 +155,75 @@ def test_malformed_inputs_carry_line_numbers(payload, lineno, needle):
         parse(payload)
     assert exc.value.line == lineno
     assert needle in str(exc.value).lower()
+
+
+IDENTITY_ROWS = "row 1 0 0 0\nrow 0 1 0 0\nrow 0 0 1 0\nrow 0 0 0 1\n"
+
+
+def test_lmap_parses_rows_with_comments_and_blanks():
+    A = catalog("mat2", QQ)
+    D = parse_linear_map(
+        "# a map\n\nlmap 1  # magic\ndim 4\nrow 1 0 0 1\nrow 0 3 0 0\n"
+        "row 0 0 -3/2 0\n\nrow 1 0 0 1\n", A
+    )
+    assert [list(r) for r in D.matrix.rows] == [
+        [1, 0, 0, 1], [0, 3, 0, 0], [0, 0, QQ.parse("-3/2"), 0], [1, 0, 0, 1]
+    ]
+
+
+@pytest.mark.parametrize(
+    "payload, lineno, needle",
+    [
+        ("# header\n\nlmap 2\ndim 4\n", 3, "magic"),
+        ("lmap 1\ndim 4 9\n" + IDENTITY_ROWS, 2, "dim <n>"),
+        ("lmap 1\ndim x\n", 2, "bad dim"),
+        ("lmap 1\n# no dim\n", 2, "missing dim"),
+        ("lmap 1\ndim 3\n", 2, "does not match"),
+        ("lmap 1\ndim 4\nrow 1 2 3\n", 3, "row"),
+        ("lmap 1\ndim 4\ncol 1 0 0 0\n", 3, "row"),
+        ("lmap 1\ndim 4\nrow 1 0 0 x\n", 3, "scalar"),
+        ("lmap 1\ndim 4\nrow 1 0 0 0\nrow 0 1 0 0\n# end\n", 5, "missing row"),
+        ("lmap 1\ndim 4\n" + IDENTITY_ROWS + "\nrow 0 0 0 0\n", 8, "extra row"),
+        (b"lmap 1\ndim 4\nrow 1 0 0 \xff\n", 3, "utf-8"),
+    ],
+)
+def test_lmap_errors_name_their_line(payload, lineno, needle):
+    with pytest.raises(SafError) as exc:
+        parse_linear_map(payload, catalog("mat2", QQ))
+    assert exc.value.line == lineno
+    assert needle in exc.value.detail.lower()
+
+
+def test_tmap_roundtrip_is_byte_identical():
+    ring = FiniteRing(catalog("product2", GF(3)))
+    T = MapTable(ring, [(5 * i + 1) % 9 for i in range(9)])
+    text = dump_map_table(T)
+    assert text.splitlines()[:3] == ["tmap 1", "size 9", "map 0 1"]
+    back = parse_map_table(text, ring)
+    assert back.values == T.values and dump_map_table(back) == text
+    shuffled = "tmap 1\nsize 9\n" + "".join(reversed(text.splitlines(True)[2:]))
+    assert parse_map_table(shuffled, ring).values == T.values
+
+
+@pytest.mark.parametrize(
+    "payload, lineno, needle",
+    [
+        ("# header\ntmap 2\nsize 4\n", 2, "magic"),
+        ("tmap 1\nsize 4 x\n", 2, "size <n>"),
+        ("tmap 1\nsize 0\n", 2, "positive"),
+        ("tmap 1\nsize 9\n", 2, "does not match"),
+        ("tmap 1\nsize 4\nmap 0\n", 3, "map <i> <j>"),
+        ("tmap 1\nsize 4\nmap 0 a\n", 3, "integers"),
+        ("tmap 1\nsize 4\nmap 0 4\n", 3, "range"),
+        ("tmap 1\nsize 4\nmap 0 1\nmap 0 2\n", 4, "duplicate"),
+        ("tmap 1\nsize 4\nmap 0 0\nmap 2 2\nmap 3 3\n", 6, "element 1"),
+    ],
+)
+def test_tmap_errors_name_their_line(payload, lineno, needle):
+    with pytest.raises(SafError) as exc:
+        parse_map_table(payload, FiniteRing(catalog("product2", GF(2))))
+    assert exc.value.line == lineno
+    assert needle in exc.value.detail.lower()
 
 
 def test_serialize_is_sorted_and_canonical():

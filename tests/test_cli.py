@@ -237,5 +237,41 @@ def test_map_file_errors_are_line_numbered(tmp_path, capsys):
     assert code == 3 and ":3:" in err
 
 
+@pytest.mark.parametrize(
+    "suffix, text, lineno",
+    [
+        ("lmap", "# D for mat2\nlmap 2\ndim 4\n", 2),
+        ("lmap", "lmap 1\ndim 4 9\n", 2),
+        ("lmap", "lmap 1\ndim 4\nrow 1 0 0 0\n", 4),
+        ("lmap", "lmap 1\ndim 4\n" + "row 0 0 0 0\n" * 5, 7),
+        ("tmap", "# T\ntmap 2\nsize 16\n", 2),
+        ("tmap", "tmap 1\nsize 16 x\n", 2),
+        ("tmap", "tmap 1\nsize 15\n", 2),
+        ("tmap", "tmap 1\nsize 16\n" + "".join(f"map {i} 0\n" for i in range(15)), 18),
+    ],
+)
+def test_every_map_file_error_names_its_line(tmp_path, capsys, suffix, text, lineno):
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text)
+    if suffix == "lmap":
+        argv = ["decompose", "--catalog", "mat2", "--map", str(path)]
+    else:
+        argv = ["search", "--catalog", "mat2", "--field", "GFp:2",
+                "--mode", "verify", "--map", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {path}:{lineno}: ")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", "x"])
+def test_nonpositive_budget_is_a_usage_error(capsys, budget):
+    code, out, err = run(
+        capsys, "check", "--catalog", "mat2", "--field", "GFp:3", "--prime",
+        "--budget", budget,
+    )
+    assert code == 3 and out == ""
+    assert "--budget" in err
+
+
 def test_unknown_subcommand_exit_3(capsys):
     assert run(capsys, "frobnicate")[0] == 3

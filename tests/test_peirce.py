@@ -41,6 +41,110 @@ def test_rejects_non_idempotent():
     assert exc.value.kind == "trivial_idempotent"
 
 
+@pytest.mark.parametrize(
+    "triples",
+    [
+        {(0, 0, 0), (1, 0, 0)},  # e1(a e1) != (e1 a)e1 at a = e_2
+        {(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)},  # (e1 .)^2 != e1 .
+        {(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)},  # (. e1)^2 != . e1
+    ],
+)
+def test_decomposition_failure_at_e1(triples):
+    A = Algebra(GF(2), 2, {t: 1 for t in triples})
+    with pytest.raises(PeirceError) as exc:
+        peirce_context(A, (1, 0))
+    assert exc.value.kind == "decomposition_failure"
+
+
+def _reference_projections(p, d, c, e):
+    """The four Peirce projections at the idempotent e of the algebra with
+    structure constants c[i][j][k] over GF(p), as lists of rows (column j
+    is the image of e_j), or None when they are not orthogonal idempotents
+    summing to the identity with ranks summing to d."""
+
+    def matmul(x, y):
+        return [[sum(x[r][t] * y[t][s] for t in range(d)) % p for s in range(d)]
+                for r in range(d)]
+
+    def rank(m):
+        m = [row[:] for row in m]
+        r = 0
+        for col in range(d):
+            pivot = next((i for i in range(r, d) if m[i][col]), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            inv = pow(m[r][col], p - 2, p)
+            m[r] = [v * inv % p for v in m[r]]
+            for i in range(d):
+                if i != r and m[i][col]:
+                    f = m[i][col]
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+            r += 1
+        return r
+
+    one = [[int(r == s) for s in range(d)] for r in range(d)]
+    L = [[sum(e[i] * c[i][j][k] for i in range(d)) % p for j in range(d)]
+         for k in range(d)]
+    R = [[sum(e[i] * c[j][i][k] for i in range(d)) % p for j in range(d)]
+         for k in range(d)]
+    if matmul(L, R) != matmul(R, L):
+        return None
+    L_, R_ = ([[(a - b) % p for a, b in zip(u, v)] for u, v in zip(one, m)]
+              for m in (L, R))
+    pi = [matmul(L, R), matmul(L, R_), matmul(L_, R), matmul(L_, R_)]
+    total = [[sum(m[r][s] for m in pi) % p for s in range(d)] for r in range(d)]
+    if total != one:
+        return None
+    for a, x in enumerate(pi):
+        for b, y in enumerate(pi):
+            want = x if a == b else [[0] * d for _ in range(d)]
+            if matmul(x, y) != want:
+                return None
+    if sum(rank(m) for m in pi) != d:
+        return None
+    return pi
+
+
+def test_peirce_context_matches_four_projection_reference():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(1000):
+        p = rng.choice((2, 3))
+        d = rng.choice((2, 3))
+        c = [[[rng.randrange(p) if rng.random() < 0.35 else 0 for _ in range(d)]
+              for _ in range(d)] for _ in range(d)]
+
+        def mul(x, y):
+            return tuple(
+                sum(x[i] * y[j] * c[i][j][k] for i in range(d) for j in range(d)) % p
+                for k in range(d)
+            )
+
+        basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        elements = list(product(range(p), repeat=d))
+        units = [u for u in elements
+                 if all(mul(u, b) == b and mul(b, u) == b for b in basis)]
+        A = Algebra(GF(p), d, {(i, j, k): c[i][j][k] for i in range(d)
+                               for j in range(d) for k in range(d) if c[i][j][k]})
+        for e in elements:
+            if not any(e) or mul(e, e) != e or e in units:
+                continue
+            pi = _reference_projections(p, d, c, e)
+            try:
+                ctx = peirce_context(A, e)
+            except PeirceError as exc:
+                assert exc.kind == "decomposition_failure"
+                assert pi is None, (c, e)
+                outcomes.add(False)
+                continue
+            assert pi is not None, (c, e)
+            for s, m in zip(((1, 1), (1, 2), (2, 1), (2, 2)), pi):
+                assert [list(row) for row in ctx.projection(*s).matrix.rows] == m
+            outcomes.add(True)
+    assert outcomes == {True, False}
+
+
 def test_component_dims(ctx_mat2, ctx_zorn):
     assert ctx_mat2.dims == (1, 1, 1, 1)
     assert ctx_zorn.dims == (1, 3, 3, 1)
