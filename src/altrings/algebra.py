@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .fields import FieldError
-from .linalg import Matrix, Subspace, echelon, kernel, solve
+from .linalg import Matrix, Subspace, echelon, null_space, solve
 
 
 _UNSOLVED = object()
@@ -111,14 +111,6 @@ class Algebra:
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, self._coerce_coords(coords))
-
-    def unit_element(self) -> "AlgebraElement | None":
-        return AlgebraElement(self, self.unit) if self.unit is not None else None
-
-    def idempotent_element(self) -> "AlgebraElement | None":
-        if self.idempotent is None:
-            return None
-        return AlgebraElement(self, self.idempotent)
 
     def mul_coords(self, x, y) -> tuple:
         F = self.field
@@ -432,10 +424,6 @@ def _assoc_coords(A: Algebra, x, y, z) -> tuple:
     )
 
 
-def _zero_coords(A: Algebra, coords) -> bool:
-    return all(A.field.is_zero(v) for v in coords)
-
-
 def _linearised_swap(A: Algebra, s1: int, s2: int) -> bool:
     """Check assoc(t) + assoc(t with slots s1,s2 swapped) = 0 on basis triples.
 
@@ -535,7 +523,7 @@ def nucleus(A: Algebra) -> Subspace:
             for m in (m1, m2, m3):
                 for row in m.rows:
                     acc.add(row)
-    return kernel(Matrix(A.field, acc.rref_rows(), ncols=d))
+    return null_space(A.field, d, acc)
 
 
 def center(A: Algebra) -> Subspace:
@@ -550,7 +538,7 @@ def center(A: Algebra) -> Subspace:
         diff = A.basis_right_matrix(i) - A.basis_left_matrix(i)
         for row in diff.rows:
             acc.add(row)
-    return kernel(Matrix(A.field, acc.rref_rows(), ncols=d))
+    return null_space(A.field, d, acc)
 
 
 def find_unit(A: Algebra) -> AlgebraElement | None:

@@ -16,7 +16,7 @@ skipped, and every error is a ``SafError`` naming the line at fault.
 from __future__ import annotations
 
 from .algebra import Algebra, AlgebraError, LinearMap, classify_identities
-from .fields import GF, QQ, FieldError
+from .fields import FieldError, parse_field
 from .finite import FiniteRing, MapTable
 from .linalg import Matrix
 
@@ -238,18 +238,13 @@ def parse(data) -> Algebra:
     _magic(lines, "saf 1")
 
     number, line = _take(lines, 1, "field")
-    parts = line.split()
-    if parts[0] != "field":
+    keyword, *spec = line.split(None, 1)
+    if keyword != "field":
         raise SafError(number, f"expected 'field ...', got {line!r}")
-    if parts[1:] == ["Q"]:
-        field = QQ
-    elif len(parts) == 3 and parts[1] == "GF":
-        try:
-            field = GF(int(parts[2]))
-        except (ValueError, FieldError) as exc:
-            raise SafError(number, f"bad field modulus {parts[2]!r}: {exc}") from exc
-    else:
-        raise SafError(number, f"unknown field specification {line!r}")
+    try:
+        field = parse_field(spec[0] if spec else "")
+    except FieldError as exc:
+        raise SafError(number, f"bad field line {line!r}: {exc}") from exc
 
     _, dim = _count(lines, 2, "dim")
 

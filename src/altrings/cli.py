@@ -33,7 +33,7 @@ from .catalog import (
     parse_map_table,
     serialize as serialize_saf,
 )
-from .fields import FieldError, GF, QQ
+from .fields import QQ, FieldError, parse_field
 from .linalg import Matrix
 from .peirce import (
     PeirceError,
@@ -88,14 +88,10 @@ class Emitter:
 
 
 def _parse_field(text: str):
-    if text == "Q":
-        return QQ
-    if text.startswith("GFp:"):
-        try:
-            return GF(int(text[4:]))
-        except (ValueError, FieldError) as exc:
-            raise CliError(f"bad field {text!r}: {exc}") from exc
-    raise CliError(f"field must be Q or GFp:<p>, got {text!r}")
+    try:
+        return parse_field(text)
+    except FieldError as exc:
+        raise CliError(f"bad field {text!r} (use Q or GFp:<p>): {exc}") from exc
 
 
 def _budget(text: str) -> int:
@@ -158,6 +154,14 @@ def _read(path: str) -> bytes:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_map(path: str, parse_map, target):
@@ -347,8 +351,7 @@ def _cmd_search(args, em: Emitter):
         em.from_bool("search:converse-defect-central", rep.all_central)
         em.fact("search:converse-additive", str(T.is_additive()))
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dump_map_table(T))
+            _write(args.out, dump_map_table(T).encode("utf-8"))
             em.fact("search:converse-table", args.out)
     elif args.mode == "exhaust":
         rep = finmod.pruned_exhaustive_search(A, n, budget=args.budget or 10 ** 6)
@@ -382,8 +385,7 @@ def _cmd_catalog(args, em: Emitter):
             raise CliError(str(exc)) from exc
         data = serialize_saf(A)
         if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
+            _write(args.out, data)
             em.fact("catalog:export", args.out)
         else:
             sys.stdout.write(data.decode("utf-8"))

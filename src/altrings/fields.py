@@ -222,15 +222,22 @@ def GF(p: int) -> PrimeField:
 
 
 def parse_field(name: str):
-    """Parse a field name such as ``Q``, ``GF(7)`` or ``GF 7``."""
+    """Parse a field name: ``Q``, or GF(p) as ``GF(7)``, ``GF 7`` or ``GFp:7``.
+
+    The ``.saf`` ``field`` line and the CLI's ``--field`` both read this
+    grammar.
+    """
     text = name.strip()
     if text == "Q":
         return QQ
     compact = text.replace(" ", "")
+    parts = text.split()
     if compact.startswith("GF(") and compact.endswith(")"):
         body = compact[3:-1]
-    elif text.startswith("GF"):
-        body = text[2:].strip()
+    elif text.startswith("GFp:"):
+        body = text[4:]
+    elif len(parts) == 2 and parts[0] == "GF":
+        body = parts[1]
     else:
         raise FieldError(f"unknown field {name!r}")
     try:

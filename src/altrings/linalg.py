@@ -4,7 +4,9 @@ Everything is computed over one of the fields in :mod:`altrings.fields`.
 Row spaces are kept in *reduced* row echelon form with rows ordered by
 pivot column, so two subspaces are equal iff their stored bases are
 equal.  An incremental eliminator lets constraint rows be folded in as
-they are generated instead of materialising huge matrices.
+they are generated instead of materialising huge matrices, and
+``null_space`` reads the solution space straight off it: ``kernel``,
+``solve`` and every constraint space of the package go through it.
 
 Products and eliminations run on plain integers: operands cross over
 once with the field's ``to_ints`` (a matrix caches its integer form),
@@ -350,8 +352,16 @@ def rank(matrix: Matrix) -> int:
 
 def kernel(matrix: Matrix) -> "Subspace":
     """The right null space {x : M x = 0} as a subspace of F^ncols."""
-    F, n = matrix.field, matrix.ncols
-    return Subspace.from_vectors(F, n, kernel_vectors(F, n, _echelon_of(matrix)))
+    return null_space(matrix.field, matrix.ncols, _echelon_of(matrix))
+
+
+def null_space(field, width: int, acc) -> "Subspace":
+    """The null space of the rows folded into acc, as a subspace of F^width.
+
+    Columns past ``width`` are ignored, so an augmented eliminator [M | b]
+    without a pivot in its last column gives the null space of M.
+    """
+    return Subspace.from_vectors(field, width, kernel_vectors(field, width, acc))
 
 
 def kernel_vectors(field, width: int, acc) -> list[list]:
@@ -389,7 +399,7 @@ def solve(matrix: Matrix, rhs) -> tuple[tuple, "Subspace"] | None:
     x = [zero] * matrix.ncols
     for prow, pc in zip(rows, pivot_cols):
         x[pc] = prow[-1]
-    return tuple(x), kernel(matrix)
+    return tuple(x), null_space(F, matrix.ncols, acc)
 
 
 class Subspace:
@@ -496,7 +506,7 @@ class Subspace:
         orthogonal complement is the row space.  Used to turn membership
         conditions into linear constraints.
         """
-        return kernel(self.basis_matrix()).basis_matrix()
+        return null_space(self.field, self.ambient, self._acc()).basis_matrix()
 
     def vectors(self):
         """Enumerate all vectors (finite fields only)."""

@@ -21,7 +21,7 @@ from .algebra import (
     center,
     is_idempotent,
 )
-from .linalg import Matrix, Subspace, echelon, kernel, kernel_vectors, rank
+from .linalg import Matrix, Subspace, echelon, kernel_vectors, null_space, rank
 from .verdict import ConditionVerdict, Verdict, combine
 
 
@@ -56,9 +56,6 @@ class PeirceContext:
 
     def component(self, i: int, j: int) -> Subspace:
         return self.components[(i, j)]
-
-    def e1_element(self) -> AlgebraElement:
-        return AlgebraElement(self.algebra, self.e1)
 
     def component_part(self, x, i: int, j: int) -> tuple:
         """Coordinates of the R_ij part of x."""
@@ -273,7 +270,7 @@ def check_offdiag_commutant(ctx: PeirceContext, side) -> CommutantReport:
         bracket = A.right_mult_matrix(b) - A.left_mult_matrix(b)
         for row in bracket.rows:
             acc.add(row)
-    commutes = kernel(Matrix(F, acc.rref_rows(), ncols=d))
+    commutes = null_space(F, d, acc)
     diagonal = ctx.components[(1, 1)].sum_with(ctx.components[(2, 2)])
     S = commutes.intersect(diagonal)
     return CommutantReport(
@@ -304,7 +301,7 @@ def _annihilator(A: Algebra, domain: Subspace, others: Subspace, side: str) -> S
         m = A.right_mult_matrix(b) if side == "right" else A.left_mult_matrix(b)
         for row in m.rows:
             acc.add(row)
-    killed = kernel(Matrix(F, acc.rref_rows(), ncols=d))
+    killed = null_space(F, d, acc)
     return killed.intersect(domain)
 
 
@@ -574,7 +571,7 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
                 full = True
                 break
         if not full:
-            ker = kernel(Matrix(F, acc.rref_rows(), ncols=d))
+            ker = null_space(F, d, acc)
             if not ker.is_zero():
                 return PrimeReport(
                     status=Verdict.FAILS,

@@ -124,6 +124,9 @@ def test_parse_rational_and_residue_literals():
     assert A.tensor[0][0][0] == Fraction(3, 2)
     B = parse(b"saf 1\nfield GF 7\ndim 1\nmul 1 1 1 -1\n")
     assert B.tensor[0][0][0] == 6
+    # the field line reads the same grammar as the CLI's --field
+    for spec in (b"GF(7)", b"GFp:7"):
+        assert parse(b"saf 1\nfield " + spec + b"\ndim 1\n").field == GF(7)
 
 
 def test_name_line_is_read_but_not_written():

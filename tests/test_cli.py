@@ -188,6 +188,26 @@ def test_catalog_list_and_export_roundtrip(tmp_path, capsys):
     assert out.encode() == serialize(catalog("zorn", GF(5)))
 
 
+def test_out_to_unwritable_path_exits_3(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    code, out, err = run(
+        capsys, "catalog", "--export", "zorn", "--field", "GFp:5", "--out", missing,
+    )
+    assert code == 3 and err.startswith(f"error: cannot write {missing}")
+    assert out == ""
+
+    lmap = tmp_path / "ad.lmap"
+    lmap.write_text(
+        "lmap 1\ndim 4\n"
+        "row 0 0 0 0\nrow 0 -1 0 0\nrow 0 0 1 0\nrow 0 0 0 0\n"
+    )
+    code, _, err = run(
+        capsys, "search", "--catalog", "mat2", "--field", "GFp:3",
+        "--mode", "converse", "--map", str(lmap), "--out", missing,
+    )
+    assert code == 3 and err.startswith(f"error: cannot write {missing}")
+
+
 def test_info_file_input(tmp_path, capsys):
     path = tmp_path / "a.saf"
     path.write_bytes(serialize(catalog("mat2", QQ)))

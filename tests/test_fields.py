@@ -50,8 +50,10 @@ def test_parse_field_forms():
     assert parse_field("Q") is QQ
     assert parse_field("GF(7)") is GF(7)
     assert parse_field("GF 7") is GF(7)
-    with pytest.raises(FieldError):
-        parse_field("R")
+    assert parse_field("GFp:7") is GF(7)
+    for bad in ("R", "GF7", "GFp:6", "GF(x)", ""):
+        with pytest.raises(FieldError):
+            parse_field(bad)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))

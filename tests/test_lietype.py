@@ -1,13 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altrings.algebra import BudgetError, LinearMap, commutator
-from altrings.catalog import catalog
+from altrings.algebra import Algebra, BudgetError, LinearMap, commutator
+from altrings.catalog import catalog, direct_sum
 from altrings.fields import GF, QQ
-from altrings.linalg import Matrix
 from altrings.lietype import (
     DecompositionError,
     NormalizationError,
@@ -22,7 +22,6 @@ from altrings.lietype import (
     nested_commutator,
     nested_commutator_span,
     normalize_at_idempotent,
-    _invert,
     standard_inner_derivation,
 )
 from altrings.peirce import peirce_context
@@ -258,8 +257,6 @@ def test_decompose_rejects_condition_a(mat2):
     # on mat2 + mat2 at e1 = (E11, 0), the (2,2) component strictly exceeds
     # the central action, so a map sending e1 into the second block can
     # violate (a)
-    from altrings.catalog import direct_sum
-
     A = direct_sum(mat2, mat2)
     ctx = peirce_context(A, A.idempotent)
     F = A.field
@@ -319,24 +316,131 @@ def test_lie3_members_satisfy_identity_everywhere(a, b, c):
         assert lie_leibniz_residual(A, D, xs).is_zero()
 
 
-@pytest.mark.parametrize("F, rows", [
-    (QQ, [[Fraction(1, 2), 3, 0], [Fraction(-2, 3), 0, Fraction(5, 7)], [1, 1, 1]]),
-    (QQ, [[0, 1], [Fraction(7, 4), Fraction(1, 9)]]),
-    (GF(5), [[2, 3, 1], [0, 4, 4], [1, 0, 3]]),
-    (GF(2), [[0, 1, 1], [1, 0, 1], [1, 1, 1]]),
-])
-def test_invert_is_a_two_sided_inverse(F, rows):
-    P = Matrix(F, rows)
-    ident = Matrix.identity(F, P.nrows)
-    assert P @ _invert(P) == ident
-    assert _invert(P) @ P == ident
+# decompose's output frozen before the split was rebuilt from the Peirce
+# projections: a digest of delta, tau and the normalizer for each admissible
+# member, or the certificate and message of each rejected map.
+
+def _unimodular_rebase(A, seed):
+    """A over Q in the basis f_i = sum_r P[i][r] e_r, P = L U with unit
+    triangular integer L, U (so det P = 1 and P^-1 is integral)."""
+    d = A.dim
+    rng = random.Random(seed)
+    L = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(d)]
+         for i in range(d)]
+    U = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(d)]
+         for i in range(d)]
+    P = [[sum(L[i][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    # Q = P^-1 by Gauss-Jordan on [P | I]; every pivot is found since det P = 1
+    rows = [[Fraction(v) for v in P[i]] + [Fraction(int(i == j)) for j in range(d)]
+            for i in range(d)]
+    for c in range(d):
+        piv = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    Q = [row[d:] for row in rows]
+    c = A.tensor
+    triples = {}
+    for i in range(d):
+        for j in range(d):
+            e = [sum(P[i][r] * P[j][s] * c[r][s][k] for r in range(d) for s in range(d))
+                 for k in range(d)]
+            for l in range(d):
+                v = sum(e[k] * Q[k][l] for k in range(d))
+                if v:
+                    triples[(i, j, l)] = v
+
+    def coords(x):
+        return [sum(x[k] * Q[k][l] for k in range(d)) for l in range(d)]
+
+    return Algebra(QQ, d, triples, unit=coords(A.unit), idempotent=coords(A.idempotent))
 
 
-@pytest.mark.parametrize("F, rows", [
-    (QQ, [[Fraction(1, 2), 1], [1, 2]]),
-    (QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
-    (GF(3), [[1, 2, 0], [2, 1, 0], [0, 1, 1]]),
-])
-def test_invert_rejects_singular(F, rows):
-    with pytest.raises(ValueError):
-        _invert(Matrix(F, rows))
+def _admissible_members(A, seed, count):
+    ctx = peirce_context(A, A.idempotent)
+    space = OperatorSpace(
+        A,
+        lie_n_derivation_space(A, 2).space.intersect(conditions_abc_subspace(ctx)),
+        n=2,
+    )
+    rng = random.Random(seed)
+    return ctx, [space.random_member(rng) for _ in range(count)]
+
+
+def _outcome(ctx, D, **kw):
+    """A digest of (delta, tau, normalizer), or (certificate, message)."""
+    try:
+        dec = decompose(ctx, D, 2, **kw)
+    except DecompositionError as exc:
+        return exc.certificate, str(exc)
+    fmt = ctx.algebra.field.format
+    text = "\n--\n".join(
+        "\n".join(" ".join(fmt(v) for v in row) for row in m.matrix.rows)
+        for m in (dec.delta, dec.tau, dec.normalizer)
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _frozen_outcomes():
+    out = {}
+    for name, F in (("mat2", QQ), ("zorn", QQ), ("mat2", GF(5)), ("zorn", GF(5))):
+        ctx, members = _admissible_members(catalog(name, F), 31, 3)
+        for k, D in enumerate(members):
+            out[f"{name}/{F} #{k}"] = _outcome(ctx, D)
+    for name in ("mat2", "zorn"):
+        for seed in (1, 2):
+            A = _unimodular_rebase(catalog(name, QQ), seed)
+            ctx, members = _admissible_members(A, seed, 2)
+            for k, D in enumerate(members):
+                out[f"{name}~{seed}/Q #{k}"] = _outcome(ctx, D)
+    mat2 = catalog("mat2", QQ)
+    out["mat2/Q ad E12"] = _outcome(peirce_context(mat2, mat2.idempotent), ad(mat2, 1))
+    A = direct_sum(mat2, mat2)
+    images = [(0,) * 8] * 8
+    images[0] = (0, 0, 0, 0, 0, 1, 0, 0)
+    out["mat2+mat2/Q e1 -> E12'"] = _outcome(
+        peirce_context(A, A.idempotent), LinearMap.from_images(A, images),
+        check_ring_conditions=False,
+    )
+    P = catalog("product2", QQ)
+    ctx = peirce_context(P, P.idempotent)
+    out["product2/Q zero"] = _outcome(ctx, LinearMap.zero(P))
+    out["product2/Q zero unchecked"] = _outcome(
+        ctx, LinearMap.zero(P), check_ring_conditions=False
+    )
+    return out
+
+
+FROZEN_DECOMPOSE = {
+    'mat2/Q #0': '4592444e2ba5a8bf',
+    'mat2/Q #1': 'f519a126711545e6',
+    'mat2/Q #2': '2dc7361d7b40e241',
+    'zorn/Q #0': 'e096900e206cf90e',
+    'zorn/Q #1': '7317cbda4d07f154',
+    'zorn/Q #2': '8efb94060d89038e',
+    'mat2/GF(5) #0': '8ff9fe1b5b2fcb04',
+    'mat2/GF(5) #1': '30d71ab8c0e74fcc',
+    'mat2/GF(5) #2': 'c8adace9bcdbbd3a',
+    'zorn/GF(5) #0': '4ad84ec08394eeac',
+    'zorn/GF(5) #1': 'efde9e832b347466',
+    'zorn/GF(5) #2': 'c7a1957380d25873',
+    'mat2~1/Q #0': 'a908ffa709645dfb',
+    'mat2~1/Q #1': '9ec4b7ab10ba7fd6',
+    'mat2~2/Q #0': 'c1180c5d3bbfa316',
+    'mat2~2/Q #1': '43124b1dc0436ce1',
+    'zorn~1/Q #0': 'b1ab7b8570cc9205',
+    'zorn~1/Q #1': '38299959c998eecc',
+    'zorn~2/Q #0': '749751e4921a8e7e',
+    'zorn~2/Q #1': 'c9a139d50f453854',
+    'mat2/Q ad E12': ('condition_c', 'input map violates (c): D(R21) escapes R21'),
+    "mat2+mat2/Q e1 -> E12'": ('condition_a', 'input map violates (a): e2 D(R11) e2 inside Z(R) e2: projection escapes the central action space'),
+    'product2/Q zero': ('ring_conditions', 'ring condition 2a fails: x11 with x11*R12 = 0: annihilator has dim 1'),
+    'product2/Q zero unchecked': ('non_unique_z', 'central solution is not unique; the center is degenerate against conditions (2)/(3)'),
+}
+
+
+def test_decompose_outputs_are_frozen():
+    assert _frozen_outcomes() == FROZEN_DECOMPOSE

@@ -258,6 +258,11 @@ def test_rref_and_kernel_match_per_scalar_reference(data):
         assert all(normal(F, sum(x * y for x, y in zip(row, v))) == 0 for row in raw)
     # the stored basis is itself in canonical reduced echelon form
     assert reference_rref(F, ker.basis, k)[0] == list(ker.basis)
+    # solve reads the same null space off its augmented eliminator
+    rhs = M.apply(data.draw(rows_of(F, 1, k))[0])
+    x, solve_ker = solve(M, rhs)
+    assert M.apply(x) == rhs
+    assert solve_ker == ker
 
 
 @pytest.fixture(scope="module")
