@@ -4,12 +4,14 @@ Every subcommand emits one verdict per line as ``anchor  status  detail``
 (tab-separated with --format tsv); anchors are stable machine-readable
 names of the checked property.  Exit codes: 0 all verdicts hold, 1 some
 verdict fails, 2 some verdict undecided and none fails, 3 usage or
-parse error.
+parse error, 141 when stdout closes early (a reader such as ``head``
+exited).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import finite as finmod
@@ -346,12 +348,13 @@ def _cmd_search(args, em: Emitter):
         T = finmod.construct_converse_example(
             ctx, delta, n, seed=args.seed, budget=args.budget or 10 ** 7
         )
-        em.emit("search:converse-identity", Verdict.HOLDS, "verified exhaustively")
         rep = finmod.almost_additivity_defect(A, T)
+        if args.out:  # before any verdict, so a failed write prints none
+            _write(args.out, dump_map_table(T).encode("utf-8"))
+        em.emit("search:converse-identity", Verdict.HOLDS, "verified exhaustively")
         em.from_bool("search:converse-defect-central", rep.all_central)
         em.fact("search:converse-additive", str(T.is_additive()))
         if args.out:
-            _write(args.out, dump_map_table(T).encode("utf-8"))
             em.fact("search:converse-table", args.out)
     elif args.mode == "exhaust":
         rep = finmod.pruned_exhaustive_search(A, n, budget=args.budget or 10 ** 6)
@@ -484,10 +487,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         em = Emitter(args.format, sys.stdout)
         _HANDLERS[args.command](args, em)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     # every package error but BudgetError is a ValueError
     except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the flush at exit
+        # has somewhere to go, and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return em.exit_code()
 
 

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import pytest
 
 from altrings.catalog import catalog, parse, serialize
@@ -201,11 +204,42 @@ def test_out_to_unwritable_path_exits_3(tmp_path, capsys):
         "lmap 1\ndim 4\n"
         "row 0 0 0 0\nrow 0 -1 0 0\nrow 0 0 1 0\nrow 0 0 0 0\n"
     )
-    code, _, err = run(
+    code, out, err = run(
         capsys, "search", "--catalog", "mat2", "--field", "GFp:3",
         "--mode", "converse", "--map", str(lmap), "--out", missing,
     )
     assert code == 3 and err.startswith(f"error: cannot write {missing}")
+    assert out == ""  # no verdict line before the failed write
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a real temporary file, so redirecting it is safe."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--catalog", "mat2"],
+    ["catalog", "--export", "zorn", "--field", "GFp:5"],
+])
+def test_closed_stdout_exits_141_quietly(tmp_path, capsys, monkeypatch, argv):
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(argv)
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_info_file_input(tmp_path, capsys):

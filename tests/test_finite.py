@@ -436,11 +436,14 @@ def test_ring_ops_and_rows_match_coordinate_arithmetic(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_rings(), st.integers(0, 2 ** 16), st.sampled_from([2, 3]))
+@given(small_rings(), st.integers(0, 2 ** 16), st.sampled_from([2, 3, 4]))
 def test_verify_matches_per_tuple_reference(case, seed, n):
+    """Also checks the exhaustive scan's memo of passed (p_k, acc_k) states
+    down to depth 4: on the bent tables the first violation can lie behind
+    nodes that the memo skipped."""
     A, orc = build(case)
-    if orc.S ** n > 20000:
-        n = 2
+    while orc.S ** n > 20000:
+        n -= 1
     ring = FiniteRing(A)
     rng = random.Random(seed)
     for k, values in enumerate(tables(A, orc, rng, n)):
@@ -451,6 +454,46 @@ def test_verify_matches_per_tuple_reference(case, seed, n):
             assert expected == ("holds", "exhaustive", orc.S ** n, None, None)
         sampled = verify_lie_n_identity(A, T, n, budget=0, samples=60, seed=seed)
         assert report_tuple(sampled) == orc.verify(values, n, budget=0, samples=60, seed=seed)
+
+
+class _CountingRows:
+    """Stands in for a row table and counts the rows read through it."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.rows[i]
+
+
+def test_passed_states_skip_subtrees():
+    """On delta + tau, acc_k = delta(p_k): the n = 3 scan of M2(GF(3))
+    meets 27 leaf states, where a per-tuple walk reads two commutator rows
+    per step, 2 * 81^3 in all.  The report still counts every tuple."""
+    A = catalog("mat2", GF(3))
+    ctx = peirce_context(A, A.idempotent)
+    T = construct_converse_example(ctx, ad(A, 1), 3, seed=5)
+    counting = T.ring.comm_rows = _CountingRows(T.ring.comm_rows)
+    rep = verify_lie_n_identity(A, T, 3)
+    assert report_tuple(rep) == ("holds", "exhaustive", 81 ** 3, None, None)
+    assert 0 < counting.reads < 2 * 81 ** 3 // 10
+
+
+def test_passed_states_are_kept_per_depth():
+    """A state that held with one slot left can fail with two, and the other
+    way round.  The first violation here (tuple 9,239 of 16^4) lies below a
+    node whose state already passed at another depth, so one memo shared by
+    all depths would skip it."""
+    consts = {(0, 0, 2): 1, (2, 1, 0): 1, (2, 1, 2): 1, (3, 2, 0): 1, (1, 1, 1): 1,
+              (1, 3, 1): 1, (3, 3, 3): 1, (1, 3, 3): 1, (2, 0, 3): 1}
+    A, orc = build((2, 4, consts))
+    values = [0] * 16
+    values[11] = 1
+    rep = verify_lie_n_identity(A, MapTable(FiniteRing(A), values), 4)
+    assert report_tuple(rep) == orc.verify(values, 4)
+    assert rep.checked == 9239
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -444,3 +445,140 @@ FROZEN_DECOMPOSE = {
 
 def test_decompose_outputs_are_frozen():
     assert _frozen_outcomes() == FROZEN_DECOMPOSE
+
+
+# ---------------------------------------------------------------------------
+# Algebra-level oracles on random structure-constant algebras over GF(p) and
+# Q.  Everything the package returns is re-checked with the test's own
+# arithmetic straight from the structure constants: maps as d x d lists
+# (column s is the image of e_s, flattened row-major as in to_vector), and
+# ranks by a plain Gaussian elimination over Fractions or residues mod p.
+
+class _Arith:
+    def __init__(self, p, d, consts):
+        self.p, self.d = p, d
+        self.c = {key: self.norm(v) for key, v in consts.items()}
+
+    def norm(self, v):
+        return Fraction(v) if self.p is None else int(v) % self.p
+
+    def mul(self, x, y):
+        out = [0] * self.d
+        for (i, j, k), c in self.c.items():
+            out[k] += x[i] * y[j] * c
+        return tuple(self.norm(v) for v in out)
+
+    def bracket(self, x, y):
+        return tuple(self.norm(a - b) for a, b in zip(self.mul(x, y), self.mul(y, x)))
+
+    def nested(self, *xs):
+        acc = xs[0]
+        for x in xs[1:]:
+            acc = self.bracket(acc, x)
+        return acc
+
+    def basis(self, i):
+        return tuple(int(i == j) for j in range(self.d))
+
+    def rows(self, op, arity):
+        """The linear conditions D(op(x)) = sum_t op(.., D x_t, ..) on the
+        d*d entries of D, one row per basis tuple x and output coordinate."""
+        d = self.d
+        rows = []
+        for xs in itertools.product(range(d), repeat=arity):
+            v = op(*map(self.basis, xs))
+            slots = [[op(*(self.basis(r) if u == t else self.basis(x)
+                           for u, x in enumerate(xs))) for r in range(d)]
+                     for t in range(arity)]
+            for k in range(d):
+                row = [0] * (d * d)
+                for s in range(d):
+                    row[k * d + s] += v[s]
+                for t, x in enumerate(xs):
+                    for r in range(d):
+                        row[r * d + x] -= slots[t][r][k]
+                rows.append([self.norm(a) for a in row])
+        return rows
+
+    def rank(self, rows):
+        rows = [list(r) for r in rows]
+        rank = 0
+        for col in range(len(rows[0]) if rows else 0):
+            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            inv = (1 / rows[rank][col] if self.p is None
+                   else pow(rows[rank][col], self.p - 2, self.p))
+            for i in range(len(rows)):
+                if i != rank and rows[i][col]:
+                    f = rows[i][col] * inv
+                    rows[i] = [self.norm(a - f * b) for a, b in zip(rows[i], rows[rank])]
+            rank += 1
+        return rank
+
+    def holds(self, rows, vec):
+        return all(self.norm(sum(a * b for a, b in zip(row, vec))) == 0 for row in rows)
+
+    def compose(self, M, N):
+        d = self.d
+        return [[self.norm(sum(M[r][t] * N[t][s] for t in range(d))) for s in range(d)]
+                for r in range(d)]
+
+
+def _flat(M):
+    return [v for row in M for v in row]
+
+
+@st.composite
+def _small_structures(draw):
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    d = draw(st.integers(2, 3))
+    index = st.tuples(*[st.integers(0, d - 1)] * 3)
+    consts = draw(st.dictionaries(index, st.integers(-3, 3), max_size=d * d + 2))
+    return p, d, consts
+
+
+def _algebra(case):
+    p, d, consts = case
+    return Algebra(QQ if p is None else GF(p), d, consts), _Arith(p, d, consts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_structures())
+def test_derivations_close_under_bracket_and_lie_spaces_contain_them(case):
+    A, orc = _algebra(case)
+    d = orc.d
+    leibniz = orc.rows(orc.mul, 2)
+    ders = [[[orc.norm(v) for v in row] for row in D.matrix.rows]
+            for D in derivation_space(A).maps()]
+    assert len(ders) == d * d - orc.rank(leibniz)
+    assert all(orc.holds(leibniz, _flat(M)) for M in ders)
+    span = [_flat(M) for M in ders]
+    for M in ders:
+        for N in ders:
+            br = _flat([[orc.norm(a - b) for a, b in zip(u, v)]
+                        for u, v in zip(orc.compose(M, N), orc.compose(N, M))])
+            assert orc.holds(leibniz, br)
+            assert orc.rank(span + [br]) == len(span)
+    for n in (2, 3):
+        rows = orc.rows(orc.nested, n)
+        lie = [[orc.norm(v) for v in D.to_vector()]
+               for D in lie_n_derivation_space(A, n).maps()]
+        assert len(lie) == d * d - orc.rank(rows)
+        assert all(orc.holds(rows, v) for v in lie)
+        assert orc.rank(lie + span) == len(lie)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_structures(), st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+def test_fosner_inclusion_matches_row_space_containment(case, nk):
+    """Lie-n inside Lie-m iff the Lie-m conditions lie in the span of the
+    Lie-n conditions, both built here from the structure constants.  Since
+    p_m nests p_n (p_{2n-1}(x) = p_n(p_n(x_1..x_n), x_{n+1}, ...)), the
+    inclusion holds in every algebra."""
+    n, k = nk
+    A, orc = _algebra(case)
+    small, large = orc.rows(orc.nested, n), orc.rows(orc.nested, n + k * (n - 1))
+    assert orc.rank(small + large) == orc.rank(small)
+    assert fosner_inclusion(A, n, k) is True

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from time import perf_counter
 
@@ -549,3 +550,77 @@ def test_zorn_component_products_land_correctly(a, b):
                 assert ctx.component(j, i).contains(prod)
             else:
                 assert all(v == 0 for v in prod)
+
+
+def _inverse(P):
+    """Inverse of a square Fraction matrix by Gauss-Jordan, or None."""
+    d = len(P)
+    rows = [list(map(Fraction, row)) + [Fraction(int(r == s)) for s in range(d)]
+            for r, row in enumerate(P)]
+    for col in range(d):
+        pivot = next((i for i in range(col, d) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(d):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return [row[d:] for row in rows]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([("mat2", (1, 1, 1, 1)), ("tri2", (1, 1, 0, 1)),
+                        ("zorn", (1, 3, 3, 1)), ("product2", (1, 0, 0, 1))]),
+       st.integers(0, 2 ** 16))
+def test_projections_on_conjugated_catalog_algebras(entry, seed):
+    """Rewrite a catalog algebra over Q in the basis f_s = sum_k P[k][s] e_k
+    for a seeded invertible integer P.  Its Peirce projections at the
+    rewritten idempotent must be orthogonal idempotents summing to 1, equal
+    to L_e R_e, L_e (1 - R_e), (1 - L_e) R_e, (1 - L_e)(1 - R_e) and of the
+    catalog ranks; all computed here from the rewritten constants."""
+    name, dims = entry
+    base = catalog(name, QQ)
+    d = base.dim
+    rng = random.Random(seed)
+    while True:
+        P = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        Q = _inverse(P)
+        if Q is not None:
+            break
+    c = base.tensor
+
+    def to_new(v):
+        return [sum(Q[r][k] * v[k] for k in range(d)) for r in range(d)]
+
+    consts = {}
+    for i in range(d):
+        for j in range(d):
+            w = [sum(P[a][i] * P[b][j] * c[a][b][k] for a in range(d) for b in range(d))
+                 for k in range(d)]
+            for k, v in enumerate(to_new(w)):
+                if v:
+                    consts[(i, j, k)] = v
+    e = to_new(base.idempotent)
+    ctx = peirce_context(Algebra(QQ, d, consts), e)
+
+    def matmul(x, y):
+        return [[sum(x[r][t] * y[t][s] for t in range(d)) for s in range(d)]
+                for r in range(d)]
+
+    one = [[Fraction(int(r == s)) for s in range(d)] for r in range(d)]
+    zero = [[0] * d for _ in range(d)]
+    L = [[sum(e[i] * consts.get((i, j, k), 0) for i in range(d)) for j in range(d)]
+         for k in range(d)]
+    R = [[sum(e[i] * consts.get((j, i, k), 0) for i in range(d)) for j in range(d)]
+         for k in range(d)]
+    L_, R_ = ([[a - b for a, b in zip(u, v)] for u, v in zip(one, m)] for m in (L, R))
+    slots = ((1, 1), (1, 2), (2, 1), (2, 2))
+    pi = [[list(row) for row in ctx.projection(*s).matrix.rows] for s in slots]
+    assert pi == [matmul(L, R), matmul(L, R_), matmul(L_, R), matmul(L_, R_)]
+    assert [[sum(m[r][s] for m in pi) for s in range(d)] for r in range(d)] == one
+    for a, x in enumerate(pi):
+        for b, y in enumerate(pi):
+            assert matmul(x, y) == (x if a == b else zero)
+    assert tuple(sum(x[r][r] for r in range(d)) for x in pi) == dims  # trace = rank
