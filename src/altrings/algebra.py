@@ -347,10 +347,6 @@ class LinearMap:
         return f"LinearMap({self.matrix!r})"
 
 
-def mul(A: Algebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return A.element(A.mul_coords(A._coerce_coords(x), A._coerce_coords(y)))
-
-
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return x * y - y * x
 
@@ -390,15 +386,12 @@ def is_derivation(A: Algebra, g: LinearMap) -> bool:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Which standard identities the multiplication satisfies.
-
-    ``alternative`` and ``flexible`` are None when undecidable within the
-    enumeration budget (only possible in characteristic 2).
-    """
+    """Which standard identities the multiplication satisfies; every flag is
+    decided exactly, in every characteristic (see classify_identities)."""
 
     associative: bool
-    alternative: bool | None
-    flexible: bool | None
+    alternative: bool
+    flexible: bool
 
 
 def _associative(A: Algebra) -> bool:
@@ -414,92 +407,59 @@ def _associative(A: Algebra) -> bool:
     return True
 
 
-def _assoc_coords(A: Algebra, x, y, z) -> tuple:
-    return tuple(
-        A.field.sub(a, b)
-        for a, b in zip(
-            A.mul_coords(A.mul_coords(x, y), z),
-            A.mul_coords(x, A.mul_coords(y, z)),
-        )
-    )
+def basis_points(F, basis) -> list:
+    """The vectors b_i and b_i + b_j (i < j) of a basis.
 
+    A quadratic map Q vanishes on the span exactly when it vanishes at
+    these points, in every characteristic.  Writing x = sum a_i b_i,
 
-def _linearised_swap(A: Algebra, s1: int, s2: int) -> bool:
-    """Check assoc(t) + assoc(t with slots s1,s2 swapped) = 0 on basis triples.
+        Q(x) = sum_i a_i^2 M_i + sum_{i<j} a_i a_j M_ij,
 
-    This is the polarisation of the identity whose repeated variable sits
-    in slots s1 and s2; equivalent to the identity itself away from
-    characteristic 2.
+    with Q(b_i) = M_i and Q(b_i + b_j) = M_i + M_j + M_ij.  A polarised
+    check (Q(x + y) - Q(x) - Q(y) on basis pairs) sees only the M_ij and,
+    in characteristic 2, misses the M_i.
     """
-    d = A.dim
-    basis = [A.basis_element(i).coords for i in range(d)]
-    F = A.field
-    for t in iter_product(range(d), repeat=3):
-        args = [basis[t[0]], basis[t[1]], basis[t[2]]]
-        first = _assoc_coords(A, *args)
-        args[s1], args[s2] = args[s2], args[s1]
-        second = _assoc_coords(A, *args)
-        if any(not F.is_zero(F.add(a, b)) for a, b in zip(first, second)):
+    points = list(basis)
+    for i, bi in enumerate(basis):
+        for bj in basis[i + 1:]:
+            points.append(tuple(map(F.add, bi, bj)))
+    return points
+
+
+def _two_slot_identity(A: Algebra, slots) -> bool:
+    """Whether the associator vanishes whenever its two slots ``slots`` hold
+    one element x, checked as an operator identity at the basis points x."""
+    for x in basis_points(A.field, [b.coords for b in A.basis()]):
+        if slots == (0, 1):
+            # (x, x, y) = 0 for all y  <=>  L_{xx} = L_x L_x
+            L_x = A.left_mult_matrix(x)
+            holds = A.left_mult_matrix(A.mul_coords(x, x)) == L_x @ L_x
+        elif slots == (1, 2):
+            # (y, x, x) = 0 for all y  <=>  R_{xx} = R_x R_x
+            R_x = A.right_mult_matrix(x)
+            holds = A.right_mult_matrix(A.mul_coords(x, x)) == R_x @ R_x
+        else:
+            # (x, y, x) = 0 for all y  <=>  L_x R_x = R_x L_x
+            L_x, R_x = A.left_mult_matrix(x), A.right_mult_matrix(x)
+            holds = L_x @ R_x == R_x @ L_x
+        if not holds:
             return False
     return True
 
 
-def _enumerated_two_slot(A: Algebra, slots, budget: int) -> bool | None:
-    """Exhaustive check of the same identity over a small finite ring.
-
-    Enumerates only the repeated variable x and compares the operator
-    matrices acting on the linear slot, so the cost is |R| matrix products.
-    """
-    size = A.size()
-    if size is None or size > budget:
-        return None
-    for x in A.elements():
-        xc = x.coords
-        xx = A.mul_coords(xc, xc)
-        L_x = A.left_mult_matrix(xc)
-        R_x = A.right_mult_matrix(xc)
-        if slots == (0, 1):
-            # (x, x, y) = 0 for all y  <=>  L_{xx} = L_x L_x
-            if A.left_mult_matrix(xx) != L_x @ L_x:
-                return False
-        elif slots == (1, 2):
-            # (y, x, x) = 0 for all y  <=>  R_{xx} = R_x R_x
-            if A.right_mult_matrix(xx) != R_x @ R_x:
-                return False
-        else:
-            # (x, y, x) = 0 for all y  <=>  L_x R_x = R_x L_x
-            if L_x @ R_x != R_x @ L_x:
-                return False
-    return True
-
-
-def classify_identities(A: Algebra, budget: int = 2 ** 16) -> IdentityReport:
+def classify_identities(A: Algebra) -> IdentityReport:
     """Decide associativity, alternativity and flexibility of the product.
 
-    Associativity is a basis check.  The other two are quadratic in one
-    variable: away from characteristic 2 a polarised basis check decides
-    them; in characteristic 2 the polarisation is not trusted and small
-    rings are enumerated instead (None when the ring exceeds the budget).
+    Associativity is a basis check.  Alternativity and flexibility are
+    operator identities quadratic in their repeated variable x
+    (L_{xx} = L_x L_x, R_{xx} = R_x R_x, L_x R_x = R_x L_x), so checking
+    them at x = e_i and x = e_i + e_j decides them exactly in every
+    characteristic (see basis_points).
     """
-    associative = _associative(A)
-    if associative:
+    if _associative(A):
         return IdentityReport(True, True, True)
-    if A.field.characteristic != 2:
-        left = _linearised_swap(A, 0, 1)
-        right = _linearised_swap(A, 1, 2) if left else False
-        alternative = left and right
-        flexible = True if alternative else _linearised_swap(A, 0, 2)
-        return IdentityReport(False, alternative, flexible)
-    left = _enumerated_two_slot(A, (0, 1), budget)
-    right = _enumerated_two_slot(A, (1, 2), budget) if left else left
-    if left is None or right is None:
-        alternative = None
-    else:
-        alternative = left and right
-    if alternative:
-        flexible: bool | None = True
-    else:
-        flexible = _enumerated_two_slot(A, (0, 2), budget)
+    alternative = _two_slot_identity(A, (0, 1)) and _two_slot_identity(A, (1, 2))
+    flexible = alternative or _two_slot_identity(A, (0, 2))
     return IdentityReport(False, alternative, flexible)
 
 

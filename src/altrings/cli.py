@@ -75,11 +75,8 @@ class Emitter:
     def fact(self, anchor: str, detail: str):
         self.emit(anchor, Verdict.HOLDS, detail)
 
-    def from_bool(self, anchor: str, value: bool | None, detail: str = ""):
-        if value is None:
-            self.emit(anchor, Verdict.UNDECIDED, detail or "enumeration budget exceeded")
-        else:
-            self.emit(anchor, Verdict.HOLDS if value else Verdict.FAILS, detail)
+    def from_bool(self, anchor: str, value: bool, detail: str = ""):
+        self.emit(anchor, Verdict.HOLDS if value else Verdict.FAILS, detail)
 
     def exit_code(self) -> int:
         if any(s is Verdict.FAILS for s in self.statuses):
@@ -187,14 +184,10 @@ def _cmd_info(args, em: Emitter):
         "info:idempotent",
         _fmt_vec(F, A.idempotent) if A.idempotent is not None else "none",
     )
-    rep = classify_identities(A, budget=args.budget or 2 ** 16)
-
-    def flag(v):
-        return "undecided" if v is None else str(v).lower()
-
-    em.fact("info:associative", flag(rep.associative))
-    em.fact("info:alternative", flag(rep.alternative))
-    em.fact("info:flexible", flag(rep.flexible))
+    rep = classify_identities(A)
+    em.fact("info:associative", str(rep.associative).lower())
+    em.fact("info:alternative", str(rep.alternative).lower())
+    em.fact("info:flexible", str(rep.flexible).lower())
     Z = center(A)
     N = nucleus(A)
     em.fact("info:center-dim", str(Z.dim))
@@ -208,7 +201,7 @@ def _cmd_check(args, em: Emitter):
     if "identities" in props or any(
         p in props for p in ("associative", "alternative", "flexible")
     ):
-        rep = classify_identities(A, budget=args.budget or 2 ** 16)
+        rep = classify_identities(A)
         wanted = (
             ("associative", "alternative", "flexible")
             if "identities" in props
@@ -239,7 +232,7 @@ def _cmd_peirce(args, em: Emitter):
     em.fact("peirce:dims", str(ctx.dims))
     run_all = not (args.relations or args.conditions or args.commutant)
     if args.relations or run_all:
-        rep = verify_peirce_relations(ctx, budget=args.budget or 2 ** 16)
+        rep = verify_peirce_relations(ctx)
         em.from_bool("peirce:relation-composition", rep.composition)
         em.from_bool("peirce:relation-same-component", rep.same_component)
         em.from_bool("peirce:relation-orthogonality", rep.orthogonality)
@@ -364,11 +357,11 @@ def _cmd_search(args, em: Emitter):
             "search:exhaust-coverage",
             f"{rep.leaves} leaves, {rep.covered}/{rep.total} tables covered",
         )
-        em.from_bool(
-            "search:exhaust-complete",
-            True if rep.complete else None,
-            "" if rep.complete else f"budget hit after {rep.nodes} nodes",
-        )
+        if rep.complete:
+            em.emit("search:exhaust-complete", Verdict.HOLDS)
+        else:
+            em.emit("search:exhaust-complete", Verdict.UNDECIDED,
+                    f"budget hit after {rep.nodes} nodes")
         contradiction = rep.tally.get((True, False), 0)
         em.from_bool(
             "search:exhaust-no-contradiction",
@@ -408,12 +401,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="altrings", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, peirce=False):
+    def common(p, peirce=False, budget=False, seed=False):
         p.add_argument("--catalog", choices=sorted(CATALOG_NAMES))
         p.add_argument("--file")
         p.add_argument("--field", default="Q", help="Q or GFp:<p>")
-        p.add_argument("--budget", type=_budget, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if budget:
+            p.add_argument("--budget", type=_budget, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "tsv"), default="text")
         if peirce:
             p.add_argument("--idem", help="idempotent coordinates")
@@ -422,7 +417,7 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("check", help="identity classes, torsion, primality")
-    common(p)
+    common(p, budget=True, seed=True)
     p.add_argument(
         "--prop",
         action="append",
@@ -438,7 +433,7 @@ def build_parser() -> _Parser:
     p.add_argument("--commutant", action="store_true")
 
     p = sub.add_parser("derive", help="derivation / Lie-n derivation spaces")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--basis", action="store_true")
 
@@ -448,12 +443,12 @@ def build_parser() -> _Parser:
     p.add_argument("--map", help="lmap matrix file")
 
     p = sub.add_parser("fosner", help="Lie-n space inside the Lie-(n+k(n-1)) space")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
 
     p = sub.add_parser("search", help="finite value-table modes")
-    common(p, peirce=True)
+    common(p, peirce=True, budget=True, seed=True)
     p.add_argument(
         "--mode", required=True, choices=("verify", "defect", "converse", "exhaust")
     )

@@ -15,8 +15,10 @@ The scans read whole rows of index tables: ``add_rows[i][j]`` and
 ``comm_rows[i][j]`` are the indices of x_i + x_j and [x_i, x_j].  A row
 is built on first use in O(S) (S the ring size): addition and negation
 act digit by digit, and y -> [x_i, y] is additive, so its row follows
-from the d basis images.  The scan over tuples carries two values down
-its depth-first walk, p_k = p_k(x1..xk) and the right-hand side
+from the d basis images [x_i, e_t].  These are read off d tables of the
+additive maps x -> [x, e_t], built once from the d^2 basis brackets.
+The scan over tuples carries two values down its depth-first walk,
+p_k = p_k(x1..xk) and the right-hand side
 acc_k = sum_{t<=k} p_k(..., T(x_t), ...).  The commutator is biadditive
 in any ring, so
 
@@ -65,30 +67,6 @@ class _RowTable(dict):
         return row
 
 
-class _PointRows:
-    """Row-table look-alike that computes each entry on demand and stores
-    nothing; lets a scan that touches few pairs share the row-based code."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-    def __getitem__(self, i: int) -> "_PointRow":
-        return _PointRow(self.op, i)
-
-
-class _PointRow:
-    __slots__ = ("op", "i")
-
-    def __init__(self, op, i: int):
-        self.op = op
-        self.i = i
-
-    def __getitem__(self, j: int) -> int:
-        return self.op(self.i, j)
-
-
 class FiniteRing:
     """Index arithmetic on the elements of a finite algebra.
 
@@ -113,6 +91,7 @@ class FiniteRing:
         self.index = {coords: i for i, coords in enumerate(self.elements)}
         self.add_rows = _RowTable(self._add_row)
         self.comm_rows = _RowTable(self._comm_row)
+        self._comm_cols: list[list[int]] | None = None  # [t][i]: [x_i, e_t]
         self._negatives: list[int] | None = None
         self._central: frozenset[int] | None = None
 
@@ -150,12 +129,15 @@ class FiniteRing:
         return out
 
     def _comm_row(self, i: int) -> list[int]:
-        A = self.algebra
-        x = self.elements[i]
-        return self._linear_row(
-            [self._commutator_of(x, A.basis_element(t).coords)
-             for t in range(A.dim)]
-        )
+        if self._comm_cols is None:
+            # x -> [x, e_t] is additive too: one table per t, from the
+            # d^2 basis brackets
+            basis = [b.coords for b in self.algebra.basis()]
+            self._comm_cols = [
+                self._linear_row([self._commutator_of(es, et) for es in basis])
+                for et in basis
+            ]
+        return self._linear_row([col[i] for col in self._comm_cols])
 
     @property
     def negatives(self) -> list[int]:
@@ -292,7 +274,7 @@ def _lie_step(comm, add, T, pv, acc, x):
 
     acc_k = sum_{t<=k} p_k(..., T(x_t), ...); by biadditivity of the
     commutator acc_{k+1} = [acc_k, x] + [p_k, T(x)].  ``comm``/``add`` are
-    row tables (or _PointRows) of the ring, T a value table."""
+    row tables of the ring, T a value table."""
     cp = comm[pv]
     return cp[x], add[comm[acc][x]][cp[T[x]]]
 
@@ -362,13 +344,13 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
             residual=ring.elements[ring.sub(values[q], a)],
         )
 
-    comm, add = _PointRows(ring.commutator), _PointRows(ring.add)
+    comm, add = ring.commutator, ring.add
     rng = random.Random(seed)
     for trial in range(samples):
         xs = tuple(rng.randrange(S) for _ in range(n))
         pv, acc = xs[0], values[xs[0]]
         for x in xs[1:]:
-            pv, acc = _lie_step(comm, add, values, pv, acc, x)
+            pv, acc = comm(pv, x), add(comm(acc, x), comm(pv, values[x]))
         if values[pv] != acc:
             return LieIdentityReport(
                 status=Verdict.FAILS,

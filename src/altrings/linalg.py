@@ -243,9 +243,6 @@ class Matrix:
         n = len(cols[0])
         return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from altrings.algebra import (
     Algebra,
     AlgebraError,
     BudgetError,
+    IdentityReport,
     LinearMap,
     associator,
     center,
@@ -21,7 +24,7 @@ from altrings.algebra import (
     nucleus,
     torsion_free,
 )
-from altrings.catalog import catalog
+from altrings.catalog import catalog, direct_sum
 from altrings.fields import GF, QQ, FieldError
 from altrings.linalg import Matrix
 
@@ -106,13 +109,76 @@ def test_classify_identities_catalog(mat2, zorn):
     assert not associator(u1, u2, u3).is_zero()
 
 
-def test_classification_char2_uses_enumeration():
+def test_classification_char2_is_decided():
     Z2 = catalog("zorn", GF(2))
     rep = classify_identities(Z2)
     assert rep.alternative is True
     assert rep.associative is False
-    rep_small = classify_identities(Z2, budget=10)
-    assert rep_small.alternative is None  # budget too small to decide
+
+
+def test_classification_char2_checks_the_diagonal_points():
+    # e_0 e_1 = e_1 and nothing else: every polarised sum
+    # (e_i, e_j, y) + (e_j, e_i, y) vanishes over GF(2), but at x = e_0
+    # (x, x, e_1) = -e_0 (e_0 e_1) = e_1
+    A = Algebra(GF(2), 2, {(0, 1, 1): 1})
+    assert associator(A.basis_element(0), A.basis_element(0),
+                      A.basis_element(1)) == A.basis_element(1)
+    assert classify_identities(A) == IdentityReport(False, False, False)
+    # e_1 e_0 = e_0 + e_1 and nothing else: the identities fail at
+    # x = e_0 and x = e_1, and hold at x = e_0 + e_1, which squares to itself
+    B = Algebra(GF(2), 2, {(1, 0, 0): 1, (1, 0, 1): 1})
+    e0, e1 = B.basis()
+    assert not associator(e1, e1, e0).is_zero()
+    assert associator(e0 + e1, e0 + e1, e0).is_zero()
+    assert classify_identities(B) == IdentityReport(False, False, False)
+
+
+def test_classification_decides_large_char2_sums():
+    # 2^18 elements: far past any enumeration
+    F = GF(2)
+    A = direct_sum(direct_sum(catalog("zorn", F), catalog("zorn", F)),
+                   catalog("product2", F))
+    assert A.dim == 18
+    assert classify_identities(A) == IdentityReport(False, True, True)
+
+
+def _brute_identities(p, d, c):
+    """(associative, alternative, flexible) of the GF(p) algebra with
+    structure constants c[i][j][k], by checking every x, y (and z)."""
+    els = list(iter_product(range(p), repeat=d))
+    index = {x: n for n, x in enumerate(els)}
+    # M[x][y]: index of the product of elements x and y
+    M = [[index[tuple(sum(x[i] * y[j] * c[i][j][k] for i in range(d)
+                          for j in range(d)) % p for k in range(d))]
+          for y in els] for x in els]
+    S = range(len(els))
+
+    def assoc_zero(x, y, z):
+        return M[M[x][y]][z] == M[x][M[y][z]]
+
+    associative = all(assoc_zero(x, y, z) for x in S for y in S for z in S)
+    alternative = all(assoc_zero(x, x, y) and assoc_zero(y, x, x)
+                      for x in S for y in S)
+    flexible = all(assoc_zero(x, y, x) for x in S for y in S)
+    return associative, alternative, flexible
+
+
+def test_classification_matches_brute_force_over_gf2_gf3():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(400):
+        p = rng.choice((2, 3))
+        d = rng.choice((1, 2, 3))
+        density = rng.choice((0.1, 0.25, 0.5))
+        c = [[[rng.randrange(1, p) if rng.random() < density else 0
+               for _ in range(d)] for _ in range(d)] for _ in range(d)]
+        A = Algebra(GF(p), d, {(i, j, k): c[i][j][k] for i in range(d)
+                               for j in range(d) for k in range(d) if c[i][j][k]})
+        rep = classify_identities(A)
+        got = (rep.associative, rep.alternative, rep.flexible)
+        assert got == _brute_identities(p, d, c), (p, d, c)
+        seen.update(enumerate(got))
+    assert seen == {(i, v) for i in range(3) for v in (False, True)}
 
 
 def test_center_and_nucleus_dims(mat2, zorn):

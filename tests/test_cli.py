@@ -327,5 +327,17 @@ def test_nonpositive_budget_is_a_usage_error(capsys, budget):
     assert "--budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["info", "--budget", "5"],
+    ["peirce", "--budget", "5"],
+    ["info", "--seed", "1"],
+    ["derive", "--seed", "1"],
+])
+def test_knob_on_a_subcommand_that_ignores_it_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--catalog", "mat2", *argv[1:])
+    assert code == 3 and out == ""
+    assert argv[1] in err
+
+
 def test_unknown_subcommand_exit_3(capsys):
     assert run(capsys, "frobnicate")[0] == 3

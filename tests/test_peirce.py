@@ -109,7 +109,7 @@ def _reference_projections(p, d, c, e):
 
 def test_peirce_context_matches_four_projection_reference():
     rng = random.Random(20261018)
-    outcomes = set()
+    outcomes, squares = set(), set()
     for _ in range(1000):
         p = rng.choice((2, 3))
         d = rng.choice((2, 3))
@@ -143,7 +143,16 @@ def test_peirce_context_matches_four_projection_reference():
             for s, m in zip(((1, 1), (1, 2), (2, 1), (2, 2)), pi):
                 assert [list(row) for row in ctx.projection(*s).matrix.rows] == m
             outcomes.add(True)
+            # x^2 = 0 on all of R12 and R21, the images of pi12 and pi21
+            off_diagonal = {
+                tuple(sum(m[r][t] * x[t] for t in range(d)) % p for r in range(d))
+                for m in pi[1:3] for x in elements
+            }
+            square_free = all(not any(mul(x, x)) for x in off_diagonal)
+            assert verify_peirce_relations(ctx).square_free is square_free, (c, e)
+            squares.add(square_free)
     assert outcomes == {True, False}
+    assert squares == {True, False}
 
 
 def test_component_dims(ctx_mat2, ctx_zorn):
@@ -181,13 +190,11 @@ def test_peirce_relations_hold(ctx_mat2, ctx_zorn):
         assert rep.violations == ()
 
 
-def test_peirce_relations_char2_enumeration():
+def test_peirce_relations_char2_is_decided():
     A = catalog("zorn", GF(2))
     ctx = peirce_context(A, A.idempotent)
     rep = verify_peirce_relations(ctx)
     assert rep.square_free is True
-    small = verify_peirce_relations(ctx, budget=4)
-    assert small.square_free is None  # enumeration budget too small
 
 
 def test_conditions_mat2_holds(ctx_mat2):
