@@ -359,15 +359,6 @@ def associator(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -> Algeb
     return (x * y) * z - x * (y * z)
 
 
-def mul_operator(A: Algebra, y, side: str) -> LinearMap:
-    """Left or right multiplication by y as a linear map."""
-    if side == "left":
-        return LinearMap(A, A.left_mult_matrix(y))
-    if side == "right":
-        return LinearMap(A, A.right_mult_matrix(y))
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def is_derivation(A: Algebra, g: LinearMap) -> bool:
     """Whether g(e_i e_j) = g(e_i) e_j + e_i g(e_j) on every basis pair."""
     F = A.field

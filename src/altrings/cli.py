@@ -238,7 +238,8 @@ def _cmd_peirce(args, em: Emitter):
         em.from_bool("peirce:relation-orthogonality", rep.orthogonality)
         em.from_bool("peirce:relation-square-zero", rep.square_free)
         for v in rep.violations:
-            em.fact("peirce:relation-witness", str(v))
+            em.emit("peirce:relation-witness", Verdict.FAILS,
+                    f"{v.detail}; product {_fmt_vec(A.field, v.product)}")
     if args.conditions or run_all:
         rep = check_conditions_1_to_4(ctx)
         for key, verdict in rep.entries.items():

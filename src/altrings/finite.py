@@ -36,6 +36,7 @@ holds at most as many states as there are p_k values.
 
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 from collections import Counter
@@ -500,7 +501,7 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
     # constraints grouped by the highest element index they mention
     comm, add = ring.comm_rows, ring.add_rows
     by_last: list[list[tuple]] = [[] for _ in range(S)]
-    for xs in _tuples(S, n):
+    for xs in itertools.product(range(S), repeat=n):
         pv = xs[0]
         for x in xs[1:]:
             pv = comm[pv][x]
@@ -553,16 +554,3 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
     report.complete = not exhausted and report.covered == total
     return report
 
-
-def _tuples(S: int, n: int):
-    xs = [0] * n
-
-    def rec(depth):
-        if depth == n:
-            yield tuple(xs)
-            return
-        for v in range(S):
-            xs[depth] = v
-            yield from rec(depth + 1)
-
-    yield from rec(0)

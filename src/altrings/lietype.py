@@ -6,14 +6,18 @@ A linear map D is a Lie-n derivation when
     D(p(x1..xn)) = sum_t p(x1, ..., D(x_t), ..., xn)        (identity L)
 
 for all arguments.  Both sides are multilinear for linear D, so basis
-tuples give a complete system of linear constraints; the solution spaces
-are the null spaces of the incremental eliminator that the constraint
-rows are streamed through.  The decomposition splits such a D into a
-derivation delta plus a central-valued tau vanishing on all
-nested-commutator values, following the constructive uniqueness argument
-at one idempotent: tau is read off the images of the diagonal Peirce
-components, delta = D - tau, and the claims of the theorem are certified
-on the result.
+tuples give a complete system of linear constraints, built by the
+recurrence of ``finite``: with acc_k = sum_{t<=k} p(..., D(x_t), ..., xk),
+
+    p_{k+1} = [p_k, x],    acc_{k+1} = [acc_k, x] + [p_k, D(x)],
+
+and identity L at a tuple reads D(p_n) = acc_n.  The solution spaces are
+the null spaces of the eliminator the constraint rows are streamed
+through.  The decomposition splits such a D into a derivation delta plus
+a central-valued tau vanishing on all nested-commutator values, following
+the constructive uniqueness argument at one idempotent: tau is read off
+the images of the diagonal Peirce components, delta = D - tau, and the
+claims of the theorem are certified on the result.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .algebra import (
     commutator,
     find_unit,
     is_derivation,
-    mul_operator,
 )
 from .linalg import Matrix, Subspace, echelon, null_space, solve
 from .peirce import PeirceContext, check_conditions_1_to_4
@@ -67,33 +70,28 @@ def lie_leibniz_residual(A: Algebra, D, xs) -> AlgebraElement:
     return lhs - rhs
 
 
-def nested_commutator_span(A: Algebra, n: int, budget: int = 10 ** 6) -> Subspace:
-    """Span of p(e_{i1}, ..., e_{in}) over all basis tuples."""
+def nested_commutator_span(A: Algebra, n: int) -> Subspace:
+    """Span W_n of p(e_{i1}, ..., e_{in}) over all basis tuples.
+
+    By the recurrence above p_{k+1} = [p_k, x] is linear in p_k, so W_1 = A
+    and W_{k+1} is spanned by the brackets [w, e_j] for w in a basis of W_k:
+    n - 1 levels of at most d^2 brackets each, one eliminator per level.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = A.dim
-    if d ** n > budget:
-        raise BudgetError(f"{d ** n} tuples exceed budget {budget}")
     F = A.field
-    acc = echelon(F, d)
     basis = [A.basis_element(i).coords for i in range(d)]
-
-    def bracket(v, j):
-        return tuple(
-            F.sub(a, b)
-            for a, b in zip(A.mul_coords(v, basis[j]), A.mul_coords(basis[j], v))
-        )
-
-    def walk(value, depth):
-        if depth == n:
-            acc.add(value)
-            return
-        for j in range(d):
-            walk(bracket(value, j), depth + 1)
-
-    for i in range(d):
-        walk(basis[i], 1)
-    return Subspace(F, d, acc.rref_rows())
+    level = basis
+    for _ in range(n - 1):
+        acc = echelon(F, d)
+        for w in level:
+            for e in basis:
+                acc.add(tuple(
+                    F.sub(a, b) for a, b in zip(A.mul_coords(w, e), A.mul_coords(e, w))
+                ))
+        level = acc.rref_rows()
+    return Subspace(F, d, level)
 
 
 class OperatorSpace:
@@ -169,90 +167,60 @@ def derivation_space(A: Algebra) -> OperatorSpace:
     return OperatorSpace(A, space, n=None)
 
 
-def lie_n_derivation_space(A: Algebra, n: int, n_max: int = 5,
+def lie_n_derivation_space(A: Algebra, n: int,
                            budget: int = 10 ** 6) -> OperatorSpace:
     """Solution space of identity L over all basis tuples of length n.
 
-    Constraint rows are generated tuple-by-tuple during a depth-first
-    walk (prefix commutator values and bracket operators are shared along
-    the walk; suffix operator products are memoised) and folded straight
-    into the eliminator, keeping memory at O(d^4).
+    A depth-first walk carries p_k and acc_k of the recurrence above, with
+    acc_k = sum M D(e_col) as a list of (col, M).  A tuple starts as
+    [(i, identity)], the identity kept as None so that no identity product
+    is formed; a step by e_j replaces each M by K_j M (K_j : v -> [v, e_j])
+    and, when p_k != 0, appends (j, L_{p_k} - R_{p_k}).  Each leaf folds
+    the d rows of D(p_n) - acc_n = 0 into the eliminator.
     """
     if n < 2:
         raise ValueError("Lie-type spaces start at n = 2")
-    if n > n_max:
-        raise ValueError(f"n = {n} exceeds n_max = {n_max}")
     d = A.dim
     if d ** n > budget:
         raise BudgetError(f"{d ** n} basis tuples exceed budget {budget}")
     F = A.field
-
-    # bracket-by-basis operators K_j : v -> [v, e_j]
     K = [
         A.basis_right_matrix(j) - A.basis_left_matrix(j)
         for j in range(d)
     ]
-    ident = Matrix.identity(F, d)
-
-    # suffix[s] = composition applying K_{s[0]} first, then the rest
-    suffix: dict[tuple, Matrix] = {(): ident}
-
-    def suffix_op(s: tuple) -> Matrix:
-        m = suffix.get(s)
-        if m is None:
-            m = suffix_op(s[1:]) @ K[s[0]]
-            suffix[s] = m
-        return m
-
-    basis = [A.basis_element(i).coords for i in range(d)]
     acc = echelon(F, d * d)
 
-    def bracket_matrix(v) -> Matrix | None:
-        # L_v - R_v, or None when v = 0 (contributions vanish)
-        if all(F.is_zero(x) for x in v):
-            return None
-        return A.left_mult_matrix(v) - A.right_mult_matrix(v)
-
-    def emit(indices: tuple, prefixes: list, brackets: list):
-        """Fold the d constraint rows of one basis tuple."""
-        slot_ops = []
-        for t in range(1, n + 1):
-            if t == 1:
-                op = suffix_op(indices[1:])
-            else:
-                B = brackets[t - 2]
-                if B is None:
-                    continue
-                op = suffix_op(indices[t:]) @ B
-            slot_ops.append((indices[t - 1], *op.int_form()))
-        w, w_den = F.to_ints(prefixes[-1])
-        if not any(w) and not slot_ops:
-            return
-        # the rows are built as ints over one common denominator
-        den = lcm(w_den, *[op_den for _, _, op_den in slot_ops])
+    def emit(pv, terms):
+        # ints over one common denominator; at a leaf no M is None (n >= 2)
+        w, w_den = F.to_ints(pv)
+        ops = [(col, *M.int_form()) for col, M in terms]
+        den = lcm(w_den, *[op_den for _, _, op_den in ops])
         w = [wk * (den // w_den) for wk in w]
         for m in range(d):
             row = [0] * (d * d)
             row[m * d:(m + 1) * d] = w
-            for col, op_rows, op_den in slot_ops:
+            for col, op_rows, op_den in ops:
                 scale = den // op_den
                 for a, c in enumerate(op_rows[m]):
                     if c:
                         row[a * d + col] -= c * scale
             acc.add(row)
 
-    def walk(indices: tuple, prefixes: list, brackets: list):
-        if len(indices) == n:
-            emit(indices, prefixes, brackets)
+    def walk(depth, pv, terms):
+        if depth == n:
+            emit(pv, terms)
             return
-        v = prefixes[-1]
-        brackets = brackets + [bracket_matrix(v)]
-        for j in range(d):
-            nxt = K[j].apply(v)
-            walk(indices + (j,), prefixes + [nxt], brackets)
+        B = None
+        if any(not F.is_zero(x) for x in pv):
+            B = A.left_mult_matrix(pv) - A.right_mult_matrix(pv)
+        for j, Kj in enumerate(K):
+            nxt = [(col, Kj if M is None else Kj @ M) for col, M in terms]
+            if B is not None:
+                nxt.append((j, B))
+            walk(depth + 1, Kj.apply(pv), nxt)
 
     for i in range(d):
-        walk((i,), [basis[i]], [])
+        walk(1, A.basis_element(i).coords, [(i, None)])
 
     space = null_space(F, d * d, acc)
     return OperatorSpace(A, space, n=n)
@@ -574,14 +542,13 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     return Decomposition(delta=delta, tau=tau, normalizer=f)
 
 
-def fosner_inclusion(A: Algebra, n: int, k: int, n_max: int = 12,
-                     budget: int = 10 ** 6) -> bool:
+def fosner_inclusion(A: Algebra, n: int, k: int, budget: int = 10 ** 6) -> bool:
     """Whether the Lie-n space sits inside the Lie-(n + k(n-1)) space."""
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     if k == 0:
         return True
     m = n + k * (n - 1)
-    small = lie_n_derivation_space(A, n, n_max=n_max, budget=budget)
-    large = lie_n_derivation_space(A, m, n_max=n_max, budget=budget)
+    small = lie_n_derivation_space(A, n, budget=budget)
+    large = lie_n_derivation_space(A, m, budget=budget)
     return large.contains_space(small)

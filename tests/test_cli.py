@@ -76,11 +76,34 @@ def test_peirce_undecided_exit_2(capsys):
     assert "undecided" in out
 
 
+@pytest.mark.parametrize("field", ["Q", "GF 3"])
+def test_peirce_relation_witness_lines(tmp_path, capsys, field):
+    # e1 e1 = e1, e1 e2 = e2, e2 e2 = e1: at e1, R12 = span{e2} squares into R11
+    path = tmp_path / "a.saf"
+    path.write_text(f"saf 1\nfield {field}\ndim 2\n"
+                    "mul 1 1 1 1\nmul 1 2 2 1\nmul 2 2 1 1\n")
+    code, out, _ = run(capsys, "peirce", "--file", str(path), "--idem", "1 0",
+                       "--relations", "--format", "tsv")
+    assert code == 1
+    witnesses = [line.split("\t")[1:] for line in out.splitlines()
+                 if line.startswith("peirce:relation-witness")]
+    assert witnesses == [
+        ["fails", "R12*R12 escapes R21; product (1, 0)"],
+        ["fails", "square of (0, 1) is nonzero; product (1, 0)"],
+    ]
+
+
 def test_derive_and_lie(capsys):
     code, out, _ = run(capsys, "derive", "--catalog", "zorn")
     assert code == 0 and "derive:der-dim" in out and "14" in out
     code, out, _ = run(capsys, "derive", "--catalog", "mat2", "--n", "2", "--basis")
     assert code == 0 and "derive:lie2-dim" in out and "derive:basis-0" in out
+
+
+def test_derive_lie_n_is_bounded_only_by_the_budget(capsys):
+    code, out, _ = run(capsys, "derive", "--catalog", "mat2", "--n", "6")
+    assert code == 0
+    assert out.split() == ["derive:lie6-dim", "holds", "4"]
 
 
 def test_decompose_roundtrip(tmp_path, capsys):
@@ -95,6 +118,18 @@ def test_decompose_roundtrip(tmp_path, capsys):
     assert code == 0
     assert "decompose:delta" in out and "decompose:tau" in out
     assert "decompose:leibniz" in out
+
+
+def test_decompose_long_nested_commutators(tmp_path, capsys):
+    # the README's map; the p_n span of mat2 is the same for every n >= 2
+    rows = ("1 0 0 1", "0 3 0 0", "0 0 -3 0", "1 0 0 1")
+    path = tmp_path / "D.lmap"
+    path.write_text("lmap 1\ndim 4\n" + "".join(f"row {r}\n" for r in rows))
+    argv = ["decompose", "--catalog", "mat2", "--field", "Q", "--map", str(path)]
+    code2, out2, _ = run(capsys, *argv, "--n", "2")
+    code12, out12, _ = run(capsys, *argv, "--n", "12")
+    assert code2 == code12 == 0
+    assert out12 == out2
 
 
 def test_decompose_rejection_named_certificate(tmp_path, capsys):

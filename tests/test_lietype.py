@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altrings.algebra import Algebra, BudgetError, LinearMap, commutator
 from altrings.catalog import catalog, direct_sum
@@ -77,8 +77,13 @@ def test_nested_commutator_span_mat2(mat2):
     assert W.dim == 3  # trace-zero matrices
     assert W.contains((1, 0, 0, -1))
     assert not W.contains((1, 0, 0, 0))
-    with pytest.raises(BudgetError):
-        nested_commutator_span(mat2, 4, budget=10)
+
+
+def test_nested_commutator_span_needs_no_tuple_budget(zorn):
+    # 8^12 basis tuples, but only 11 levels of at most 8 * 8 brackets
+    W = nested_commutator_span(zorn, 12)
+    assert W == nested_commutator_span(zorn, 2)
+    assert W.dim == 7
 
 
 def test_derivation_space_dims(mat2, zorn):
@@ -137,10 +142,14 @@ def test_lie_space_contains_derivations_and_central_maps(mat2, zorn):
 def test_lie_space_guards(mat2):
     with pytest.raises(ValueError):
         lie_n_derivation_space(mat2, 1)
-    with pytest.raises(ValueError):
-        lie_n_derivation_space(mat2, 6)
     with pytest.raises(BudgetError):
         lie_n_derivation_space(mat2, 5, budget=100)
+
+
+def test_lie_space_past_n_5(mat2):
+    l6 = lie_n_derivation_space(mat2, 6)
+    assert l6.dim == 4
+    assert l6.contains_space(derivation_space(mat2))
 
 
 def test_lie_leibniz_residual_detects_violations(mat2):
@@ -561,13 +570,28 @@ def test_derivations_close_under_bracket_and_lie_spaces_contain_them(case):
                         for u, v in zip(orc.compose(M, N), orc.compose(N, M))])
             assert orc.holds(leibniz, br)
             assert orc.rank(span + [br]) == len(span)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         rows = orc.rows(orc.nested, n)
         lie = [[orc.norm(v) for v in D.to_vector()]
                for D in lie_n_derivation_space(A, n).maps()]
         assert len(lie) == d * d - orc.rank(rows)
         assert all(orc.holds(rows, v) for v in lie)
         assert orc.rank(lie + span) == len(lie)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_structures())
+@example((None, 3, {(0, 1, 2): 1}))  # Heisenberg: p_2 values span e3, p_3 = 0
+def test_nested_commutator_span_matches_all_basis_tuples(case):
+    A, orc = _algebra(case)
+    d = orc.d
+    for n in range(1, 5):
+        values = [orc.nested(*map(orc.basis, xs))
+                  for xs in itertools.product(range(d), repeat=n)]
+        W = nested_commutator_span(A, n)
+        basis = [[orc.norm(v) for v in w] for w in W.basis]
+        assert len(basis) == orc.rank(values)
+        assert all(orc.rank(basis + [v]) == len(basis) for v in values)
 
 
 @settings(max_examples=25, deadline=None)
