@@ -93,14 +93,17 @@ def _parse_field(text: str):
         raise CliError(f"bad field {text!r} (use Q or GFp:<p>): {exc}") from exc
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least low (`--budget`, `--n`)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_coords(text: str, A: Algebra) -> tuple:
@@ -256,10 +259,8 @@ def _cmd_peirce(args, em: Emitter):
 
 def _cmd_derive(args, em: Emitter):
     A = _load_algebra(args)
-    if args.n:
-        space = ltmod.lie_n_derivation_space(
-            A, args.n, budget=args.budget or 10 ** 6
-        )
+    if args.n is not None:
+        space = ltmod.lie_n_derivation_space(A, args.n)
         label = f"derive:lie{args.n}-dim"
     else:
         space = ltmod.derivation_space(A)
@@ -276,9 +277,8 @@ def _cmd_decompose(args, em: Emitter):
     if not args.map:
         raise CliError("decompose needs --map <path> with an lmap matrix block")
     D = _load_map(args.map, parse_linear_map, A)
-    n = args.n or 2
     try:
-        dec = ltmod.decompose(ctx, D, n)
+        dec = ltmod.decompose(ctx, D, args.n)
     except ltmod.DecompositionError as exc:
         em.emit(f"decompose:{exc.certificate.replace('_', '-')}", Verdict.FAILS, str(exc))
         return
@@ -295,10 +295,9 @@ def _cmd_decompose(args, em: Emitter):
 
 def _cmd_fosner(args, em: Emitter):
     A = _load_algebra(args)
-    n = args.n or 2
-    k = args.k
+    n, k = args.n, args.k
     m = n + k * (n - 1)
-    ok = ltmod.fosner_inclusion(A, n, k, budget=args.budget or 10 ** 6)
+    ok = ltmod.fosner_inclusion(A, n, k)
     em.from_bool(
         "fosner:inclusion", ok, f"Lie-{n} space inside Lie-{m} space (k = {k})"
     )
@@ -306,14 +305,13 @@ def _cmd_fosner(args, em: Emitter):
 
 def _cmd_search(args, em: Emitter):
     A = _load_algebra(args)
-    n = args.n or 2
     if args.mode == "verify":
         if not args.map:
             raise CliError("search --mode verify needs --map <path> (tmap)")
         ring = finmod.FiniteRing(A)
         T = _load_map(args.map, parse_map_table, ring)
         rep = finmod.verify_lie_n_identity(
-            A, T, n, budget=args.budget or 10 ** 7, seed=args.seed
+            A, T, args.n, budget=args.budget or 10 ** 7, seed=args.seed
         )
         detail = f"mode {rep.mode}, checked {rep.checked}"
         if rep.witness:
@@ -340,7 +338,7 @@ def _cmd_search(args, em: Emitter):
         ctx = _context(A, args)
         delta = _load_map(args.map, parse_linear_map, A)
         T = finmod.construct_converse_example(
-            ctx, delta, n, seed=args.seed, budget=args.budget or 10 ** 7
+            ctx, delta, args.n, seed=args.seed, budget=args.budget or 10 ** 7
         )
         rep = finmod.almost_additivity_defect(A, T)
         if args.out:  # before any verdict, so a failed write prints none
@@ -351,7 +349,7 @@ def _cmd_search(args, em: Emitter):
         if args.out:
             em.fact("search:converse-table", args.out)
     elif args.mode == "exhaust":
-        rep = finmod.pruned_exhaustive_search(A, n, budget=args.budget or 10 ** 6)
+        rep = finmod.pruned_exhaustive_search(A, args.n, budget=args.budget or 10 ** 6)
         tally = {f"lie={k[0]},almost-additive={k[1]}": v for k, v in rep.tally.items()}
         em.fact("search:exhaust-tally", str(tally))
         em.fact(
@@ -407,7 +405,7 @@ def build_parser() -> _Parser:
         p.add_argument("--file")
         p.add_argument("--field", default="Q", help="Q or GFp:<p>")
         if budget:
-            p.add_argument("--budget", type=_budget, default=None)
+            p.add_argument("--budget", type=_int_at_least(1), default=None)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "tsv"), default="text")
@@ -434,18 +432,18 @@ def build_parser() -> _Parser:
     p.add_argument("--commutant", action="store_true")
 
     p = sub.add_parser("derive", help="derivation / Lie-n derivation spaces")
-    common(p, budget=True)
-    p.add_argument("--n", type=int, default=None)
+    common(p)
+    p.add_argument("--n", type=_int_at_least(2), default=None)
     p.add_argument("--basis", action="store_true")
 
     p = sub.add_parser("decompose", help="split a Lie-n derivation into delta + tau")
     common(p, peirce=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(2), default=2)
     p.add_argument("--map", help="lmap matrix file")
 
     p = sub.add_parser("fosner", help="Lie-n space inside the Lie-(n+k(n-1)) space")
-    common(p, budget=True)
-    p.add_argument("--n", type=int, default=2)
+    common(p)
+    p.add_argument("--n", type=_int_at_least(2), default=2)
     p.add_argument("--k", type=int, default=1)
 
     p = sub.add_parser("search", help="finite value-table modes")
@@ -453,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--mode", required=True, choices=("verify", "defect", "converse", "exhaust")
     )
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(2), default=2)
     p.add_argument("--map", help="tmap table (verify/defect) or lmap derivation (converse)")
     p.add_argument("--out", help="write the constructed table here")
 

@@ -11,13 +11,16 @@ recurrence of ``finite``: with acc_k = sum_{t<=k} p(..., D(x_t), ..., xk),
 
     p_{k+1} = [p_k, x],    acc_{k+1} = [acc_k, x] + [p_k, D(x)],
 
-and identity L at a tuple reads D(p_n) = acc_n.  The solution spaces are
-the null spaces of the eliminator the constraint rows are streamed
-through.  The decomposition splits such a D into a derivation delta plus
-a central-valued tau vanishing on all nested-commutator values, following
-the constructive uniqueness argument at one idempotent: tau is read off
-the images of the diagonal Peirce components, delta = D - tau, and the
-claims of the theorem are certified on the result.
+and identity L at a tuple reads D(p_n) = acc_n.  A step is linear in the
+state (p_k, acc_k), and so is D(p_n) - acc_n, so a basis of the span of
+the states of all (n-1)-tuples gives the constraints of all d^n tuples.
+The solution spaces are the null spaces of the eliminator the constraint
+rows are streamed through.  The decomposition splits such a D into a
+derivation delta plus a central-valued tau vanishing on all
+nested-commutator values, following the constructive uniqueness argument
+at one idempotent: tau is read off the images of the diagonal Peirce
+components, delta = D - tau, and the claims of the theorem are certified
+on the result.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from math import lcm
 
 from .algebra import (
     Algebra,
     AlgebraElement,
     AlgebraError,
-    BudgetError,
     LinearMap,
     commutator,
     find_unit,
@@ -167,63 +168,62 @@ def derivation_space(A: Algebra) -> OperatorSpace:
     return OperatorSpace(A, space, n=None)
 
 
-def lie_n_derivation_space(A: Algebra, n: int,
-                           budget: int = 10 ** 6) -> OperatorSpace:
+def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     """Solution space of identity L over all basis tuples of length n.
 
-    A depth-first walk carries p_k and acc_k of the recurrence above, with
-    acc_k = sum M D(e_col) as a list of (col, M).  A tuple starts as
-    [(i, identity)], the identity kept as None so that no identity product
-    is formed; a step by e_j replaces each M by K_j M (K_j : v -> [v, e_j])
-    and, when p_k != 0, appends (j, L_{p_k} - R_{p_k}).  Each leaf folds
-    the d rows of D(p_n) - acc_n = 0 into the eliminator.
+    A state (p_k, Acc), acc_k = Acc vec(D) in the order of
+    ``LinearMap.to_vector``, is one int row of width d + d^3.  A step by
+    e_j maps p to K_j p and Acc to K_j Acc plus L_p - R_p in the columns of
+    D(e_j), with K_j : v -> [v, e_j] from the numerators of A (so a step
+    scales the state by A._den).  Levels 2 .. n-1 keep the eliminated basis
+    of the steps of the last level's basis, at most d + d^3 states; the
+    last step's rows D(p_n) - acc_n = 0 go straight into the d^2-wide
+    eliminator, so the cost is linear in n.
     """
     if n < 2:
         raise ValueError("Lie-type spaces start at n = 2")
     d = A.dim
-    if d ** n > budget:
-        raise BudgetError(f"{d ** n} basis tuples exceed budget {budget}")
+    dd = d * d
     F = A.field
-    K = [
-        A.basis_right_matrix(j) - A.basis_left_matrix(j)
-        for j in range(d)
-    ]
-    acc = echelon(F, d * d)
+    num = A._num
+    # K[j][m] lists the nonzero (a, den K_j[m][a])
+    K = [[[(a, c) for a in range(d) if (c := num[a][j][m] - num[j][a][m])]
+          for m in range(d)] for j in range(d)]
 
-    def emit(pv, terms):
-        # ints over one common denominator; at a leaf no M is None (n >= 2)
-        w, w_den = F.to_ints(pv)
-        ops = [(col, *M.int_form()) for col, M in terms]
-        den = lcm(w_den, *[op_den for _, _, op_den in ops])
-        w = [wk * (den // w_den) for wk in w]
-        for m in range(d):
-            row = [0] * (d * d)
-            row[m * d:(m + 1) * d] = w
-            for col, op_rows, op_den in ops:
-                scale = den // op_den
-                for a, c in enumerate(op_rows[m]):
-                    if c:
-                        row[a * d + col] -= c * scale
-            acc.add(row)
-
-    def walk(depth, pv, terms):
-        if depth == n:
-            emit(pv, terms)
-            return
-        B = None
-        if any(not F.is_zero(x) for x in pv):
-            B = A.left_mult_matrix(pv) - A.right_mult_matrix(pv)
+    def steps(s):
+        p = s[:d]
+        acc_rows = [s[d + a * dd:d + (a + 1) * dd] for a in range(d)]
+        # K_a p = [p, e_a] is both the next p and column a of L_p - R_p
+        ps = [[sum(c * p[a] for a, c in terms) for terms in Kj] for Kj in K]
         for j, Kj in enumerate(K):
-            nxt = [(col, Kj if M is None else Kj @ M) for col, M in terms]
-            if B is not None:
-                nxt.append((j, B))
-            walk(depth + 1, Kj.apply(pv), nxt)
+            out = list(ps[j])
+            for m, terms in enumerate(Kj):
+                row = [0] * dd
+                for a, c in terms:
+                    row = [x + c * y for x, y in zip(row, acc_rows[a])]
+                row[j::d] = [x + q[m] for x, q in zip(row[j::d], ps)]
+                out += row
+            yield out
 
-    for i in range(d):
-        walk(1, A.basis_element(i).coords, [(i, None)])
-
-    space = null_space(F, d * d, acc)
-    return OperatorSpace(A, space, n=n)
+    level = [[0] * (d + d * dd) for _ in range(d)]  # p_1 = e_i, acc_1 = D(e_i)
+    for i, s in enumerate(level):
+        s[i] = 1
+        for m in range(d):
+            s[d + m * dd + m * d + i] = 1
+    for _ in range(n - 2):
+        span = echelon(F, d + d * dd)
+        for s in level:
+            for t in steps(s):
+                span.add(t)
+        level = list(span.pivots.values())
+    acc = echelon(F, dd)
+    for s in level:
+        for t in steps(s):
+            for m in range(d):
+                row = t[d + m * dd:d + (m + 1) * dd]
+                row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
+                acc.add(row)
+    return OperatorSpace(A, null_space(F, dd, acc), n=n)
 
 
 def standard_inner_derivation(A: Algebra, y, z) -> LinearMap:
@@ -542,13 +542,13 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     return Decomposition(delta=delta, tau=tau, normalizer=f)
 
 
-def fosner_inclusion(A: Algebra, n: int, k: int, budget: int = 10 ** 6) -> bool:
+def fosner_inclusion(A: Algebra, n: int, k: int) -> bool:
     """Whether the Lie-n space sits inside the Lie-(n + k(n-1)) space."""
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     if k == 0:
         return True
     m = n + k * (n - 1)
-    small = lie_n_derivation_space(A, n, budget=budget)
-    large = lie_n_derivation_space(A, m, budget=budget)
+    small = lie_n_derivation_space(A, n)
+    large = lie_n_derivation_space(A, m)
     return large.contains_space(small)

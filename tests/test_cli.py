@@ -100,10 +100,27 @@ def test_derive_and_lie(capsys):
     assert code == 0 and "derive:lie2-dim" in out and "derive:basis-0" in out
 
 
-def test_derive_lie_n_is_bounded_only_by_the_budget(capsys):
+def test_derive_lie_n_needs_no_budget(capsys):
     code, out, _ = run(capsys, "derive", "--catalog", "mat2", "--n", "6")
     assert code == 0
     assert out.split() == ["derive:lie6-dim", "holds", "4"]
+    # 8^7 basis tuples, but 5 spanned levels of at most 8 + 8^3 states each
+    code, out, _ = run(capsys, "derive", "--catalog", "zorn", "--n", "7")
+    assert code == 0
+    assert out.split() == ["derive:lie7-dim", "holds", "15"]
+
+
+@pytest.mark.parametrize("n", ["0", "1", "-1", "x"])
+@pytest.mark.parametrize("argv", [
+    ["derive"],
+    ["decompose"],
+    ["fosner"],
+    ["search", "--field", "GFp:2", "--mode", "exhaust"],
+])
+def test_n_below_2_is_a_usage_error(capsys, argv, n):
+    code, out, err = run(capsys, argv[0], "--catalog", "mat2", *argv[1:], "--n", n)
+    assert code == 3 and out == ""
+    assert "--n" in err
 
 
 def test_decompose_roundtrip(tmp_path, capsys):
@@ -150,6 +167,10 @@ def test_fosner(capsys):
     code, out, _ = run(capsys, "fosner", "--catalog", "mat2", "--n", "2", "--k", "1")
     assert code == 0
     assert "fosner:inclusion" in out
+    # the Lie-12 space of mat2 spans 4^12 basis tuples
+    code, out, _ = run(capsys, "fosner", "--catalog", "mat2", "--n", "2", "--k", "10")
+    assert code == 0
+    assert out.split()[:2] == ["fosner:inclusion", "holds"]
 
 
 def test_search_exhaust(capsys):
@@ -367,6 +388,8 @@ def test_nonpositive_budget_is_a_usage_error(capsys, budget):
     ["peirce", "--budget", "5"],
     ["info", "--seed", "1"],
     ["derive", "--seed", "1"],
+    ["derive", "--budget", "5"],
+    ["fosner", "--budget", "5"],
 ])
 def test_knob_on_a_subcommand_that_ignores_it_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv[0], "--catalog", "mat2", *argv[1:])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from altrings.algebra import Algebra, BudgetError, LinearMap, commutator
+from altrings.algebra import Algebra, LinearMap, commutator
 from altrings.catalog import catalog, direct_sum
 from altrings.fields import GF, QQ
 from altrings.lietype import (
@@ -142,14 +142,16 @@ def test_lie_space_contains_derivations_and_central_maps(mat2, zorn):
 def test_lie_space_guards(mat2):
     with pytest.raises(ValueError):
         lie_n_derivation_space(mat2, 1)
-    with pytest.raises(BudgetError):
-        lie_n_derivation_space(mat2, 5, budget=100)
 
 
-def test_lie_space_past_n_5(mat2):
+def test_lie_space_past_n_5(mat2, zorn):
     l6 = lie_n_derivation_space(mat2, 6)
     assert l6.dim == 4
     assert l6.contains_space(derivation_space(mat2))
+    # 8^7 basis tuples, but 5 spanned levels of at most 8 + 8^3 states each
+    l7 = lie_n_derivation_space(zorn, 7)
+    assert l7.space == lie_n_derivation_space(zorn, 2).space
+    assert l7.dim == 15
 
 
 def test_lie_leibniz_residual_detects_violations(mat2):
@@ -570,7 +572,7 @@ def test_derivations_close_under_bracket_and_lie_spaces_contain_them(case):
                         for u, v in zip(orc.compose(M, N), orc.compose(N, M))])
             assert orc.holds(leibniz, br)
             assert orc.rank(span + [br]) == len(span)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         rows = orc.rows(orc.nested, n)
         lie = [[orc.norm(v) for v in D.to_vector()]
                for D in lie_n_derivation_space(A, n).maps()]
