@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from operator import mul
 
 from .fields import FieldError
 from .linalg import Matrix, Subspace, echelon, null_space, solve
@@ -71,8 +72,6 @@ class Algebra:
             )
             for i in range(dim)
         )
-        self._left_cache: dict[int, Matrix] = {}
-        self._right_cache: dict[int, Matrix] = {}
         self._prime_cache: dict = {}
         self._solved_unit = _UNSOLVED  # find_unit's memo; never read as `unit`
         self.unit = None
@@ -133,41 +132,40 @@ class Algebra:
     def basis_product(self, i: int, j: int) -> tuple:
         return self.tensor[i][j]
 
-    def left_mult_matrix(self, y) -> Matrix:
-        """Matrix of x -> y * x."""
+    def mult_ints(self, y, side: str) -> tuple[list[list[int]], int]:
+        """(int rows, den) of x -> y * x (side "left") or x -> x * y ("right")."""
         ys, y_den = self.field.to_ints(self._coerce_coords(y))
         d = self.dim
+        pairs = self._pairs
         rows = [[0] * d for _ in range(d)]
         for i, yi in enumerate(ys):
             if not yi:
                 continue
-            for j, products in enumerate(self._pairs[i]):
-                for k, c in products:
+            for j in range(d):
+                for k, c in pairs[i][j] if side == "left" else pairs[j][i]:
                     rows[k][j] += yi * c
-        return Matrix.from_ints(self.field, rows, y_den * self._den, d)
+        return rows, y_den * self._den
+
+    def left_mult_matrix(self, y) -> Matrix:
+        """Matrix of x -> y * x."""
+        return Matrix.from_ints(self.field, *self.mult_ints(y, "left"), self.dim)
 
     def right_mult_matrix(self, y) -> Matrix:
         """Matrix of x -> x * y."""
-        ys, y_den = self.field.to_ints(self._coerce_coords(y))
-        d = self.dim
-        rows = [[0] * d for _ in range(d)]
-        for j, yj in enumerate(ys):
-            if not yj:
-                continue
-            for i in range(d):
-                for k, c in self._pairs[i][j]:
-                    rows[k][i] += yj * c
-        return Matrix.from_ints(self.field, rows, y_den * self._den, d)
+        return Matrix.from_ints(self.field, *self.mult_ints(y, "right"), self.dim)
 
     def basis_left_matrix(self, i: int) -> Matrix:
-        if i not in self._left_cache:
-            self._left_cache[i] = self.left_mult_matrix(self.basis_element(i))
-        return self._left_cache[i]
+        return self.left_mult_matrix(self.basis_element(i))
 
     def basis_right_matrix(self, i: int) -> Matrix:
-        if i not in self._right_cache:
-            self._right_cache[i] = self.right_mult_matrix(self.basis_element(i))
-        return self._right_cache[i]
+        return self.right_mult_matrix(self.basis_element(i))
+
+    def bracket_table(self) -> list:
+        """K with K[j][m] the nonzero (a, _den [e_a, e_j]_m): row m of the
+        operator K_j : v -> [v, e_j], over the common denominator _den."""
+        num, d = self._num, self.dim
+        return [[[(a, c) for a in range(d) if (c := num[a][j][m] - num[j][a][m])]
+                 for m in range(d)] for j in range(d)]
 
     def _is_unit(self, u) -> bool:
         for i in range(self.dim):
@@ -359,20 +357,32 @@ def associator(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -> Algeb
     return (x * y) * z - x * (y * z)
 
 
+def leibniz_rows(A: Algebra):
+    """The d^3 rows of delta(e_i e_j) = delta(e_i) e_j + e_i delta(e_j) on
+    vec(delta) (``LinearMap.to_vector`` order), as ints over A._den."""
+    d, num = A.dim, A._num
+    for i in range(d):
+        for j in range(d):
+            prod = num[i][j]
+            for m in range(d):
+                row = [0] * (d * d)
+                row[m * d:(m + 1) * d] = prod
+                for a in range(d):
+                    row[a * d + i] -= num[a][j][m]
+                for b in range(d):
+                    row[b * d + j] -= num[i][b][m]
+                yield row
+
+
 def is_derivation(A: Algebra, g: LinearMap) -> bool:
-    """Whether g(e_i e_j) = g(e_i) e_j + e_i g(e_j) on every basis pair."""
-    F = A.field
-    basis = [A.basis_element(i).coords for i in range(A.dim)]
-    images = [g.apply_coords(e) for e in basis]
-    for i, (ei, gi) in enumerate(zip(basis, images)):
-        for j, (ej, gj) in enumerate(zip(basis, images)):
-            lhs = g.apply_coords(A.basis_product(i, j))
-            rhs = tuple(
-                F.add(a, b) for a, b in zip(A.mul_coords(gi, ej), A.mul_coords(ei, gj))
-            )
-            if lhs != rhs:
-                return False
-    return True
+    """Whether g(e_i e_j) = g(e_i) e_j + e_i g(e_j) on every basis pair.
+
+    Each Leibniz row (see leibniz_rows) must be orthogonal to the integer
+    form of g's matrix, flattened row-major (mod p over GF(p)).
+    """
+    vec = [v for row in g.matrix.int_form()[0] for v in row]
+    is_zero = A.field.is_zero
+    return all(is_zero(sum(map(mul, row, vec))) for row in leibniz_rows(A))
 
 
 @dataclass(frozen=True)
@@ -458,12 +468,10 @@ def nucleus(A: Algebra) -> Subspace:
     """{ n : (n,R,R) = (R,n,R) = (R,R,n) = 0 }, computed from basis constraints."""
     d = A.dim
     acc = echelon(A.field, d)
-    for i in range(d):
-        L_i = A.basis_left_matrix(i)
-        R_i = A.basis_right_matrix(i)
-        for j in range(d):
-            R_j = A.basis_right_matrix(j)
-            L_j = A.basis_left_matrix(j)
+    L = [A.left_mult_matrix(e.coords) for e in A.basis()]
+    R = [A.right_mult_matrix(e.coords) for e in A.basis()]
+    for i, (L_i, R_i) in enumerate(zip(L, R)):
+        for j, (L_j, R_j) in enumerate(zip(L, R)):
             prod = A.tensor[i][j]
             # (x, e_i, e_j): (x e_i) e_j - x (e_i e_j)
             m1 = R_j @ R_i - A.right_mult_matrix(prod)
@@ -480,15 +488,17 @@ def nucleus(A: Algebra) -> Subspace:
 def center(A: Algebra) -> Subspace:
     """The commutative centre { z : [z, x] = 0 for all x }.
 
-    Note this is the commutant only; use ``center(A).intersect(nucleus(A))``
-    for the stricter commuting-and-associating notion.
+    Its constraints are the int rows of K_j : z -> [z, e_j] from
+    ``bracket_table``.  Note this is the commutant only; use
+    ``center(A).intersect(nucleus(A))`` for the stricter
+    commuting-and-associating notion.
     """
     d = A.dim
     acc = echelon(A.field, d)
-    for i in range(d):
-        diff = A.basis_right_matrix(i) - A.basis_left_matrix(i)
-        for row in diff.rows:
-            acc.add(row)
+    for Kj in A.bracket_table():
+        for terms in Kj:
+            row = dict(terms)
+            acc.add([row.get(a, 0) for a in range(d)])
     return null_space(A.field, d, acc)
 
 

@@ -13,10 +13,12 @@ recurrence of ``finite``: with acc_k = sum_{t<=k} p(..., D(x_t), ..., xk),
 
 and identity L at a tuple reads D(p_n) = acc_n.  A step is linear in the
 state (p_k, acc_k), and so is D(p_n) - acc_n, so a basis of the span of
-the states of all (n-1)-tuples gives the constraints of all d^n tuples.
-The solution spaces are the null spaces of the eliminator the constraint
-rows are streamed through.  The decomposition splits such a D into a
-derivation delta plus a central-valued tau vanishing on all
+the states of all (n-1)-tuples gives the constraints of all d^n tuples;
+[x, y] = -[y, x] halves the first step.  Every constraint row is built
+as ints from the structure constants (``Algebra.bracket_table``,
+``leibniz_rows``), and the solution spaces are the null spaces of the
+eliminator the rows are streamed through.  The decomposition splits such
+a D into a derivation delta plus a central-valued tau vanishing on all
 nested-commutator values, following the constructive uniqueness argument
 at one idempotent: tau is read off the images of the diagonal Peirce
 components, delta = D - tau, and the claims of the theorem are certified
@@ -37,6 +39,7 @@ from .algebra import (
     commutator,
     find_unit,
     is_derivation,
+    leibniz_rows,
 )
 from .linalg import Matrix, Subspace, echelon, null_space, solve
 from .peirce import PeirceContext, check_conditions_1_to_4
@@ -75,24 +78,23 @@ def nested_commutator_span(A: Algebra, n: int) -> Subspace:
     """Span W_n of p(e_{i1}, ..., e_{in}) over all basis tuples.
 
     By the recurrence above p_{k+1} = [p_k, x] is linear in p_k, so W_1 = A
-    and W_{k+1} is spanned by the brackets [w, e_j] for w in a basis of W_k:
-    n - 1 levels of at most d^2 brackets each, one eliminator per level.
+    and W_{k+1} is spanned by the brackets K_j w = [w, e_j] for w in a basis
+    of W_k: n - 1 levels of at most d^2 int rows, one eliminator per level.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = A.dim
     F = A.field
-    basis = [A.basis_element(i).coords for i in range(d)]
-    level = basis
+    K = A.bracket_table()
+    acc = echelon(F, d)
+    for i in range(d):
+        acc.add([int(i == j) for j in range(d)])
     for _ in range(n - 1):
-        acc = echelon(F, d)
+        level, acc = list(acc.pivots.values()), echelon(F, d)
         for w in level:
-            for e in basis:
-                acc.add(tuple(
-                    F.sub(a, b) for a, b in zip(A.mul_coords(w, e), A.mul_coords(e, w))
-                ))
-        level = acc.rref_rows()
-    return Subspace(F, d, level)
+            for Kj in K:
+                acc.add([sum(c * w[a] for a, c in terms) for terms in Kj])
+    return Subspace(F, d, acc.rref_rows())
 
 
 class OperatorSpace:
@@ -148,24 +150,11 @@ class OperatorSpace:
 
 def derivation_space(A: Algebra) -> OperatorSpace:
     """All linear maps with delta(xy) = delta(x)y + x delta(y) (Leibniz)."""
-    d = A.dim
-    F = A.field
-    acc = echelon(F, d * d)
-    # every constant is an int over the same A._den: drop that common scale
-    num = A._num
-    for i in range(d):
-        for j in range(d):
-            prod = num[i][j]
-            for m in range(d):
-                row = [0] * (d * d)
-                row[m * d:(m + 1) * d] = prod
-                for a in range(d):
-                    row[a * d + i] -= num[a][j][m]
-                for b in range(d):
-                    row[b * d + j] -= num[i][b][m]
-                acc.add(row)
-    space = null_space(F, d * d, acc)
-    return OperatorSpace(A, space, n=None)
+    dd = A.dim * A.dim
+    acc = echelon(A.field, dd)
+    for row in leibniz_rows(A):
+        acc.add(row)
+    return OperatorSpace(A, null_space(A.field, dd, acc), n=None)
 
 
 def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
@@ -174,30 +163,29 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     A state (p_k, Acc), acc_k = Acc vec(D) in the order of
     ``LinearMap.to_vector``, is one int row of width d + d^3.  A step by
     e_j maps p to K_j p and Acc to K_j Acc plus L_p - R_p in the columns of
-    D(e_j), with K_j : v -> [v, e_j] from the numerators of A (so a step
-    scales the state by A._den).  Levels 2 .. n-1 keep the eliminated basis
-    of the steps of the last level's basis, at most d + d^3 states; the
-    last step's rows D(p_n) - acc_n = 0 go straight into the d^2-wide
-    eliminator, so the cost is linear in n.
+    D(e_j), with K_j : v -> [v, e_j] from ``Algebra.bracket_table`` (so a
+    step scales the state by A._den).  Since [x, y] = -[y, x], the state of
+    (j, i) is minus that of (i, j) and the state of (i, i) is 0, so the
+    first step takes only the pairs i < j.  Levels 2 .. n-1 keep the
+    eliminated basis of the steps of the last level's basis, at most
+    d + d^3 states; the states of length n give the rows D(p_n) - acc_n = 0
+    straight into the d^2-wide eliminator, so the cost is linear in n.
     """
     if n < 2:
         raise ValueError("Lie-type spaces start at n = 2")
     d = A.dim
     dd = d * d
     F = A.field
-    num = A._num
-    # K[j][m] lists the nonzero (a, den K_j[m][a])
-    K = [[[(a, c) for a in range(d) if (c := num[a][j][m] - num[j][a][m])]
-          for m in range(d)] for j in range(d)]
+    K = A.bracket_table()
 
-    def steps(s):
+    def steps(s, js):
         p = s[:d]
         acc_rows = [s[d + a * dd:d + (a + 1) * dd] for a in range(d)]
         # K_a p = [p, e_a] is both the next p and column a of L_p - R_p
         ps = [[sum(c * p[a] for a, c in terms) for terms in Kj] for Kj in K]
-        for j, Kj in enumerate(K):
+        for j in js:
             out = list(ps[j])
-            for m, terms in enumerate(Kj):
+            for m, terms in enumerate(K[j]):
                 row = [0] * dd
                 for a, c in terms:
                     row = [x + c * y for x, y in zip(row, acc_rows[a])]
@@ -210,19 +198,22 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
         s[i] = 1
         for m in range(d):
             s[d + m * dd + m * d + i] = 1
+    states = (t for i, s in enumerate(level) for t in steps(s, range(i + 1, d)))
     for _ in range(n - 2):
         span = echelon(F, d + d * dd)
-        for s in level:
-            for t in steps(s):
-                span.add(t)
-        level = list(span.pivots.values())
+        for t in states:
+            span.add(t)
+        # latest pivot first: the rows past column d have p_k = 0, so their
+        # steps carry no L_p - R_p term, and the next eliminator started on
+        # them keeps smaller integers
+        level = [span.pivots[c] for c in sorted(span.pivots, reverse=True)]
+        states = (t for s in level for t in steps(s, range(d)))
     acc = echelon(F, dd)
-    for s in level:
-        for t in steps(s):
-            for m in range(d):
-                row = t[d + m * dd:d + (m + 1) * dd]
-                row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
-                acc.add(row)
+    for t in states:
+        for m in range(d):
+            row = t[d + m * dd:d + (m + 1) * dd]
+            row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
+            acc.add(row)
     return OperatorSpace(A, null_space(F, dd, acc), n=n)
 
 

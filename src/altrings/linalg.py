@@ -99,22 +99,6 @@ class _RationalEchelon:
         self.pivots[lead_col] = work
         return True
 
-    def residual(self, row) -> tuple:
-        """The unique vector in row + span with zeros in all pivot columns."""
-        work, scale = QQ.to_ints(row)
-        for col, prow in self.pivots.items():
-            v = work[col]
-            if v:
-                lead = prow[col]
-                for i in range(self.width):
-                    work[i] = work[i] * lead - prow[i] * v
-                scale *= lead
-        return QQ.from_ints(work, scale)
-
-    def contains(self, row) -> bool:
-        work = self._reduced(QQ.to_ints(row)[0])
-        return not any(work)
-
     def rref_rows(self) -> list[tuple]:
         pivots = self.pivots
         return [QQ.from_ints(pivots[col], pivots[col][col]) for col in sorted(pivots)]
@@ -167,13 +151,6 @@ class _PrimeEchelon:
                     prow[i] = (prow[i] - v * work[i]) % p
         self.pivots[lead_col] = work
         return True
-
-    def residual(self, row) -> tuple:
-        """The unique vector in row + span with zeros in all pivot columns."""
-        return tuple(self._reduced(row))
-
-    def contains(self, row) -> bool:
-        return not any(self._reduced(row))
 
     def rref_rows(self) -> list[tuple]:
         return [tuple(self.pivots[col]) for col in sorted(self.pivots)]
@@ -428,9 +405,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        return cls.from_vectors(
-            field, ambient, Matrix.identity(field, ambient).rows
-        )
+        return cls(field, ambient, Matrix.identity(field, ambient).rows)
 
     @property
     def dim(self) -> int:
@@ -439,24 +414,40 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def _acc(self):
-        acc = echelon(self.field, self.ambient)
-        for row in self.basis:
-            acc.add(row)
-        return acc
+    def _pivot_rows(self) -> tuple[list[tuple[int, list[int]]], int]:
+        """([(pivot column, int row)] of the basis, den): every entry is its
+        int over den, and the pivot is the row's first nonzero, where it
+        has the entry 1 and every other row has 0."""
+        n = self.ambient
+        flat, den = self.field.to_ints([v for row in self.basis for v in row])
+        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
+        return [(next(j for j, v in enumerate(r) if v), r) for r in rows], den
+
+    def _residuals(self, vectors):
+        """Each vector minus vec[pc] times the basis row of each pivot
+        column pc: the unique vector of vec + span that is 0 at every pc."""
+        F = self.field
+        pivots, den = self._pivot_rows()
+        for vec in vectors:
+            if len(vec) != self.ambient:
+                raise ValueError("vector length mismatch")
+            work, vec_den = F.to_ints([F.coerce(v) for v in vec])
+            out = [w * den for w in work]
+            for pc, row in pivots:
+                c = work[pc]
+                if c:
+                    out = [x - c * b for x, b in zip(out, row)]
+            yield F.from_ints(out, vec_den * den)
 
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient:
-            raise ValueError("vector length mismatch")
-        return self._acc().contains([self.field.coerce(v) for v in vec])
+        return not any(next(self._residuals([vec])))
 
     def residual(self, vec) -> tuple:
         """The canonical representative of vec modulo this subspace."""
-        return self._acc().residual([self.field.coerce(v) for v in vec])
+        return next(self._residuals([vec]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        acc = self._acc()
-        return all(acc.contains(row) for row in other.basis)
+        return not any(any(r) for r in self._residuals(other.basis))
 
     def __eq__(self, other):
         return (
@@ -476,24 +467,46 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonise [A|A; B|0]; zero-left rows span A cap B."""
+        """A cap B, solved on the coordinates of the smaller basis: its
+        vectors killed by the rows of the other's residual matrix."""
         self._check_ambient(other)
-        n = self.ambient
+        small, large = sorted((self, other), key=lambda s: s.dim)
+        return small.killed_by(large._complement()[0])
+
+    def killed_by(self, rows) -> "Subspace":
+        """{x in self : r . x = 0 for every row r}, rows of ints or scalars.
+
+        Solved on the coordinates c of x = sum c_k b_k: a row costs one dot
+        product per basis row b_k and folds into a dim-wide eliminator.  The
+        null space of c and the basis are both RREF, so their product is too.
+        """
         F = self.field
-        zero = F.zero
-        acc = echelon(F, 2 * n)
-        for row in self.basis:
-            acc.add(list(row) + list(row))
-        for row in other.basis:
-            acc.add(list(row) + [zero] * n)
-        vectors = []
-        for row in acc.rref_rows():
-            if all(F.is_zero(v) for v in row[:n]):
-                vectors.append(row[n:])
-        return Subspace.from_vectors(F, n, vectors)
+        k = self.dim
+        basis = [row for _, row in self._pivot_rows()[0]]
+        acc = echelon(F, k)
+        for r in rows:
+            if acc.rank == k:
+                break
+            acc.add([sum(map(mul, r, b)) for b in basis])
+        coeffs = null_space(F, k, acc).basis_matrix()
+        return Subspace(F, self.ambient, (coeffs @ self.basis_matrix()).rows)
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.basis, ncols=self.ambient)
+
+    def _complement(self) -> tuple[list[list[int]], int]:
+        """(int rows, den) of one null vector of the basis per free column f,
+        read off the RREF: 1 at f, -b[f] at the pivot column of each row b."""
+        n = self.ambient
+        pivots, den = self._pivot_rows()
+        out = []
+        for f in sorted(set(range(n)) - {pc for pc, _ in pivots}):
+            vec = [0] * n
+            vec[f] = den
+            for pc, row in pivots:
+                vec[pc] = -row[f]
+            out.append(vec)
+        return out, den
 
     def residual_matrix(self) -> Matrix:
         """Matrix whose kernel is exactly this subspace.
@@ -503,7 +516,7 @@ class Subspace:
         orthogonal complement is the row space.  Used to turn membership
         conditions into linear constraints.
         """
-        return null_space(self.field, self.ambient, self._acc()).basis_matrix()
+        return Matrix.from_ints(self.field, *self._complement(), self.ambient)
 
     def vectors(self):
         """Enumerate all vectors (finite fields only)."""

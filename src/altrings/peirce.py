@@ -248,16 +248,12 @@ def check_offdiag_commutant(ctx: PeirceContext, side) -> CommutantReport:
         raise ValueError("side must be 12 or 21")
     slot = (1, 2) if side == "12" else (2, 1)
     A = ctx.algebra
-    F = A.field
-    d = A.dim
-    acc = echelon(F, d)
-    for b in ctx.components[slot].basis:
-        bracket = A.right_mult_matrix(b) - A.left_mult_matrix(b)
-        for row in bracket.rows:
-            acc.add(row)
-    commutes = null_space(F, d, acc)
+    brackets = (  # the rows of R_b - L_b : x -> [x, b]
+        [x - y for x, y in zip(r, l)] for b in ctx.components[slot].basis
+        for r, l in zip(A.mult_ints(b, "right")[0], A.mult_ints(b, "left")[0])
+    )
     diagonal = ctx.components[(1, 1)].sum_with(ctx.components[(2, 2)])
-    S = commutes.intersect(diagonal)
+    S = diagonal.killed_by(brackets)
     return CommutantReport(
         subspace=S, contained_in_center=ctx.center.contains_subspace(S)
     )
@@ -277,22 +273,10 @@ class ConditionsReport:
         return self.entries[key]
 
 
-def _annihilator(A: Algebra, domain: Subspace, others: Subspace, side: str) -> Subspace:
-    """{x in domain : x*b = 0 for all b} (side right) or {x : b*x = 0} (left)."""
-    F = A.field
-    d = A.dim
-    acc = echelon(F, d)
-    for b in others.basis:
-        m = A.right_mult_matrix(b) if side == "right" else A.left_mult_matrix(b)
-        for row in m.rows:
-            acc.add(row)
-    killed = null_space(F, d, acc)
-    return killed.intersect(domain)
-
-
 def _kernel_condition(A: Algebra, domain: Subspace, others: Subspace,
                       side: str, label: str) -> ConditionVerdict:
-    ann = _annihilator(A, domain, others, side)
+    # x*b = 0 (side right: R_b x = 0) or b*x = 0 (left: L_b x = 0) for every b
+    ann = domain.killed_by(row for b in others.basis for row in A.mult_ints(b, side)[0])
     if ann.is_zero():
         return ConditionVerdict(Verdict.HOLDS, f"{label}: annihilator is zero")
     return ConditionVerdict(

@@ -494,13 +494,34 @@ class _Arith:
     def rows(self, op, arity):
         """The linear conditions D(op(x)) = sum_t op(.., D x_t, ..) on the
         d*d entries of D, one row per basis tuple x and output coordinate."""
+        e = [self.basis(i) for i in range(self.d)]
+        return self._rows(
+            (xs, op(*(e[x] for x in xs)),
+             [[op(*(e[r] if u == t else e[x] for u, x in enumerate(xs)))
+               for r in range(self.d)] for t in range(arity)])
+            for xs in itertools.product(range(self.d), repeat=arity))
+
+    def nested_rows(self, n):
+        """rows(self.nested, n) with each nested value built once: p at a
+        tuple is [p at its prefix, e_y], and p with e_r in slot t is p at
+        another tuple."""
+        d = self.d
+        e = [self.basis(i) for i in range(d)]
+        values = {(x,): e[x] for x in range(d)}
+        for _ in range(n - 1):
+            values = {xs + (y,): self.bracket(v, e[y])
+                      for xs, v in values.items() for y in range(d)}
+        return self._rows(
+            (xs, v, [[values[xs[:t] + (r,) + xs[t + 1:]] for r in range(d)]
+                     for t in range(n)])
+            for xs, v in values.items())
+
+    def _rows(self, values):
+        """Rows from (x, op(x), slots) per basis tuple x, with slots[t][r]
+        the value at x with e_r in slot t."""
         d = self.d
         rows = []
-        for xs in itertools.product(range(d), repeat=arity):
-            v = op(*map(self.basis, xs))
-            slots = [[op(*(self.basis(r) if u == t else self.basis(x)
-                           for u, x in enumerate(xs))) for r in range(d)]
-                     for t in range(arity)]
+        for xs, v, slots in values:
             for k in range(d):
                 row = [0] * (d * d)
                 for s in range(d):
@@ -573,7 +594,7 @@ def test_derivations_close_under_bracket_and_lie_spaces_contain_them(case):
             assert orc.holds(leibniz, br)
             assert orc.rank(span + [br]) == len(span)
     for n in (2, 3, 4, 5):
-        rows = orc.rows(orc.nested, n)
+        rows = orc.nested_rows(n)
         lie = [[orc.norm(v) for v in D.to_vector()]
                for D in lie_n_derivation_space(A, n).maps()]
         assert len(lie) == d * d - orc.rank(rows)
@@ -605,6 +626,6 @@ def test_fosner_inclusion_matches_row_space_containment(case, nk):
     inclusion holds in every algebra."""
     n, k = nk
     A, orc = _algebra(case)
-    small, large = orc.rows(orc.nested, n), orc.rows(orc.nested, n + k * (n - 1))
+    small, large = orc.nested_rows(n), orc.nested_rows(n + k * (n - 1))
     assert orc.rank(small + large) == orc.rank(small)
     assert fosner_inclusion(A, n, k) is True

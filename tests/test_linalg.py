@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,50 @@ def test_modular_law_for_sums_and_meets(rows_a, rows_b):
     assert a.contains_subspace(meet) and b.contains_subspace(meet)
     assert join.contains_subspace(a) and join.contains_subspace(b)
     assert meet.dim + join.dim == a.dim + b.dim
+
+
+def _subspace(data, F, n):
+    kind = data.draw(st.sampled_from(["zero", "full", "span", "span"]))
+    if kind == "zero":
+        return Subspace.zero(F, n)
+    if kind == "full":
+        return Subspace.full(F, n)
+    rows = st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    min_size=1, max_size=n)
+    return Subspace.from_vectors(F, n, data.draw(rows))
+
+
+def _span_of(F, n, basis):
+    """Every vector of span(basis) in GF(p)^n, enumerated from coefficients."""
+    return {tuple(sum(c * b[i] for c, b in zip(cs, basis)) % F.p for i in range(n))
+            for cs in itertools.product(range(F.p), repeat=len(basis))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_intersection_and_killed_by_match_their_definitions(data):
+    F = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = data.draw(st.integers(4, 7))
+    a, b = _subspace(data, F, n), _subspace(data, F, n)
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                              max_size=4))
+    meet, join = a.intersect(b), a.sum_with(b)
+    assert meet == b.intersect(a)
+    assert Subspace.from_vectors(F, n, meet.basis) == meet  # stored in RREF
+    assert a.contains_subspace(meet) and b.contains_subspace(meet)
+    assert join.contains_subspace(a) and join.contains_subspace(b)
+    assert meet.dim + join.dim == a.dim + b.dim
+    killed = a.killed_by(rows)
+    K = kernel(Matrix(F, rows, ncols=n))
+    assert Subspace.from_vectors(F, n, killed.basis) == killed
+    assert a.contains_subspace(killed) and K.contains_subspace(killed)
+    assert killed.dim + a.sum_with(K).dim == a.dim + K.dim
+    if F.is_finite and F.p ** max(a.dim, b.dim) <= 5 ** 5:
+        vecs_a = _span_of(F, n, a.basis)
+        assert _span_of(F, n, meet.basis) == vecs_a & _span_of(F, n, b.basis)
+        assert _span_of(F, n, killed.basis) == {
+            v for v in vecs_a
+            if all(sum(r * x for r, x in zip(row, v)) % F.p == 0 for row in rows)}
 
 
 # Integer kernels against an independent per-scalar reference.  Over Q the

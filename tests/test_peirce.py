@@ -395,7 +395,9 @@ def _dense_rebase(A, p, seed):
                 v = sum(e[k] * Q[k][l] for k in range(d)) % p
                 if v:
                     triples[(i, j, l)] = v
-    return Algebra(GF(p), d, triples)
+    idem = None if A.idempotent is None else tuple(
+        sum(int(A.idempotent[k]) * Q[k][l] for k in range(d)) % p for l in range(d))
+    return Algebra(GF(p), d, triples, idempotent=idem)
 
 
 _HOLDS = "all {} rays have trivial annihilator"
@@ -497,6 +499,71 @@ def test_prime_scan_matches_brute_force(alg):
     assert any(a) and any(b)
     for r in product(range(p), repeat=d):
         assert not any(_mul(c, p, _mul(c, p, a, r), b))
+
+
+def _first_rref_vector(vectors):
+    """Row 1 of the RREF basis of a whole subspace, from its vectors alone:
+    the pivot columns are the leading positions of the nonzero vectors, and
+    row 1 is 1 at the first pivot column and 0 at the others."""
+    lead = {v: next(i for i, x in enumerate(v) if x) for v in vectors if any(v)}
+    pivots = set(lead.values())
+    first = min(pivots)
+    return next(v for v, i in lead.items() if i == first and v[first] == 1
+                and not any(v[c] for c in pivots - {first}))
+
+
+# condition key -> (domain slot, other slot, side): x*b = 0 (right) or b*x = 0
+_ANNIHILATORS = {
+    "1(1,2)": ((1, 2), (2, 1), "right"), "1(2,1)": ((2, 1), (1, 2), "right"),
+    "2a": ((1, 1), (1, 2), "right"), "2b": ((1, 1), (2, 1), "left"),
+    "3a": ((2, 2), (1, 2), "left"), "3b": ((2, 2), (2, 1), "right"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["mat2", "tri2", "product2"]), st.sampled_from([2, 3]),
+       st.integers(0, 2 ** 16))
+def test_center_annihilators_and_commutants_match_enumeration(name, p, seed):
+    """On a random rebase over GF(p), the center, each annihilator of
+    conditions (1)-(3) and both off-diagonal commutants against sets
+    enumerated from the structure constants alone."""
+    A = _dense_rebase(catalog(name, GF(p)), p, seed)
+    ctx = peirce_context(A, A.idempotent)
+    d, e = A.dim, A.idempotent
+
+    def mul(x, y):
+        return _mul(A.tensor, p, x, y)
+
+    space = list(product(range(p), repeat=d))
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    zero = (0,) * d
+    comp = {(i, j): {x for x in space if mul(e, x) == (x if i == 1 else zero)
+                     and mul(x, e) == (x if j == 1 else zero)}
+            for i in (1, 2) for j in (1, 2)}
+    center = {z for z in space if all(mul(z, u) == mul(u, z) for u in units)}
+    assert set(ctx.center.vectors()) == center
+
+    report = check_conditions_1_to_4(ctx)
+    for key, (dom, other, side) in _ANNIHILATORS.items():
+        ann = {x for x in comp[dom] if not any(
+            any(mul(x, b) if side == "right" else mul(b, x)) for b in comp[other])}
+        verdict = report[key]
+        if ann == {zero}:
+            assert verdict.status is Verdict.HOLDS and verdict.witness is None
+            assert verdict.detail.endswith(": annihilator is zero")
+        else:
+            assert verdict.status is Verdict.FAILS
+            k = next(k for k in range(d + 1) if p ** k == len(ann))
+            assert verdict.detail.endswith(f": annihilator has dim {k}")
+            assert verdict.witness == _first_rref_vector(ann)
+
+    diagonal = {tuple((a + b) % p for a, b in zip(x, y))
+                for x in comp[(1, 1)] for y in comp[(2, 2)]}
+    for side, slot in (("12", (1, 2)), ("21", (2, 1))):
+        S = {a for a in diagonal if all(mul(a, b) == mul(b, a) for b in comp[slot])}
+        rep = check_offdiag_commutant(ctx, side)
+        assert set(rep.subspace.vectors()) == S
+        assert rep.contained_in_center == (S <= center)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
