@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from operator import mul
 
 from .fields import FieldError
 from .linalg import Matrix, Subspace, echelon, null_space, solve
@@ -377,12 +376,31 @@ def leibniz_rows(A: Algebra):
 def is_derivation(A: Algebra, g: LinearMap) -> bool:
     """Whether g(e_i e_j) = g(e_i) e_j + e_i g(e_j) on every basis pair.
 
-    Each Leibniz row (see leibniz_rows) must be orthogonal to the integer
-    form of g's matrix, flattened row-major (mod p over GF(p)).
+    Checked pair by pair on ints: with G the integer form of g's matrix
+    (column i is g(e_i) over its den) and the structure constants over
+    A._den, both sides times the two denominators are sums of products of
+    ints, compared exactly (mod p over GF(p)).  The same equations are the
+    rows of ``leibniz_rows``.
     """
-    vec = [v for row in g.matrix.int_form()[0] for v in row]
-    is_zero = A.field.is_zero
-    return all(is_zero(sum(map(mul, row, vec))) for row in leibniz_rows(A))
+    G = g.matrix.int_form()[0]
+    d, pairs, p = A.dim, A._pairs, A.field.characteristic
+    # images[i] lists the nonzero (m, G[m][i]): g(e_i), sparse
+    images = [[(m, v) for m, v in enumerate(col) if v] for col in zip(*G)]
+    for i, gi in enumerate(images):
+        for j, gj in enumerate(images):
+            out = [0] * d
+            for k, c in pairs[i][j]:  # g(e_i e_j)
+                for m, x in images[k]:
+                    out[m] += c * x
+            for a, x in gi:  # g(e_i) e_j
+                for m, c in pairs[a][j]:
+                    out[m] -= x * c
+            for b, y in gj:  # e_i g(e_j)
+                for m, c in pairs[i][b]:
+                    out[m] -= y * c
+            if any(v % p for v in out) if p else any(out):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -465,23 +483,40 @@ def classify_identities(A: Algebra) -> IdentityReport:
 
 
 def nucleus(A: Algebra) -> Subspace:
-    """{ n : (n,R,R) = (R,n,R) = (R,R,n) = 0 }, computed from basis constraints."""
-    d = A.dim
+    """{ n : (n,R,R) = (R,n,R) = (R,R,n) = 0 }, computed from basis constraints.
+
+    The associator is trilinear, so n lies in the nucleus iff the three
+    associators with n in one slot and basis vectors e_i, e_j in the other
+    two vanish.  Coordinate m of such an associator is linear in n, and its
+    row is coordinate m of the basis associators (e_t, e_i, e_j),
+    (e_i, e_t, e_j) and (e_i, e_j, e_t) as t runs over the basis: 3d^3 rows
+    of width d, built as ints over A._den^2 from the structure constants;
+    zero rows are skipped.
+    """
+    d, pairs = A.dim, A._pairs
+
+    def associator_ints(a, b, c):
+        out = [0] * d
+        for k, x in pairs[a][b]:  # (e_a e_b) e_c
+            for m, y in pairs[k][c]:
+                out[m] += x * y
+        for k, x in pairs[b][c]:  # e_a (e_b e_c)
+            for m, y in pairs[a][k]:
+                out[m] -= x * y
+        return out
+
+    T = [[[associator_ints(a, b, c) for c in range(d)] for b in range(d)]
+         for a in range(d)]
     acc = echelon(A.field, d)
-    L = [A.left_mult_matrix(e.coords) for e in A.basis()]
-    R = [A.right_mult_matrix(e.coords) for e in A.basis()]
-    for i, (L_i, R_i) in enumerate(zip(L, R)):
-        for j, (L_j, R_j) in enumerate(zip(L, R)):
-            prod = A.tensor[i][j]
-            # (x, e_i, e_j): (x e_i) e_j - x (e_i e_j)
-            m1 = R_j @ R_i - A.right_mult_matrix(prod)
-            # (e_i, x, e_j): (e_i x) e_j - e_i (x e_j)
-            m2 = R_j @ L_i - L_i @ R_j
-            # (e_i, e_j, x): (e_i e_j) x - e_i (e_j x)
-            m3 = A.left_mult_matrix(prod) - L_i @ L_j
-            for m in (m1, m2, m3):
-                for row in m.rows:
-                    acc.add(row)
+    for i in range(d):
+        for j in range(d):
+            for slot in ([T[t][i][j] for t in range(d)],
+                         [T[i][t][j] for t in range(d)],
+                         [T[i][j][t] for t in range(d)]):
+                for m in range(d):
+                    row = [assoc[m] for assoc in slot]
+                    if any(row):
+                        acc.add(row)
     return null_space(A.field, d, acc)
 
 
@@ -580,10 +615,7 @@ def find_idempotents(A: Algebra, budget: int = 2 ** 16) -> list[tuple[AlgebraEle
 def torsion_free(A: Algebra, k: int) -> bool:
     """Whether k x = 0 forces x = 0 in the additive group."""
     if k < 1:
-        raise ValueError(
-            "k must be a positive integer: every element is 0-torsion, "
-            "so k = 0 would make the property vacuously false"
-        )
+        raise ValueError(f"k must be a positive integer, got {k}")
     p = A.field.characteristic
     if p == 0:
         return True

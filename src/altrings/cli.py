@@ -94,7 +94,8 @@ def _parse_field(text: str):
 
 
 def _int_at_least(low: int):
-    """An argparse type for integers of at least low (`--budget`, `--n`)."""
+    """An argparse type for integers of at least low (`--budget`, `--n`,
+    `--torsion`, `--k`)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -422,7 +423,7 @@ def build_parser() -> _Parser:
         action="append",
         choices=("identities", "associative", "alternative", "flexible"),
     )
-    p.add_argument("--torsion", action="append", type=int, metavar="K")
+    p.add_argument("--torsion", action="append", type=_int_at_least(1), metavar="K")
     p.add_argument("--prime", action="store_true")
 
     p = sub.add_parser("peirce", help="decomposition, relations, conditions, commutants")
@@ -444,7 +445,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fosner", help="Lie-n space inside the Lie-(n+k(n-1)) space")
     common(p)
     p.add_argument("--n", type=_int_at_least(2), default=2)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_int_at_least(0), default=1)
 
     p = sub.add_parser("search", help="finite value-table modes")
     common(p, peirce=True, budget=True, seed=True)

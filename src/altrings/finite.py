@@ -225,6 +225,7 @@ class MapTable:
         ))
 
     def apply_index(self, i: int) -> int:
+        # kept: perfbench/tracer.py counts calls to it
         return self.values[i]
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
@@ -474,10 +475,6 @@ class SearchReport:
     total: int = 0
     nodes: int = 0
     complete: bool = False
-
-    @property
-    def explored_fraction(self) -> float:
-        return self.covered / self.total if self.total else 0.0
 
 
 def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,

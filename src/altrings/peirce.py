@@ -22,8 +22,8 @@ from .algebra import (
     center,
     is_idempotent,
 )
-from .linalg import Matrix, Subspace, echelon, kernel_vectors, null_space, rank
-from .verdict import ConditionVerdict, Verdict, combine
+from .linalg import Matrix, Subspace, echelon, kernel_vectors, null_space, rank, row_space
+from .verdict import ConditionVerdict, Verdict
 
 
 class PeirceError(ValueError):
@@ -64,6 +64,14 @@ class PeirceContext:
         return self.projections[(i, j)].apply_coords(coords)
 
 
+def _column_space(m: Matrix) -> Subspace:
+    """The span of the columns of m, folded from its int form."""
+    acc = echelon(m.field, m.nrows)
+    for column in zip(*m.int_form()[0]):
+        acc.add(column)
+    return row_space(m.field, m.nrows, acc)
+
+
 def peirce_context(A: Algebra, e1) -> PeirceContext:
     """Build and validate the four projections and components at e1."""
     coords = A._coerce_coords(e1)
@@ -102,10 +110,7 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
         (2, 1): R1 - LR,  # (1 - L1) R1
         (2, 2): ident - L1 - R1 + LR,  # (1 - L1)(1 - R1)
     }
-    components = {
-        s: Subspace.from_vectors(F, d, [m.column(j) for j in range(d)])
-        for s, m in pi.items()
-    }
+    components = {s: _column_space(m) for s, m in pi.items()}
 
     projections = {s: LinearMap(A, m) for s, m in pi.items()}
     return PeirceContext(
@@ -264,10 +269,6 @@ class ConditionsReport:
     """Verdicts for the four ring conditions, keyed by sub-check."""
 
     entries: dict
-
-    @property
-    def overall(self) -> Verdict:
-        return combine(v.status for v in self.entries.values())
 
     def __getitem__(self, key: str) -> ConditionVerdict:
         return self.entries[key]
@@ -534,7 +535,7 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
             y = A.mul_coords(a, A.basis_element(t).coords)
             if all(F.is_zero(v) for v in y):
                 continue
-            for row in A.left_mult_matrix(y).rows:
+            for row in A.left_mult_matrix(y).int_form()[0]:
                 acc.add(row)
             if acc.rank == d:
                 full = True

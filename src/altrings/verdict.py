@@ -22,14 +22,3 @@ class ConditionVerdict:
     status: Verdict
     detail: str = ""
     witness: tuple | None = None
-
-
-def combine(statuses) -> Verdict:
-    """Fold verdicts: any failure dominates, then any undecided."""
-    out = Verdict.HOLDS
-    for s in statuses:
-        if s is Verdict.FAILS:
-            return Verdict.FAILS
-        if s is Verdict.UNDECIDED:
-            out = Verdict.UNDECIDED
-    return out

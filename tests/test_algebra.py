@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altrings.algebra import (
     Algebra,
@@ -25,7 +25,7 @@ from altrings.algebra import (
 )
 from altrings.catalog import catalog, direct_sum
 from altrings.fields import GF, QQ, FieldError
-from altrings.linalg import Matrix
+from altrings.linalg import Matrix, Subspace
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +191,49 @@ def test_center_and_nucleus_dims(mat2, zorn):
     assert center(zorn).intersect(nucleus(zorn)).dim == 1
 
 
+@st.composite
+def small_field_algebras(draw):
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, d - 1)] * 3)
+    return p, d, draw(st.dictionaries(index, st.integers(-5, 5), max_size=2 * d * d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_field_algebras())
+# the middle slot decides these: the left and right nuclei meet in more
+@example((2, 2, {(1, 0, 1): 1, (0, 0, 1): 1, (1, 1, 1): 1, (0, 1, 0): 1}))
+@example((2, 3, {(2, 1, 0): 1, (1, 0, 2): 1}))
+@example((3, 3, {(1, 1, 2): 1, (1, 0, 2): 1, (1, 2, 2): 1, (0, 2, 2): 1}))
+def test_nucleus_matches_brute_force_over_small_fields(case):
+    p, d, consts = case
+    A = Algebra(GF(p), d, consts)
+
+    def mul(x, y):
+        out = [0] * d
+        for (i, j, k), c in consts.items():
+            out[k] += x[i] * y[j] * c
+        return tuple(v % p for v in out)
+
+    def associator_is_zero(x, y, z):
+        return all((a - b) % p == 0 for a, b in zip(mul(mul(x, y), z), mul(x, mul(y, z))))
+
+    basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    expected = {
+        n for n in iter_product(range(p), repeat=d)
+        if all(associator_is_zero(n, a, b) and associator_is_zero(a, n, b)
+               and associator_is_zero(a, b, n) for a in basis for b in basis)
+    }
+    assert set(nucleus(A).vectors()) == expected
+
+
+def test_catalog_nuclei():
+    for F in (QQ, GF(2), GF(3)):
+        assert nucleus(catalog("mat2", F)) == Subspace.full(F, 4)
+        zorn = catalog("zorn", F)
+        assert nucleus(zorn) == Subspace.from_vectors(F, 8, [zorn.unit])
+
+
 def test_find_unit(mat2):
     u = find_unit(mat2)
     assert u.coords == (1, 0, 0, 1)
@@ -240,8 +283,9 @@ def test_torsion_free(mat2):
     assert torsion_free(A3, 2)
     assert not torsion_free(A3, 3)
     assert not torsion_free(A3, 6)
-    with pytest.raises(ValueError):
-        torsion_free(mat2, 0)
+    for k in (0, -2):
+        with pytest.raises(ValueError, match=f"got {k}$"):
+            torsion_free(mat2, k)
 
 
 def test_elements_enumeration_order():

@@ -399,3 +399,23 @@ def test_knob_on_a_subcommand_that_ignores_it_is_a_usage_error(capsys, argv):
 
 def test_unknown_subcommand_exit_3(capsys):
     assert run(capsys, "frobnicate")[0] == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_nonpositive_torsion_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "check", "--catalog", "mat2", "--torsion", value)
+    assert code == 3 and out == ""
+    assert "--torsion" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("value", ["-2", "x"])
+def test_negative_fosner_k_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "fosner", "--catalog", "mat2", "--k", value)
+    assert code == 3 and out == ""
+    assert "--k" in err and repr(value) in err
+
+
+def test_fosner_k_zero_is_the_trivial_inclusion(capsys):
+    code, out, _ = run(capsys, "fosner", "--catalog", "mat2", "--k", "0")
+    assert code == 0
+    assert out.split()[:2] == ["fosner:inclusion", "holds"]

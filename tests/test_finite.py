@@ -237,7 +237,6 @@ def test_pruned_search_budget_paths():
     A = catalog("product2", GF(2))
     rep = pruned_exhaustive_search(A, 2, budget=0)
     assert rep.leaves == 0 and rep.covered == 0
-    assert rep.explored_fraction == 0.0
     partial = pruned_exhaustive_search(A, 2, budget=20)
     assert not partial.complete
     assert 0 < partial.covered < partial.total

