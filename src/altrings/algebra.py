@@ -114,6 +114,11 @@ class Algebra:
         F = self.field
         xs, x_den = F.to_ints(x)
         ys, y_den = F.to_ints(y)
+        return F.from_ints(self._mul_ints(xs, ys), x_den * y_den * self._den)
+
+    def _mul_ints(self, xs, ys) -> list[int]:
+        """x * y for int coordinates: the product's ints over the two dens
+        times _den (unreduced over GF(p))."""
         out = [0] * self.dim
         pairs = self._pairs
         for i, xi in enumerate(xs):
@@ -126,14 +131,15 @@ class Algebra:
                 scale = xi * yj
                 for k, c in row[j]:
                     out[k] += scale * c
-        return F.from_ints(out, x_den * y_den * self._den)
+        return out
 
     def basis_product(self, i: int, j: int) -> tuple:
         return self.tensor[i][j]
 
-    def mult_ints(self, y, side: str) -> tuple[list[list[int]], int]:
-        """(int rows, den) of x -> y * x (side "left") or x -> x * y ("right")."""
-        ys, y_den = self.field.to_ints(self._coerce_coords(y))
+    def mult_ints(self, ys, side: str) -> list[list[int]]:
+        """Int rows of x -> y * x (side "left") or x -> x * y ("right") for
+        int coordinates ys of y, over their den times _den (unreduced over
+        GF(p))."""
         d = self.dim
         pairs = self._pairs
         rows = [[0] * d for _ in range(d)]
@@ -143,21 +149,20 @@ class Algebra:
             for j in range(d):
                 for k, c in pairs[i][j] if side == "left" else pairs[j][i]:
                     rows[k][j] += yi * c
-        return rows, y_den * self._den
+        return rows
+
+    def _mult_matrix(self, y, side: str) -> Matrix:
+        ys, y_den = self.field.to_ints(self._coerce_coords(y))
+        return Matrix.from_ints(self.field, self.mult_ints(ys, side), y_den * self._den,
+                                self.dim)
 
     def left_mult_matrix(self, y) -> Matrix:
         """Matrix of x -> y * x."""
-        return Matrix.from_ints(self.field, *self.mult_ints(y, "left"), self.dim)
+        return self._mult_matrix(y, "left")
 
     def right_mult_matrix(self, y) -> Matrix:
         """Matrix of x -> x * y."""
-        return Matrix.from_ints(self.field, *self.mult_ints(y, "right"), self.dim)
-
-    def basis_left_matrix(self, i: int) -> Matrix:
-        return self.left_mult_matrix(self.basis_element(i))
-
-    def basis_right_matrix(self, i: int) -> Matrix:
-        return self.right_mult_matrix(self.basis_element(i))
+        return self._mult_matrix(y, "right")
 
     def bracket_table(self) -> list:
         """K with K[j][m] the nonzero (a, _den [e_a, e_j]_m): row m of the
@@ -523,17 +528,19 @@ def nucleus(A: Algebra) -> Subspace:
 def center(A: Algebra) -> Subspace:
     """The commutative centre { z : [z, x] = 0 for all x }.
 
-    Its constraints are the int rows of K_j : z -> [z, e_j] from
-    ``bracket_table``.  Note this is the commutant only; use
+    Its constraints are the rows of K_j : z -> [z, e_j] (see
+    ``bracket_table``), read as ints straight from the structure
+    constants.  Note this is the commutant only; use
     ``center(A).intersect(nucleus(A))`` for the stricter
     commuting-and-associating notion.
     """
-    d = A.dim
+    d, num = A.dim, A._num
     acc = echelon(A.field, d)
-    for Kj in A.bracket_table():
-        for terms in Kj:
-            row = dict(terms)
-            acc.add([row.get(a, 0) for a in range(d)])
+    for j in range(d):
+        for m in range(d):
+            row = [num[a][j][m] - num[j][a][m] for a in range(d)]
+            if any(row):
+                acc.add(row)
     return null_space(A.field, d, acc)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (
     Algebra,
@@ -41,7 +42,15 @@ from .algebra import (
     is_derivation,
     leibniz_rows,
 )
-from .linalg import Matrix, Subspace, echelon, null_space, row_space, solve
+from .linalg import (
+    Matrix,
+    Subspace,
+    _apply_ints,
+    _product_ints,
+    echelon,
+    null_space,
+    row_space,
+)
 from .peirce import PeirceContext, check_conditions_1_to_4
 from .verdict import ConditionVerdict, Verdict
 
@@ -79,17 +88,23 @@ def nested_commutator_span(A: Algebra, n: int) -> Subspace:
 
     By the recurrence above p_{k+1} = [p_k, x] is linear in p_k, so W_1 = A
     and W_{k+1} is spanned by the brackets K_j w = [w, e_j] for w in a basis
-    of W_k: n - 1 levels of at most d^2 int rows, one eliminator per level.
+    of W_k.  W_2 is spanned by the columns K_j e_i = [e_i, e_j], i < j, read
+    from the structure constants; each later level folds at most d^2 int
+    rows into one eliminator.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = A.dim
     F = A.field
-    K = A.bracket_table()
+    if n == 1:
+        return Subspace.full(F, d)
+    num = A._num
     acc = echelon(F, d)
     for i in range(d):
-        acc.add([int(i == j) for j in range(d)])
-    for _ in range(n - 1):
+        for j in range(i + 1, d):
+            acc.add([x - y for x, y in zip(num[i][j], num[j][i])])
+    K = A.bracket_table() if n > 2 else ()
+    for _ in range(n - 2):
         level, acc = list(acc.pivots.values()), echelon(F, d)
         for w in level:
             for Kj in K:
@@ -200,37 +215,29 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     return OperatorSpace(A, null_space(F, dd, acc), n=n)
 
 
+def _inner_derivation_ints(A: Algebra, ys, Lz, Rz) -> list[list[int]]:
+    """Int rows of f_{y,z} = [L_y, L_z + R_z] + [R_y, R_z] for int
+    coordinates ys of y and the int rows Lz, Rz of L_z, R_z: over the dens
+    of y and z times A._den^2."""
+    Ly, Ry = A.mult_ints(ys, "left"), A.mult_ints(ys, "right")
+    S = [[a + b for a, b in zip(l, r)] for l, r in zip(Lz, Rz)]
+    terms = (_product_ints(Ly, S), _product_ints(S, Ly),
+             _product_ints(Ry, Rz), _product_ints(Rz, Ry))
+    return [[a - b + c - e for a, b, c, e in zip(*rows)] for rows in zip(*terms)]
+
+
 def standard_inner_derivation(A: Algebra, y, z) -> LinearMap:
     """f_{y,z} = [L_y, L_z] + [L_y, R_z] + [R_y, R_z]."""
-    Ly = A.left_mult_matrix(y)
-    Lz = A.left_mult_matrix(z)
-    Ry = A.right_mult_matrix(y)
-    Rz = A.right_mult_matrix(z)
-
-    def br(p, q):
-        return p @ q - q @ p
-
-    return LinearMap(A, br(Ly, Lz) + br(Ly, Rz) + br(Ry, Rz))
-
-
-def _central_action_vectors(ctx: PeirceContext, side: int) -> list[tuple]:
-    """z e1 (side 1) or z e2 = z - z e1 (side 2) for each z in the Z basis."""
-    A = ctx.algebra
     F = A.field
-    vectors = []
-    for z in ctx.center.basis:
-        ze1 = A.mul_coords(z, ctx.e1)
-        if side == 1:
-            vectors.append(ze1)
-        else:
-            vectors.append(tuple(F.sub(a, b) for a, b in zip(z, ze1)))
-    return vectors
+    ys, y_den = F.to_ints(A._coerce_coords(y))
+    zs, z_den = F.to_ints(A._coerce_coords(z))
+    rows = _inner_derivation_ints(A, ys, A.mult_ints(zs, "left"), A.mult_ints(zs, "right"))
+    return LinearMap(A, Matrix.from_ints(F, rows, y_den * z_den * A._den ** 2, A.dim))
 
 
-def _z_action_space(ctx: PeirceContext, side: int) -> Subspace:
-    """span{z e1} (side 1) or span{z e2 = z - z e1} (side 2) over a Z basis."""
-    A = ctx.algebra
-    return Subspace.from_vectors(A.field, A.dim, _central_action_vectors(ctx, side))
+def _nonzero(vec, p: int) -> bool:
+    """Whether an int vector is nonzero as field elements (mod p if p)."""
+    return any(v % p for v in vec) if p else any(vec)
 
 
 @dataclass(frozen=True)
@@ -248,81 +255,6 @@ class AbcReport:
         )
 
 
-def check_conditions_abc(ctx: PeirceContext, D: LinearMap) -> AbcReport:
-    """(a) pi22 D(R11) in Z e2; (b) pi11 D(R22) in Z e1; (c) D(R_ij) in R_ij."""
-    A = ctx.algebra
-
-    def diag_check(slot, pi_slot, action_side, label):
-        target = _z_action_space(ctx, action_side)
-        pi = ctx.projections[pi_slot]
-        for a in ctx.components[slot].basis:
-            img = pi.apply_coords(D.apply_coords(a))
-            if not target.contains(img):
-                return ConditionVerdict(
-                    Verdict.FAILS,
-                    f"{label}: projection escapes the central action space",
-                    witness=(tuple(a), tuple(img)),
-                )
-        return ConditionVerdict(Verdict.HOLDS, label)
-
-    a = diag_check((1, 1), (2, 2), 2, "e2 D(R11) e2 inside Z(R) e2")
-    b = diag_check((2, 2), (1, 1), 1, "e1 D(R22) e1 inside Z(R) e1")
-
-    c = ConditionVerdict(Verdict.HOLDS, "D(R12) inside R12 and D(R21) inside R21")
-    for slot in ((1, 2), (2, 1)):
-        comp = ctx.components[slot]
-        for v in comp.basis:
-            img = D.apply_coords(v)
-            if not comp.contains(img):
-                c = ConditionVerdict(
-                    Verdict.FAILS,
-                    f"D(R{slot[0]}{slot[1]}) escapes R{slot[0]}{slot[1]}",
-                    witness=(tuple(v), tuple(img)),
-                )
-                break
-        if c.status is Verdict.FAILS:
-            break
-    return AbcReport(a=a, b=b, c=c)
-
-
-def conditions_abc_subspace(ctx: PeirceContext) -> Subspace:
-    """All linear maps satisfying (a), (b), (c), as a subspace of d*d vectors."""
-    A = ctx.algebra
-    F = A.field
-    d = A.dim
-    acc = echelon(F, d * d)
-
-    def add_membership_rows(source_vectors, post: Matrix | None, target: Subspace):
-        # rows of: residual_target( post @ D @ a ) = 0, linear in D; each
-        # row is the outer product lead[r] (x) a, built from the numerators
-        res = target.residual_matrix()
-        lead = res @ post if post is not None else res
-        lead_rows = lead.int_form()[0]
-        for a in source_vectors:
-            a_ints = F.to_ints(a)[0]
-            for lrow in lead_rows:
-                row = [0] * (d * d)
-                for m, cm in enumerate(lrow):
-                    if cm:
-                        row[m * d:(m + 1) * d] = [cm * ak for ak in a_ints]
-                acc.add(row)
-
-    add_membership_rows(
-        ctx.components[(1, 1)].basis,
-        ctx.projections[(2, 2)].matrix,
-        _z_action_space(ctx, 2),
-    )
-    add_membership_rows(
-        ctx.components[(2, 2)].basis,
-        ctx.projections[(1, 1)].matrix,
-        _z_action_space(ctx, 1),
-    )
-    add_membership_rows(ctx.components[(1, 2)].basis, None, ctx.components[(1, 2)])
-    add_membership_rows(ctx.components[(2, 1)].basis, None, ctx.components[(2, 1)])
-
-    return null_space(F, d * d, acc)
-
-
 class NormalizationError(ValueError):
     """The subtracted inner map failed to make D(e1) central."""
 
@@ -331,43 +263,206 @@ class NormalizationError(ValueError):
         self.certificate = certificate
 
 
-def normalize_at_idempotent(ctx: PeirceContext, D: LinearMap):
-    """Subtract f_{y,e1} with y the off-diagonal part of D(e1).
-
-    Returns (D', f) with D' = D - f, certifying D'(e1) central and, when
-    A has a unit (declared or solved), D'(unit - e1) central as well.
-    """
-    A = ctx.algebra
-    F = A.field
-    de1 = D.apply_coords(ctx.e1)
-    y12 = ctx.projections[(1, 2)].apply_coords(de1)
-    y21 = ctx.projections[(2, 1)].apply_coords(de1)
-    y = tuple(F.add(a, b) for a, b in zip(y12, y21))
-    f = standard_inner_derivation(A, y, ctx.e1)
-    Dp = D - f
-    if not ctx.center.contains(Dp.apply_coords(ctx.e1)):
-        raise NormalizationError(
-            "central_normalization",
-            "D(e1) minus the inner correction is not central; "
-            "the ring-side hypotheses fail upstream",
-        )
-    unit = find_unit(A)
-    if unit is not None:
-        e2 = tuple(F.sub(a, b) for a, b in zip(unit.coords, ctx.e1))
-        if not ctx.center.contains(Dp.apply_coords(e2)):
-            raise NormalizationError(
-                "central_normalization_complement",
-                "D(unit - e1) is not central after normalization",
-            )
-    return Dp, f
-
-
 class DecompositionError(ValueError):
     """Decomposition pipeline failure; certificate names the broken step."""
 
     def __init__(self, certificate: str, message: str):
         super().__init__(message)
         self.certificate = certificate
+
+
+class _PeirceInts:
+    """The int forms the map-side checks at one idempotent read, each
+    derived once from the context: the projections' int rows, e1's ints,
+    and per side the rows z e1 (side 1) or z e2 = z - z e1 (side 2) over
+    the Z basis with their span, the central action space.  One is built
+    per public call and dropped with it.
+
+    A map D enters as its int matrix; a check is an int mat-vec product
+    and a membership test by ``Subspace._residual_ints``, and field
+    elements are built only for witnesses and returned maps.
+    """
+
+    def __init__(self, ctx: PeirceContext):
+        A = ctx.algebra
+        F = A.field
+        Z = ctx.center
+        self.ctx, self.algebra, self.field = ctx, A, F
+        self.p = F.characteristic
+        self.pi = {slot: m.matrix.int_form() for slot, m in ctx.projections.items()}
+        self.e1, self.e1_den = F.to_ints(ctx.e1)
+        self.scale = self.e1_den * A._den
+        ze1 = [A._mul_ints(z, self.e1) for z in Z._num]  # over Z._den * scale
+        self.actions = {
+            1: ze1,
+            2: [[self.scale * x - y for x, y in zip(z, w)] for z, w in zip(Z._num, ze1)],
+        }
+        self.action_spaces = {side: Subspace.from_ints(F, A.dim, rows)
+                              for side, rows in self.actions.items()}
+
+    def abc(self, D: Matrix) -> AbcReport:
+        return AbcReport(
+            a=self._diagonal(D, (1, 1), (2, 2), 2, "e2 D(R11) e2 inside Z(R) e2"),
+            b=self._diagonal(D, (2, 2), (1, 1), 1, "e1 D(R22) e1 inside Z(R) e1"),
+            c=self._off_diagonal(D),
+        )
+
+    def _diagonal(self, D: Matrix, slot, pi_slot, side: int, label: str) -> ConditionVerdict:
+        rows, den = D.int_form()
+        pi, pi_den = self.pi[pi_slot]
+        target = self.action_spaces[side]
+        comp = self.ctx.components[slot]
+        for k, a in enumerate(comp._num):
+            img = _apply_ints(pi, _apply_ints(rows, a))
+            if any(target._residual_ints(img)):
+                return ConditionVerdict(
+                    Verdict.FAILS,
+                    f"{label}: projection escapes the central action space",
+                    witness=(comp.basis[k],
+                             self.field.from_ints(img, comp._den * den * pi_den)),
+                )
+        return ConditionVerdict(Verdict.HOLDS, label)
+
+    def _off_diagonal(self, D: Matrix) -> ConditionVerdict:
+        rows, den = D.int_form()
+        for i, j in ((1, 2), (2, 1)):
+            comp = self.ctx.components[(i, j)]
+            for k, v in enumerate(comp._num):
+                img = _apply_ints(rows, v)
+                if any(comp._residual_ints(img)):
+                    return ConditionVerdict(
+                        Verdict.FAILS,
+                        f"D(R{i}{j}) escapes R{i}{j}",
+                        witness=(comp.basis[k], self.field.from_ints(img, comp._den * den)),
+                    )
+        return ConditionVerdict(Verdict.HOLDS, "D(R12) inside R12 and D(R21) inside R21")
+
+    def normalize(self, D: Matrix) -> tuple[Matrix, Matrix]:
+        """(D - f, f) with f = f_{y,e1}, y the off-diagonal part of D(e1),
+        once (D - f)(e1) and, with a unit, (D - f)(unit - e1) test central."""
+        A, F, e1 = self.algebra, self.field, self.e1
+        rows, den = D.int_form()
+        proj = self.ctx.projections
+        off, off_den = (proj[(1, 2)].matrix + proj[(2, 1)].matrix).int_form()
+        y = _apply_ints(off, _apply_ints(rows, e1))  # over off_den * den * e1_den
+        f = Matrix.from_ints(
+            F, _inner_derivation_ints(A, y, A.mult_ints(e1, "left"), A.mult_ints(e1, "right")),
+            off_den * den * self.e1_den * self.scale ** 2, A.dim,
+        )
+        Dp = D - f
+        Dp_rows = Dp.int_form()[0]
+        Z = self.ctx.center
+        if any(Z._residual_ints(_apply_ints(Dp_rows, e1))):
+            raise NormalizationError(
+                "central_normalization",
+                "D(e1) minus the inner correction is not central; "
+                "the ring-side hypotheses fail upstream",
+            )
+        unit = find_unit(A)
+        if unit is not None:
+            u, u_den = F.to_ints(unit.coords)
+            e2 = [a * self.e1_den - b * u_den for a, b in zip(u, e1)]
+            if any(Z._residual_ints(_apply_ints(Dp_rows, e2))):
+                raise NormalizationError(
+                    "central_normalization_complement",
+                    "D(unit - e1) is not central after normalization",
+                )
+        return Dp, f
+
+    def central_graph(self, side: int) -> Subspace:
+        """The span of the rows [z e_side | z] over the Z basis, in F^2d."""
+        d = self.algebra.dim
+        return Subspace.from_ints(self.field, 2 * d, [
+            w + [self.scale * x for x in z]
+            for w, z in zip(self.actions[side], self.ctx.center._num)
+        ])
+
+    def solve_central(self, side: int, graph: Subspace, t, t_den: int) -> tuple[list[int], int]:
+        """The unique central z with z e_side = t / t_den, as (ints, den).
+
+        The graph rows are [x | phi(x)] with phi(z e_side) = z, and their
+        RREF keeps that form.  So the residual of [t | 0] is zero on the
+        first d columns iff t lies in the action space, and then its last d
+        columns are -graph._den * t_den * z, since the pivots whose rows
+        carry t are all in the first d columns.
+        """
+        d = self.algebra.dim
+        Z = self.ctx.center
+        if Z.is_zero():
+            if _nonzero(t, self.p):
+                raise DecompositionError(
+                    "no_central_solution",
+                    "diagonal image has a central part but the center is zero",
+                )
+            return [0] * d, 1
+        r = graph._residual_ints(list(t) + [0] * d)
+        if any(r[:d]):
+            raise DecompositionError(
+                "no_central_solution",
+                "no central element reproduces the diagonal image "
+                "(condition (a)/(b) violated)",
+            )
+        if self.action_spaces[side].dim < Z.dim:
+            raise DecompositionError(
+                "non_unique_z",
+                "central solution is not unique; the center is degenerate "
+                "against conditions (2)/(3)",
+            )
+        return [-x for x in r[d:]], graph._den * t_den
+
+
+def check_conditions_abc(ctx: PeirceContext, D: LinearMap) -> AbcReport:
+    """(a) pi22 D(R11) in Z e2; (b) pi11 D(R22) in Z e1; (c) D(R_ij) in R_ij.
+
+    Each gate maps the int basis rows of a component through D's int
+    matrix (and for (a)/(b) the projection's), and tests membership on
+    ints against the central action spaces Z e1 and Z e2, derived once per
+    call; only a failure's witness is built as field elements.
+    """
+    return _PeirceInts(ctx).abc(D.matrix)
+
+
+def conditions_abc_subspace(ctx: PeirceContext) -> Subspace:
+    """All linear maps satisfying (a), (b), (c), as a subspace of d*d vectors."""
+    A = ctx.algebra
+    F = A.field
+    d = A.dim
+    g = _PeirceInts(ctx)
+    acc = echelon(F, d * d)
+
+    def add_membership_rows(source: Subspace, post, target: Subspace):
+        # rows of: residual_target( post @ D @ a ) = 0, linear in D; each
+        # row is the outer product lead[r] (x) a of int rows
+        lead = target._complement()[0]
+        if post is not None:
+            lead = _product_ints(lead, post)
+        for a in source._num:
+            for lrow in lead:
+                row = [0] * (d * d)
+                for m, cm in enumerate(lrow):
+                    if cm:
+                        row[m * d:(m + 1) * d] = [cm * ak for ak in a]
+                acc.add(row)
+
+    comps = ctx.components
+    add_membership_rows(comps[(1, 1)], g.pi[(2, 2)][0], g.action_spaces[2])
+    add_membership_rows(comps[(2, 2)], g.pi[(1, 1)][0], g.action_spaces[1])
+    add_membership_rows(comps[(1, 2)], None, comps[(1, 2)])
+    add_membership_rows(comps[(2, 1)], None, comps[(2, 1)])
+
+    return null_space(F, d * d, acc)
+
+
+def normalize_at_idempotent(ctx: PeirceContext, D: LinearMap):
+    """Subtract f_{y,e1} with y the off-diagonal part of D(e1).
+
+    Returns (D', f) with D' = D - f, certifying D'(e1) central and, when
+    A has a unit (declared or solved), D'(unit - e1) central as well.  y, f
+    and both centrality tests run on ints (see ``_PeirceInts.normalize``).
+    """
+    A = ctx.algebra
+    Dp, f = _PeirceInts(ctx).normalize(D.matrix)
+    return LinearMap(A, Dp), LinearMap(A, f)
 
 
 @dataclass(frozen=True)
@@ -383,34 +478,12 @@ class Decomposition:
     normalizer: LinearMap
 
 
-def _solve_central_action(ctx: PeirceContext, side: int, target) -> tuple:
-    """The unique central z with z e_side-action equal to target."""
-    A = ctx.algebra
-    F = A.field
-    Z = ctx.center
-    if Z.dim == 0:
-        if any(not F.is_zero(v) for v in target):
+def _gate(report: AbcReport, certificate: str, message: str) -> None:
+    for name, verdict in (("a", report.a), ("b", report.b), ("c", report.c)):
+        if verdict.status is not Verdict.HOLDS:
             raise DecompositionError(
-                "no_central_solution",
-                "diagonal image has a central part but the center is zero",
+                certificate.format(name), message.format(name, verdict.detail)
             )
-        return (F.zero,) * A.dim
-    m = Matrix.from_columns(F, _central_action_vectors(ctx, side))
-    result = solve(m, target)
-    if result is None:
-        raise DecompositionError(
-            "no_central_solution",
-            "no central element reproduces the diagonal image "
-            "(condition (a)/(b) violated)",
-        )
-    coeffs, ker = result
-    if not ker.is_zero():
-        raise DecompositionError(
-            "non_unique_z",
-            "central solution is not unique; the center is degenerate "
-            "against conditions (2)/(3)",
-        )
-    return Matrix.from_columns(F, Z.basis).apply(coeffs)
 
 
 def decompose(ctx: PeirceContext, D: LinearMap, n: int,
@@ -427,6 +500,13 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     delta, central values of tau, and tau's vanishing on the span of
     nested-commutator values.
 
+    Every step runs on int forms: the projections, e1, the central action
+    spaces and the solver of z e_side = t are derived once per call (one
+    ``_PeirceInts``); maps enter as their int matrices, each check is an
+    int mat-vec product with a membership test on ints, and field
+    elements are built only for the returned maps and failure witnesses.
+    Nothing is kept between calls.
+
     Raises DecompositionError whose ``certificate`` names the first
     failing step: ring_conditions, condition_a/b/c, central_normalization,
     condition_*_normalized, no_central_solution, non_unique_z,
@@ -435,6 +515,7 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     A = ctx.algebra
     F = A.field
     d = A.dim
+    p = F.characteristic
 
     if check_ring_conditions:
         report = check_conditions_1_to_4(ctx)
@@ -450,70 +531,67 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
                     stacklevel=2,
                 )
 
-    gate = check_conditions_abc(ctx, D)
-    for name, verdict in (("a", gate.a), ("b", gate.b), ("c", gate.c)):
-        if verdict.status is not Verdict.HOLDS:
-            raise DecompositionError(
-                f"condition_{name}", f"input map violates ({name}): {verdict.detail}"
-            )
-
+    g = _PeirceInts(ctx)
+    _gate(g.abc(D.matrix), "condition_{}", "input map violates ({}): {}")
     try:
-        Dp, f = normalize_at_idempotent(ctx, D)
+        Dp, f = g.normalize(D.matrix)
     except NormalizationError as exc:
         raise DecompositionError(exc.certificate, str(exc)) from exc
-
-    regate = check_conditions_abc(ctx, Dp)
-    for name, verdict in (("a", regate.a), ("b", regate.b), ("c", regate.c)):
-        if verdict.status is not Verdict.HOLDS:
-            raise DecompositionError(
-                f"condition_{name}_normalized",
-                f"normalized map violates ({name}): {verdict.detail}",
-            )
+    _gate(g.abc(Dp), "condition_{}_normalized", "normalized map violates ({}): {}")
 
     # tau sends each basis vector a of R11 (of R22) to the unique central z_a
     # with z_a e2 = pi22 D'(a) (with z_a e1 = pi11 D'(a)) and kills R12 + R21.
     # A component basis is in RREF, so the coordinate of pi_ii x along a is
     # the entry of pi_ii x at a's pivot column: tau is the sum over a of the
     # column z_a times that row of pi_ii.
-    values: list[tuple] = []
-    coordinates: list[tuple] = []
+    Dp_rows, Dp_den = Dp.int_form()
+    pi12, pi21 = g.pi[(1, 2)][0], g.pi[(2, 1)][0]
+    terms = []  # (z_a ints, pi_ii row at a's pivot, their joint den)
     for slot, other, side in (((1, 1), (2, 2), 2), ((2, 2), (1, 1), 1)):
-        pi_rows = ctx.projections[slot].matrix.rows
-        for a in ctx.components[slot].basis:
-            img = Dp.apply_coords(a)
-            for off in ((1, 2), (2, 1)):
-                part = ctx.projections[off].apply_coords(img)
-                if any(not F.is_zero(v) for v in part):
-                    raise DecompositionError(
-                        "no_central_solution",
-                        "diagonal image has an off-diagonal component; "
-                        "the identity hypotheses fail upstream",
-                    )
-            other_part = ctx.projections[other].apply_coords(img)
-            values.append(_solve_central_action(ctx, side, other_part))
-            pivot = next(j for j, v in enumerate(a) if not F.is_zero(v))
-            coordinates.append(pi_rows[pivot])
-    tau = LinearMap(A, Matrix.from_columns(F, values) @ Matrix(F, coordinates))
-    delta = D - tau
+        comp = ctx.components[slot]
+        pi_rows, pi_den = g.pi[slot]
+        other_rows, other_den = g.pi[other]
+        graph = g.central_graph(side)
+        for a, pivot in zip(comp._num, comp._pivots):
+            img = _apply_ints(Dp_rows, a)
+            if _nonzero(_apply_ints(pi12, img), p) or _nonzero(_apply_ints(pi21, img), p):
+                raise DecompositionError(
+                    "no_central_solution",
+                    "diagonal image has an off-diagonal component; "
+                    "the identity hypotheses fail upstream",
+                )
+            z, z_den = g.solve_central(side, graph, _apply_ints(other_rows, img),
+                                       other_den * Dp_den * comp._den)
+            terms.append((z, pi_rows[pivot], z_den * pi_den))
+    den = lcm(*[t[2] for t in terms])
+    tau_rows = [[0] * d for _ in range(d)]
+    for z, row, t_den in terms:
+        k = den // t_den
+        for out, zr in zip(tau_rows, z):
+            if zr:
+                c = zr * k
+                out[:] = [x + c * y for x, y in zip(out, row)]
+    tau = Matrix.from_ints(F, tau_rows, den, d)
+    delta = LinearMap(A, D.matrix - tau)
 
     if not is_derivation(A, delta):
         raise DecompositionError(
             "leibniz_failure", "delta violates the Leibniz rule on a basis pair"
         )
-    for j in range(d):
-        if not ctx.center.contains(tau.matrix.column(j)):
+    tau_rows = tau.int_form()[0]
+    for column in zip(*tau_rows):
+        if any(ctx.center._residual_ints(column)):
             raise DecompositionError(
                 "tau_not_central", "tau has a non-central value on a basis vector"
             )
-    W = nested_commutator_span(A, n)
-    for w in W.basis:
-        if any(not F.is_zero(v) for v in tau.apply_coords(w)):
+    for w in nested_commutator_span(A, n)._num:
+        if _nonzero(_apply_ints(tau_rows, w), p):
             raise DecompositionError(
                 "tau_pn_nonzero",
                 "tau does not vanish on the nested-commutator span",
             )
 
-    return Decomposition(delta=delta, tau=tau, normalizer=f)
+    return Decomposition(delta=delta, tau=LinearMap(A, tau), normalizer=LinearMap(A, f))
 
 
 def fosner_inclusion(A: Algebra, n: int, k: int) -> bool:

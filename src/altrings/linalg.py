@@ -72,7 +72,8 @@ class _RationalEchelon:
                 else:
                     for i in range(self.width):
                         row[i] = row[i] * mult - prow[i] * sub
-        self._normalise(row)
+        if any(row):
+            self._normalise(row)
         return row
 
     def add(self, row) -> bool:
@@ -173,6 +174,17 @@ def echelon(field, width: int):
     if field.characteristic == 0:
         return _RationalEchelon(width)
     return _PrimeEchelon(field, width)
+
+
+def _apply_ints(rows, vec) -> list[int]:
+    """The int matrix-vector product rows . vec (no reduction mod p)."""
+    return [sum(map(mul, row, vec)) for row in rows]
+
+
+def _product_ints(a, b) -> list[list[int]]:
+    """The int matrix product a b of row lists (no reduction mod p)."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _lowest_terms(field, rows, den: int) -> tuple[list[list[int]], int]:
@@ -313,8 +325,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        b_cols = list(zip(*other._num)) or [()] * other.ncols
-        out = [[sum(map(mul, row, col)) for col in b_cols] for row in self._num]
+        if other.nrows:
+            out = _product_ints(self._num, other._num)
+        else:
+            out = [[0] * other.ncols for _ in self._num]
         return Matrix.from_ints(self.field, out, self._den * other._den, other.ncols)
 
     def apply(self, vec) -> tuple:
@@ -322,9 +336,7 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         ints, vec_den = self.field.to_ints(vec)
-        return self.field.from_ints(
-            [sum(map(mul, row, ints)) for row in self._num], self._den * vec_den
-        )
+        return self.field.from_ints(_apply_ints(self._num, ints), self._den * vec_den)
 
     def is_zero(self) -> bool:
         return not any(map(any, self._num))
@@ -472,6 +484,15 @@ class Subspace:
         return cls(field, ambient, vectors)
 
     @classmethod
+    def from_ints(cls, field, ambient: int, rows) -> "Subspace":
+        """The span of int rows of width ambient (any nonzero scale of a row
+        spans the same line)."""
+        acc = echelon(field, ambient)
+        for row in rows:
+            acc.add(row)
+        return row_space(field, ambient, acc)
+
+    @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
         return cls._of(field, ambient, (), 1, ())
 
@@ -558,7 +579,17 @@ class Subspace:
         """{x in self : r . x = 0 for every row r}, rows of ints.
 
         Solved on the coordinates c of x = sum c_k b_k: a row costs one dot
-        product per basis row b_k and folds into a dim-wide eliminator.  The
+        product per basis row b_k (see ``combinations_killed_by``).
+        """
+        basis = self._num
+        return self.combinations_killed_by([sum(map(mul, r, b)) for b in basis]
+                                           for r in rows)
+
+    def combinations_killed_by(self, rows) -> "Subspace":
+        """{sum c_k b_k : r . c = 0 for every row r} over the basis rows b_k,
+        for int rows r of width dim.
+
+        The rows fold into a dim-wide eliminator until it is full.  The
         null space of c and the basis are both RREF, so their product is too.
         """
         F = self.field
@@ -568,7 +599,7 @@ class Subspace:
         for r in rows:
             if acc.rank == k:
                 break
-            acc.add([sum(map(mul, r, b)) for b in basis])
+            acc.add(r)
         coeffs = null_space(F, k, acc)
         cols = list(zip(*basis)) or [()] * self.ambient
         out, den = _lowest_terms(

@@ -62,7 +62,8 @@ class timed:
 
 
 def ad(A, u_index):
-    return LinearMap(A, A.basis_right_matrix(u_index) - A.basis_left_matrix(u_index))
+    e = A.basis_element(u_index)
+    return LinearMap(A, A.right_mult_matrix(e) - A.left_mult_matrix(e))
 
 
 def report(n, label, t):

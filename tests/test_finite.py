@@ -24,7 +24,8 @@ from altrings.verdict import Verdict
 
 
 def ad(A, u_index):
-    return LinearMap(A, A.basis_right_matrix(u_index) - A.basis_left_matrix(u_index))
+    e = A.basis_element(u_index)
+    return LinearMap(A, A.right_mult_matrix(e) - A.left_mult_matrix(e))
 
 
 @pytest.fixture(scope="module")
