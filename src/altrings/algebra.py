@@ -151,10 +151,14 @@ class Algebra:
                     rows[k][j] += yi * c
         return rows
 
-    def _mult_matrix(self, y, side: str) -> Matrix:
-        ys, y_den = self.field.to_ints(self._coerce_coords(y))
+    def mult_matrix_ints(self, ys, y_den: int, side: str) -> Matrix:
+        """Matrix of x -> y * x (side "left") or x -> x * y ("right") for
+        y = ys / y_den."""
         return Matrix.from_ints(self.field, self.mult_ints(ys, side), y_den * self._den,
                                 self.dim)
+
+    def _mult_matrix(self, y, side: str) -> Matrix:
+        return self.mult_matrix_ints(*self.field.to_ints(self._coerce_coords(y)), side)
 
     def left_mult_matrix(self, y) -> Matrix:
         """Matrix of x -> y * x."""

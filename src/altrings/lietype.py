@@ -46,6 +46,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _apply_ints,
+    _image,
+    _nonzero,
     _product_ints,
     echelon,
     null_space,
@@ -215,29 +217,25 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     return OperatorSpace(A, null_space(F, dd, acc), n=n)
 
 
-def _inner_derivation_ints(A: Algebra, ys, Lz, Rz) -> list[list[int]]:
-    """Int rows of f_{y,z} = [L_y, L_z + R_z] + [R_y, R_z] for int
-    coordinates ys of y and the int rows Lz, Rz of L_z, R_z: over the dens
-    of y and z times A._den^2."""
+def _inner_derivation(A: Algebra, y, z) -> Matrix:
+    """f_{y,z} = [L_y, L_z + R_z] + [R_y, R_z] for y and z given as
+    (ints, den)."""
+    (ys, y_den), (zs, z_den) = y, z
     Ly, Ry = A.mult_ints(ys, "left"), A.mult_ints(ys, "right")
+    Lz, Rz = A.mult_ints(zs, "left"), A.mult_ints(zs, "right")
     S = [[a + b for a, b in zip(l, r)] for l, r in zip(Lz, Rz)]
     terms = (_product_ints(Ly, S), _product_ints(S, Ly),
              _product_ints(Ry, Rz), _product_ints(Rz, Ry))
-    return [[a - b + c - e for a, b, c, e in zip(*rows)] for rows in zip(*terms)]
+    rows = [[a - b + c - e for a, b, c, e in zip(*rows)] for rows in zip(*terms)]
+    # L_y, R_y are over y_den A._den and L_z, R_z over z_den A._den
+    return Matrix.from_ints(A.field, rows, y_den * z_den * A._den ** 2, A.dim)
 
 
 def standard_inner_derivation(A: Algebra, y, z) -> LinearMap:
     """f_{y,z} = [L_y, L_z] + [L_y, R_z] + [R_y, R_z]."""
     F = A.field
-    ys, y_den = F.to_ints(A._coerce_coords(y))
-    zs, z_den = F.to_ints(A._coerce_coords(z))
-    rows = _inner_derivation_ints(A, ys, A.mult_ints(zs, "left"), A.mult_ints(zs, "right"))
-    return LinearMap(A, Matrix.from_ints(F, rows, y_den * z_den * A._den ** 2, A.dim))
-
-
-def _nonzero(vec, p: int) -> bool:
-    """Whether an int vector is nonzero as field elements (mod p if p)."""
-    return any(v % p for v in vec) if p else any(vec)
+    return LinearMap(A, _inner_derivation(A, F.to_ints(A._coerce_coords(y)),
+                                          F.to_ints(A._coerce_coords(z))))
 
 
 @dataclass(frozen=True)
@@ -273,14 +271,15 @@ class DecompositionError(ValueError):
 
 class _PeirceInts:
     """The int forms the map-side checks at one idempotent read, each
-    derived once from the context: the projections' int rows, e1's ints,
-    and per side the rows z e1 (side 1) or z e2 = z - z e1 (side 2) over
-    the Z basis with their span, the central action space.  One is built
-    per public call and dropped with it.
+    derived once from the context: the projections, e1 as (ints, den), and
+    per side the rows z e1 (side 1) or z e2 = z - z e1 (side 2) over the Z
+    basis with their span, the central action space.  One is built per
+    public call and dropped with it.
 
-    A map D enters as its int matrix; a check is an int mat-vec product
-    and a membership test by ``Subspace._residual_ints``, and field
-    elements are built only for witnesses and returned maps.
+    A map D enters as its int-backed matrix; a check is an int mat-vec
+    product (``_image``) and a membership test by
+    ``Subspace._residual_ints``, and field elements are built only for
+    witnesses and returned maps.
     """
 
     def __init__(self, ctx: PeirceContext):
@@ -289,10 +288,12 @@ class _PeirceInts:
         Z = ctx.center
         self.ctx, self.algebra, self.field = ctx, A, F
         self.p = F.characteristic
-        self.pi = {slot: m.matrix.int_form() for slot, m in ctx.projections.items()}
-        self.e1, self.e1_den = F.to_ints(ctx.e1)
-        self.scale = self.e1_den * A._den
-        ze1 = [A._mul_ints(z, self.e1) for z in Z._num]  # over Z._den * scale
+        self.pi = {slot: m.matrix for slot, m in ctx.projections.items()}
+        self.e1 = F.to_ints(ctx.e1)
+        e1, e1_den = self.e1
+        # z e1 is over Z._den * scale, and so is scale * z
+        self.scale = e1_den * A._den
+        ze1 = [A._mul_ints(z, e1) for z in Z._num]
         self.actions = {
             1: ze1,
             2: [[self.scale * x - y for x, y in zip(z, w)] for z, w in zip(Z._num, ze1)],
@@ -308,32 +309,29 @@ class _PeirceInts:
         )
 
     def _diagonal(self, D: Matrix, slot, pi_slot, side: int, label: str) -> ConditionVerdict:
-        rows, den = D.int_form()
-        pi, pi_den = self.pi[pi_slot]
+        pi = self.pi[pi_slot]
         target = self.action_spaces[side]
         comp = self.ctx.components[slot]
         for k, a in enumerate(comp._num):
-            img = _apply_ints(pi, _apply_ints(rows, a))
-            if any(target._residual_ints(img)):
+            img = _image(pi, _image(D, (a, comp._den)))
+            if any(target._residual_ints(img[0])):
                 return ConditionVerdict(
                     Verdict.FAILS,
                     f"{label}: projection escapes the central action space",
-                    witness=(comp.basis[k],
-                             self.field.from_ints(img, comp._den * den * pi_den)),
+                    witness=(comp.basis[k], self.field.from_ints(*img)),
                 )
         return ConditionVerdict(Verdict.HOLDS, label)
 
     def _off_diagonal(self, D: Matrix) -> ConditionVerdict:
-        rows, den = D.int_form()
         for i, j in ((1, 2), (2, 1)):
             comp = self.ctx.components[(i, j)]
             for k, v in enumerate(comp._num):
-                img = _apply_ints(rows, v)
-                if any(comp._residual_ints(img)):
+                img = _image(D, (v, comp._den))
+                if any(comp._residual_ints(img[0])):
                     return ConditionVerdict(
                         Verdict.FAILS,
                         f"D(R{i}{j}) escapes R{i}{j}",
-                        witness=(comp.basis[k], self.field.from_ints(img, comp._den * den)),
+                        witness=(comp.basis[k], self.field.from_ints(*img)),
                     )
         return ConditionVerdict(Verdict.HOLDS, "D(R12) inside R12 and D(R21) inside R21")
 
@@ -341,38 +339,28 @@ class _PeirceInts:
         """(D - f, f) with f = f_{y,e1}, y the off-diagonal part of D(e1),
         once (D - f)(e1) and, with a unit, (D - f)(unit - e1) test central."""
         A, F, e1 = self.algebra, self.field, self.e1
-        rows, den = D.int_form()
-        proj = self.ctx.projections
-        off, off_den = (proj[(1, 2)].matrix + proj[(2, 1)].matrix).int_form()
-        y = _apply_ints(off, _apply_ints(rows, e1))  # over off_den * den * e1_den
-        f = Matrix.from_ints(
-            F, _inner_derivation_ints(A, y, A.mult_ints(e1, "left"), A.mult_ints(e1, "right")),
-            off_den * den * self.e1_den * self.scale ** 2, A.dim,
-        )
+        y = _image(self.pi[(1, 2)] + self.pi[(2, 1)], _image(D, e1))
+        f = _inner_derivation(A, y, e1)
         Dp = D - f
-        Dp_rows = Dp.int_form()[0]
         Z = self.ctx.center
-        if any(Z._residual_ints(_apply_ints(Dp_rows, e1))):
+        if any(Z._residual_ints(_image(Dp, e1)[0])):
             raise NormalizationError(
                 "central_normalization",
                 "D(e1) minus the inner correction is not central; "
                 "the ring-side hypotheses fail upstream",
             )
         unit = find_unit(A)
-        if unit is not None:
-            u, u_den = F.to_ints(unit.coords)
-            e2 = [a * self.e1_den - b * u_den for a, b in zip(u, e1)]
-            if any(Z._residual_ints(_apply_ints(Dp_rows, e2))):
-                raise NormalizationError(
-                    "central_normalization_complement",
-                    "D(unit - e1) is not central after normalization",
-                )
+        # D'(e1) is central, so D'(unit - e1) is central iff D'(unit) is
+        if unit is not None and any(Z._residual_ints(_image(Dp, F.to_ints(unit.coords))[0])):
+            raise NormalizationError(
+                "central_normalization_complement",
+                "D(unit - e1) is not central after normalization",
+            )
         return Dp, f
 
     def central_graph(self, side: int) -> Subspace:
         """The span of the rows [z e_side | z] over the Z basis, in F^2d."""
-        d = self.algebra.dim
-        return Subspace.from_ints(self.field, 2 * d, [
+        return Subspace.from_ints(self.field, 2 * self.algebra.dim, [
             w + [self.scale * x for x in z]
             for w, z in zip(self.actions[side], self.ctx.center._num)
         ])
@@ -445,8 +433,8 @@ def conditions_abc_subspace(ctx: PeirceContext) -> Subspace:
                 acc.add(row)
 
     comps = ctx.components
-    add_membership_rows(comps[(1, 1)], g.pi[(2, 2)][0], g.action_spaces[2])
-    add_membership_rows(comps[(2, 2)], g.pi[(1, 1)][0], g.action_spaces[1])
+    add_membership_rows(comps[(1, 1)], g.pi[(2, 2)].int_form()[0], g.action_spaces[2])
+    add_membership_rows(comps[(2, 2)], g.pi[(1, 1)].int_form()[0], g.action_spaces[1])
     add_membership_rows(comps[(1, 2)], None, comps[(1, 2)])
     add_membership_rows(comps[(2, 1)], None, comps[(2, 1)])
 
@@ -544,24 +532,22 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     # A component basis is in RREF, so the coordinate of pi_ii x along a is
     # the entry of pi_ii x at a's pivot column: tau is the sum over a of the
     # column z_a times that row of pi_ii.
-    Dp_rows, Dp_den = Dp.int_form()
-    pi12, pi21 = g.pi[(1, 2)][0], g.pi[(2, 1)][0]
+    pi12, pi21 = g.pi[(1, 2)].int_form()[0], g.pi[(2, 1)].int_form()[0]
     terms = []  # (z_a ints, pi_ii row at a's pivot, their joint den)
     for slot, other, side in (((1, 1), (2, 2), 2), ((2, 2), (1, 1), 1)):
         comp = ctx.components[slot]
-        pi_rows, pi_den = g.pi[slot]
-        other_rows, other_den = g.pi[other]
+        pi_rows, pi_den = g.pi[slot].int_form()
         graph = g.central_graph(side)
         for a, pivot in zip(comp._num, comp._pivots):
-            img = _apply_ints(Dp_rows, a)
-            if _nonzero(_apply_ints(pi12, img), p) or _nonzero(_apply_ints(pi21, img), p):
+            img = _image(Dp, (a, comp._den))
+            if (_nonzero(_apply_ints(pi12, img[0]), p)
+                    or _nonzero(_apply_ints(pi21, img[0]), p)):
                 raise DecompositionError(
                     "no_central_solution",
                     "diagonal image has an off-diagonal component; "
                     "the identity hypotheses fail upstream",
                 )
-            z, z_den = g.solve_central(side, graph, _apply_ints(other_rows, img),
-                                       other_den * Dp_den * comp._den)
+            z, z_den = g.solve_central(side, graph, *_image(g.pi[other], img))
             terms.append((z, pi_rows[pivot], z_den * pi_den))
     den = lcm(*[t[2] for t in terms])
     tau_rows = [[0] * d for _ in range(d)]

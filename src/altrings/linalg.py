@@ -181,6 +181,11 @@ def _apply_ints(rows, vec) -> list[int]:
     return [sum(map(mul, row, vec)) for row in rows]
 
 
+def _nonzero(vec, p: int) -> bool:
+    """Whether an int vector is nonzero as field elements (mod p if p)."""
+    return any(v % p for v in vec) if p else any(vec)
+
+
 def _product_ints(a, b) -> list[list[int]]:
     """The int matrix product a b of row lists (no reduction mod p)."""
     cols = list(zip(*b))
@@ -349,6 +354,13 @@ class Matrix:
         fmt = self.field.format
         body = "; ".join(" ".join(fmt(v) for v in row) for row in self.rows)
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: {body})"
+
+
+def _image(matrix: Matrix, vec) -> tuple[list[int], int]:
+    """The image under matrix of the vector given as (ints, den), in the
+    same form (unreduced over GF(p))."""
+    ints, den = vec
+    return _apply_ints(matrix._num, ints), matrix._den * den
 
 
 def _echelon_of(matrix: Matrix):

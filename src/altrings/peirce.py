@@ -25,11 +25,9 @@ from .algebra import (
 from .linalg import (
     Matrix,
     Subspace,
-    _product_ints,
     echelon,
     kernel_vectors,
     null_space,
-    rank,
 )
 from .verdict import ConditionVerdict, Verdict
 
@@ -75,9 +73,10 @@ class PeirceContext:
 def peirce_context(A: Algebra, e1) -> PeirceContext:
     """Build and validate the four projections and components at e1.
 
-    Everything runs on ints: L = L_{e1} and R = R_{e1} over one den s from
-    ``Algebra.mult_ints``, their products over s^2, each projection one
-    ``Matrix.from_ints`` and each component the span of its int columns.
+    L = L_{e1} and R = R_{e1} are int-backed ``Matrix`` objects built from
+    e1's ints by ``Algebra.mult_matrix_ints``; the checks and the
+    projections are their products and differences, and each component is
+    the span of its projection's int columns.
     """
     coords = A._coerce_coords(e1)
     check = is_idempotent(A, coords)
@@ -88,19 +87,12 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
 
     F = A.field
     d = A.dim
-    p = F.characteristic
-    e, e_den = F.to_ints(coords)
-    s = e_den * A._den
-    L1, R1 = A.mult_ints(e, "left"), A.mult_ints(e, "right")
-
-    def same(x, y):
-        # int matrices over one den: equal as field elements
-        return all(not any((u - v) % p if p else u - v for u, v in zip(rx, ry))
-                   for rx, ry in zip(x, y))
+    e = F.to_ints(coords)
+    L1, R1 = A.mult_matrix_ints(*e, "left"), A.mult_matrix_ints(*e, "right")
 
     # compatibility e1(a e1) = (e1 a)e1, needed for well-defined projections
-    LR = _product_ints(L1, R1)
-    if not same(LR, _product_ints(R1, L1)):
+    LR = L1 @ R1
+    if LR != R1 @ L1:
         raise PeirceError(
             "decomposition_failure",
             "e1-(a)-e1 brackets disagree: e1(a e1) != (e1 a)e1 on some a",
@@ -108,26 +100,22 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
     # With L1 R1 = R1 L1, the four maps below are orthogonal idempotents
     # summing to the identity exactly when L1 and R1 are idempotent, since
     # L1 = pi11 + pi12 and R1 = pi11 + pi21.
-    sL1 = [[s * v for v in row] for row in L1]
-    sR1 = [[s * v for v in row] for row in R1]
-    for side, m, sm in (("left", L1, sL1), ("right", R1, sR1)):
-        if not same(_product_ints(m, m), sm):
+    for side, m in (("left", L1), ("right", R1)):
+        if m @ m != m:
             raise PeirceError(
                 "decomposition_failure",
                 f"{side} multiplication by e1 is not idempotent",
             )
 
-    # every projection over s^2
     pi = {
         (1, 1): LR,
-        (1, 2): [[x - y for x, y in zip(rl, rlr)] for rl, rlr in zip(sL1, LR)],
-        (2, 1): [[x - y for x, y in zip(rr, rlr)] for rr, rlr in zip(sR1, LR)],
-        (2, 2): [[s * s * (i == j) - l - r + x for j, (l, r, x) in enumerate(zip(*rows))]
-                 for i, rows in enumerate(zip(sL1, sR1, LR))],
+        (1, 2): L1 - LR,
+        (2, 1): R1 - LR,
+        (2, 2): Matrix.identity(F, d) - L1 - R1 + LR,
     }
-    components = {slot: Subspace.from_ints(F, d, zip(*m)) for slot, m in pi.items()}
-    projections = {slot: LinearMap(A, Matrix.from_ints(F, m, s * s, d))
-                   for slot, m in pi.items()}
+    components = {slot: Subspace.from_ints(F, d, zip(*m.int_form()[0]))
+                  for slot, m in pi.items()}
+    projections = {slot: LinearMap(A, m) for slot, m in pi.items()}
     return PeirceContext(
         algebra=A,
         e1=coords,
@@ -312,7 +300,10 @@ def _kernel_condition(A: Algebra, domain: Subspace, others: Subspace,
 
 def _left_rank(A: Algebra, z) -> int:
     """rank L_z for int coordinates z (a rank is blind to their den)."""
-    return rank(Matrix.from_ints(A.field, A.mult_ints(z, "left"), A._den, A.dim))
+    acc = echelon(A.field, A.dim)
+    for row in A.mult_ints(z, "left"):
+        acc.add(row)
+    return acc.rank
 
 
 def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:

@@ -216,6 +216,32 @@ def test_normalization_kills_offdiag_inner_maps(ctx_mat2, mat2):
         assert ctx_mat2.center.contains(Dp.apply_coords(e2))
 
 
+def test_normalization_and_decompose_at_a_fractional_idempotent(mat2):
+    """At e1 = (E11 + E12 + E21 + E22) / 2, whose coordinates are not
+    integral, the normalizer of ad(E11) is f_{y,e1} with y the off-diagonal
+    part of D(e1), and admissible maps decompose."""
+    h = Fraction(1, 2)
+    ctx = peirce_context(mat2, (h, h, h, h))
+    D = ad(mat2, 0)
+    De1 = D.apply_coords(ctx.e1)
+    y = tuple(a + b for a, b in zip(ctx.component_part(De1, 1, 2),
+                                    ctx.component_part(De1, 2, 1)))
+    assert any(y)
+    Dp, f = normalize_at_idempotent(ctx, D)
+    assert f == standard_inner_derivation(mat2, y, ctx.e1)
+    assert Dp == D - f
+    assert ctx.center.contains(Dp.apply_coords(ctx.e1))
+    space = OperatorSpace(
+        mat2, lie_n_derivation_space(mat2, 2).space.intersect(conditions_abc_subspace(ctx)),
+    )
+    rng = random.Random(3)
+    for _ in range(3):
+        D = space.random_member(rng)
+        dec = decompose(ctx, D, 2)
+        assert dec.delta + dec.tau == D
+        assert is_derivation(mat2, dec.delta)
+
+
 def test_normalization_noop_on_central_friendly_maps(ctx_mat2, mat2):
     D = trace_map(mat2)
     Dp, f = normalize_at_idempotent(ctx_mat2, D)
@@ -322,16 +348,24 @@ def test_lie3_members_satisfy_identity_everywhere(a, b, c):
 # member, or the certificate and message of each rejected map.
 
 def _unimodular_rebase(A, seed):
+    """A over Q in a dense basis with det P = 1 (see ``_rebase``), so the
+    structure constants, unit and idempotent stay integral."""
+    return _rebase(A, seed)
+
+
+def _rebase(A, seed, det=1):
     """A over Q in the basis f_i = sum_r P[i][r] e_r, P = L U with unit
-    triangular integer L, U (so det P = 1 and P^-1 is integral)."""
+    triangular integer L, U and row 0 scaled by det (so det P = det, and
+    P^-1 is integral when det = 1)."""
     d = A.dim
     rng = random.Random(seed)
     L = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(d)]
          for i in range(d)]
     U = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(d)]
          for i in range(d)]
-    P = [[sum(L[i][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    # Q = P^-1 by Gauss-Jordan on [P | I]; every pivot is found since det P = 1
+    P = [[sum(L[i][k] * U[k][j] for k in range(d)) * (det if i == 0 else 1)
+          for j in range(d)] for i in range(d)]
+    # Q = P^-1 by Gauss-Jordan on [P | I]; every pivot is found since det P != 0
     rows = [[Fraction(v) for v in P[i]] + [Fraction(int(i == j)) for j in range(d)]
             for i in range(d)]
     for c in range(d):
@@ -815,20 +849,23 @@ def _mod(A, p):
 @pytest.mark.parametrize("p", [None, 3])
 def test_decompose_certificates_match_own_peirce_arithmetic(name, p):
     """Admissible maps on dense rebases, and the same maps perturbed in the
-    R11->R22, R22->R11, R12->R21 and R21->R12 blocks (pi_t X pi_s with X
-    random): every gate verdict and witness of the input and of the
-    normalized map, the normalized map itself, and the certificate of
-    decompose match the test's own arithmetic.  mat2 + mat2 (ring
-    conditions unchecked) has Z e2 smaller than R22 and a center of dim 2,
-    so it reaches condition (a) and non-unique z.  Condition (b) cannot
-    fail on these algebras, whose Z e1 is all of R11."""
+    R11->R22, R22->R11, R12->R21, R21->R12 and R11->R12 blocks (pi_t X pi_s
+    with X random; the last gives D(e1) an off-diagonal part): every gate
+    verdict and witness of the input and of the normalized map, the
+    normalized map itself, and the certificate of decompose match the
+    test's own arithmetic.  Over Q one rebase has
+    det 3, so its idempotent and structure constants are not integral.
+    mat2 + mat2 (ring conditions unchecked) has Z e2 smaller than R22 and
+    a center of dim 2, so it reaches condition (a) and non-unique z.
+    Condition (b) cannot fail on these algebras, whose Z e1 is all of
+    R11."""
     seen = set()
-    for seed in (1, 2):
+    for seed, det in ((1, 1), (2, 1), (1, 3)) if p is None else ((1, 1), (2, 1)):
         if name == "mat2+mat2":
             base = direct_sum(catalog("mat2", QQ), catalog("mat2", QQ))
         else:
             base = catalog(name, QQ)
-        A = _unimodular_rebase(base, seed)
+        A = _rebase(base, seed, det)
         if p is not None:
             A = _mod(A, p)
         F, d = A.field, A.dim
@@ -837,7 +874,7 @@ def test_decompose_certificates_match_own_peirce_arithmetic(name, p):
         rng = random.Random(seed)
         maps = list(members)
         for D in members:
-            for s, t in (("11", "22"), ("22", "11"), ("12", "21"), ("21", "12")):
+            for s, t in (("11", "22"), ("22", "11"), ("12", "21"), ("21", "12"), ("11", "12")):
                 X = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
                 E = orc.compose(orc.pi[t], orc.compose(X, orc.pi[s]))
                 maps.append(LinearMap(A, D.matrix + Matrix(F, E)))
