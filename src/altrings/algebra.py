@@ -154,8 +154,8 @@ class Algebra:
     def mult_matrix_ints(self, ys, y_den: int, side: str) -> Matrix:
         """Matrix of x -> y * x (side "left") or x -> x * y ("right") for
         y = ys / y_den."""
-        return Matrix.from_ints(self.field, self.mult_ints(ys, side), y_den * self._den,
-                                self.dim)
+        return Matrix._from_fresh(self.field, self.mult_ints(ys, side),
+                                  y_den * self._den, self.dim)
 
     def _mult_matrix(self, y, side: str) -> Matrix:
         return self.mult_matrix_ints(*self.field.to_ints(self._coerce_coords(y)), side)
@@ -498,35 +498,36 @@ def nucleus(A: Algebra) -> Subspace:
     associators with n in one slot and basis vectors e_i, e_j in the other
     two vanish.  Coordinate m of such an associator is linear in n, and its
     row is coordinate m of the basis associators (e_t, e_i, e_j),
-    (e_i, e_t, e_j) and (e_i, e_j, e_t) as t runs over the basis: 3d^3 rows
-    of width d, built as ints over A._den^2 from the structure constants;
-    zero rows are skipped.
+    (e_i, e_t, e_j) and (e_i, e_j, e_t) as t runs over the basis: up to
+    3d^3 rows of width d, built as ints over A._den^2 from the structure
+    constants as they are folded; zero rows are skipped.  With a declared
+    unit the folding stops at rank d - 1 (see ``_unit_kernel``).
     """
     d, pairs = A.dim, A._pairs
+    T = [None] * d ** 3  # (e_a, e_b, e_c) at (a*d + b)*d + c, once built
 
     def associator_ints(a, b, c):
-        out = [0] * d
-        for k, x in pairs[a][b]:  # (e_a e_b) e_c
-            for m, y in pairs[k][c]:
-                out[m] += x * y
-        for k, x in pairs[b][c]:  # e_a (e_b e_c)
-            for m, y in pairs[a][k]:
-                out[m] -= x * y
+        key = (a * d + b) * d + c
+        out = T[key]
+        if out is None:
+            out = T[key] = [0] * d
+            for k, x in pairs[a][b]:  # (e_a e_b) e_c
+                for m, y in pairs[k][c]:
+                    out[m] += x * y
+            for k, x in pairs[b][c]:  # e_a (e_b e_c)
+                for m, y in pairs[a][k]:
+                    out[m] -= x * y
         return out
 
-    T = [[[associator_ints(a, b, c) for c in range(d)] for b in range(d)]
-         for a in range(d)]
-    acc = echelon(A.field, d)
-    for i in range(d):
-        for j in range(d):
-            for slot in ([T[t][i][j] for t in range(d)],
-                         [T[i][t][j] for t in range(d)],
-                         [T[i][j][t] for t in range(d)]):
-                for m in range(d):
-                    row = [assoc[m] for assoc in slot]
-                    if any(row):
-                        acc.add(row)
-    return null_space(A.field, d, acc)
+    def rows():
+        ts = range(d)
+        for i in ts:
+            for j in ts:
+                yield from zip(*[associator_ints(t, i, j) for t in ts])
+                yield from zip(*[associator_ints(i, t, j) for t in ts])
+                yield from zip(*[associator_ints(i, j, t) for t in ts])
+
+    return _unit_kernel(A, rows())
 
 
 def center(A: Algebra) -> Subspace:
@@ -534,17 +535,29 @@ def center(A: Algebra) -> Subspace:
 
     Its constraints are the rows of K_j : z -> [z, e_j] (see
     ``bracket_table``), read as ints straight from the structure
-    constants.  Note this is the commutant only; use
+    constants; with a declared unit the folding stops at rank d - 1 (see
+    ``_unit_kernel``).  Note this is the commutant only; use
     ``center(A).intersect(nucleus(A))`` for the stricter
     commuting-and-associating notion.
     """
     d, num = A.dim, A._num
+    return _unit_kernel(A, ([num[a][j][m] - num[j][a][m] for a in range(d)]
+                            for j in range(d) for m in range(d)))
+
+
+def _unit_kernel(A: Algebra, rows) -> Subspace:
+    """The null space of int rows of width d that every vector of span(unit)
+    satisfies.  Without a declared unit every nonzero row is folded; with
+    one the folding stops at rank d - 1, since the kernel, which holds the
+    unit, is then span(unit)."""
+    d = A.dim
+    full = d - 1 if A.unit is not None else d
     acc = echelon(A.field, d)
-    for j in range(d):
-        for m in range(d):
-            row = [num[a][j][m] - num[j][a][m] for a in range(d)]
-            if any(row):
-                acc.add(row)
+    for row in rows:
+        if acc.rank == full:
+            break
+        if any(row):
+            acc.add(row)
     return null_space(A.field, d, acc)
 
 

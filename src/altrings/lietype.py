@@ -228,7 +228,7 @@ def _inner_derivation(A: Algebra, y, z) -> Matrix:
              _product_ints(Ry, Rz), _product_ints(Rz, Ry))
     rows = [[a - b + c - e for a, b, c, e in zip(*rows)] for rows in zip(*terms)]
     # L_y, R_y are over y_den A._den and L_z, R_z over z_den A._den
-    return Matrix.from_ints(A.field, rows, y_den * z_den * A._den ** 2, A.dim)
+    return Matrix._from_fresh(A.field, rows, y_den * z_den * A._den ** 2, A.dim)
 
 
 def standard_inner_derivation(A: Algebra, y, z) -> LinearMap:
@@ -557,7 +557,7 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
             if zr:
                 c = zr * k
                 out[:] = [x + c * y for x, y in zip(out, row)]
-    tau = Matrix.from_ints(F, tau_rows, den, d)
+    tau = Matrix._from_fresh(F, tau_rows, den, d)
     delta = LinearMap(A, D.matrix - tau)
 
     if not is_derivation(A, delta):

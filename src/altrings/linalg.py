@@ -192,10 +192,12 @@ def _product_ints(a, b) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _lowest_terms(field, rows, den: int) -> tuple[list[list[int]], int]:
+def _lowest_terms(field, rows, den: int,
+                  fresh: bool = False) -> tuple[list[list[int]], int]:
     """Int rows over den rewritten in the canonical int form: over Q a
     positive den sharing no factor with every entry, over GF(p) residues
-    over 1.  The rows are always copied."""
+    over 1.  The rows are always copied, unless fresh says that they are
+    lists no one else holds: fresh rows already in that form are kept."""
     p = field.characteristic
     if p:
         if den != 1:
@@ -205,6 +207,7 @@ def _lowest_terms(field, rows, den: int) -> tuple[list[list[int]], int]:
     if den < 0:
         den = -den
         rows = [[-v for v in row] for row in rows]
+        fresh = True
     g = den
     for row in rows:
         if g == 1:
@@ -216,7 +219,7 @@ def _lowest_terms(field, rows, den: int) -> tuple[list[list[int]], int]:
                     break
     if g > 1:
         return [[v // g for v in row] for row in rows], den // g
-    return [list(row) for row in rows], den
+    return (rows if fresh else [list(row) for row in rows]), den
 
 
 class Matrix:
@@ -246,6 +249,12 @@ class Matrix:
     def from_ints(cls, field, int_rows, den: int, ncols: int) -> "Matrix":
         """The matrix with entries n / den for the ints n of int_rows."""
         return cls._of(field, *_lowest_terms(field, int_rows, den), ncols)
+
+    @classmethod
+    def _from_fresh(cls, field, int_rows: list, den: int, ncols: int) -> "Matrix":
+        """from_ints for int rows that are lists no one else holds; they
+        become the matrix's own when already in lowest terms."""
+        return cls._of(field, *_lowest_terms(field, int_rows, den, fresh=True), ncols)
 
     @classmethod
     def _of(cls, field, int_rows: list, den: int, ncols: int) -> "Matrix":
@@ -307,7 +316,7 @@ class Matrix:
         a, b = den // self._den, sign * (den // other._den)
         rows = [[x * a + y * b for x, y in zip(ra, rb)]
                 for ra, rb in zip(self._num, other._num)]
-        return Matrix.from_ints(self.field, rows, den, self.ncols)
+        return Matrix._from_fresh(self.field, rows, den, self.ncols)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -316,13 +325,13 @@ class Matrix:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return Matrix.from_ints(
+        return Matrix._from_fresh(
             self.field, [[-v for v in row] for row in self._num], self._den, self.ncols
         )
 
     def scale(self, c) -> "Matrix":
         (n,), c_den = self.field.to_ints([self.field.coerce(c)])
-        return Matrix.from_ints(
+        return Matrix._from_fresh(
             self.field, [[n * v for v in row] for row in self._num],
             c_den * self._den, self.ncols,
         )
@@ -334,7 +343,7 @@ class Matrix:
             out = _product_ints(self._num, other._num)
         else:
             out = [[0] * other.ncols for _ in self._num]
-        return Matrix.from_ints(self.field, out, self._den * other._den, other.ncols)
+        return Matrix._from_fresh(self.field, out, self._den * other._den, other.ncols)
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product (vectors are plain tuples of scalars)."""
@@ -616,7 +625,7 @@ class Subspace:
         cols = list(zip(*basis)) or [()] * self.ambient
         out, den = _lowest_terms(
             F, [[sum(map(mul, c, col)) for col in cols] for c in coeffs._num],
-            coeffs._den * self._den,
+            coeffs._den * self._den, fresh=True,
         )
         # the pivot of row i is the pivot of the basis row at c_i's pivot
         pivots = [self._pivots[q] for q in coeffs._pivots]
@@ -638,7 +647,7 @@ class Subspace:
         orthogonal complement is the row space.  Used to turn membership
         conditions into linear constraints.
         """
-        return Matrix.from_ints(self.field, *self._complement(), self.ambient)
+        return Matrix._from_fresh(self.field, *self._complement(), self.ambient)
 
     def vectors(self):
         """Enumerate all vectors (finite fields only)."""

@@ -42,6 +42,10 @@ class PeirceError(ValueError):
 
 _SLOTS = ((1, 1), (1, 2), (2, 1), (2, 2))
 _RAY_BUDGET = 2 ** 17  # rays of a primality or condition (4) enumeration
+# sampled primality over Q accepts a sample whose ray test passes mod this
+# prime: an int matrix has at least its rank mod p over Q, so any prime is
+# sound, and a larger one leaves fewer samples to the exact test
+_CERT_PRIME = 251
 
 
 @dataclass(frozen=True)
@@ -410,8 +414,25 @@ def _ray_representatives(A: Algebra):
                 yield vec
 
 
-def _first_failing_ray(A: Algebra, p: int):
-    """(rays checked, a, rows) at the first ray a with aRb = 0 for some b != 0.
+def _repeat(x: int, stride: int, n: int) -> int:
+    """x at bit offsets 0, stride, ..., (n - 1)*stride, for 0 <= x < 2**stride:
+    blocks of 2**k copies, one per set bit k of n."""
+    out = shift = 0
+    block, size = x, stride
+    while n:
+        if n & 1:
+            out |= block << shift
+            shift += size
+        block |= block << size
+        size *= 2
+        n >>= 1
+    return out
+
+
+def _packed_ray_test(A: Algebra, p: int):
+    """failing_rows(a) on A's operators packed mod p, for int coordinates a
+    with every entry in 0..p-1: None when the ray of a passes, and otherwise
+    rows spanning the constraints on b with aRb = 0.
 
     {b : (a r) b = 0 for all r} depends only on aR, the column space of
     L_a, so a ray costs one rank test of L_a and, when that falls short of
@@ -419,8 +440,9 @@ def _first_failing_ray(A: Algebra, p: int):
     passes at once: then aR = R, and Rb = 0 would put b in ker L_a = 0.
     Operators are ints of w-bit slots, entry (k, j) of a d-column matrix
     at slot k*d + j; no slot exceeds V before one SWAR Barrett step
-    reduces them all mod p.  The rows returned span the constraints on b;
-    a is None when every ray passes.
+    reduces them all mod p.  The structure constants enter as their ints
+    over A._den reduced mod p, so over Q each rank is that of an int
+    matrix mod p, a lower bound for its rank over Q.
     """
     d = A.dim
     # a slot holds at most a sum of d products c*c' (operator) or
@@ -432,11 +454,12 @@ def _first_failing_ray(A: Algebra, p: int):
     rw = w * d  # one row
     m = (1 << s) // p + 1
     digit = (1 << w) - 1
-    qmask = sum(((1 << b) - 1) << (w * k) for k in range(d ** 3))
-    column = sum(digit << (rw * k) for k in range(d * d))
-    p_column = [sum(p << (rw * k) for k in range(n)) for n in range(d * d + 1)]
+    qmask = _repeat((1 << b) - 1, w, d ** 3)
+    column = _repeat(digit, rw, d * d)
+    # p in the column slot of each row of a stack of r blocks of d rows
+    p_column = [_repeat(p, rw, d * r) for r in range(d + 1)]
     packed = [
-        sum(c << (w * (k * d + j)) for j in range(d) for k, c in A._pairs[i][j])
+        sum(c % p << (w * (k * d + j)) for j in range(d) for k, c in A._pairs[i][j])
         for i in range(d)
     ]
 
@@ -449,8 +472,8 @@ def _first_failing_ray(A: Algebra, p: int):
         """L_y with every entry in 0..p-1."""
         return reduce(sum(c * packed[i] for i, c in enumerate(y) if c))
 
-    def pivot_shifts(M, nrows):
-        """Bit offsets of the pivot columns of M, up to d of them.
+    def pivot_shifts(M, blocks):
+        """Bit offsets of the pivot columns of M (blocks*d rows), up to d.
 
         One step clears the pivot's column in every row at once:
         M * v + (p - M[k][col]) * (pivot row), v the pivot."""
@@ -463,25 +486,24 @@ def _first_failing_ray(A: Algebra, p: int):
                 break
             prow = (M >> (low - low % rw)) & ((1 << rw) - 1)
             v = (prow >> shift) & digit
-            M = reduce(M * v + (p_column[nrows] - ((M >> shift) & column)) * prow)
+            M = reduce(M * v + (p_column[blocks] - ((M >> shift) & column)) * prow)
         return shifts
 
-    checked = 0
-    for a in _ray_representatives(A):
-        checked += 1
+    def failing_rows(a):
         left = operator(a)
-        shifts = pivot_shifts(left, d)
+        shifts = pivot_shifts(left, 1)
         if len(shifts) == d:
-            continue
+            return None
         stack = 0  # L_y for y = a e_t at the pivot columns t
         for i, shift in enumerate(shifts):
             y = [(left >> (rw * k + shift)) & digit for k in range(d)]
             stack |= operator(y) << (rw * d * i)
-        nrows = d * len(shifts)
-        if len(pivot_shifts(stack, nrows)) < d:
-            return checked, a, [[(stack >> (rw * k + w * j)) & digit for j in range(d)]
-                                for k in range(nrows)]
-    return checked, None, None
+        if len(pivot_shifts(stack, len(shifts))) == d:
+            return None
+        return [[(stack >> (rw * k + w * j)) & digit for j in range(d)]
+                for k in range(d * len(shifts))]
+
+    return failing_rows
 
 
 def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
@@ -492,7 +514,12 @@ def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
     aRb = 0 are those with yb = 0 for all y in aR, the column space of L_a.
     A ray with rank L_a = d has aR = R and passes at once; otherwise the
     stacked L_y over a basis y of aR must have rank d.  Over Q the loop is
-    sampled, so "no witness" is undecided.
+    sampled, so "no witness" is undecided.  Each sample a (int coordinates)
+    first runs the same packed test mod the fixed prime _CERT_PRIME on the
+    int operators A._den*L_y: a pass there is exact, since an int matrix
+    has at least its rank mod p over Q.  Only a sample that fails mod p
+    gets the exact stacked test on int rows over Q (``_sampled_kernel``),
+    so the report is the one the exact test alone gives.
     Char-3 rings get a torsion warning: the equivalence with ideal-primality
     needs 3-torsion-freeness.
     """
@@ -523,6 +550,21 @@ def _first_kernel_witness(A: Algebra, a, rows) -> tuple:
     return tuple(F.coerce(v) for v in kernel_vectors(F, A.dim, acc)[0])
 
 
+def _sampled_kernel(A: Algebra, a) -> Subspace | None:
+    """{b : (a r) b = 0 for all r} over Q for int coordinates a, or None when
+    it is zero: the null space of the stacked L_y over the columns y of the
+    int L_a, which span aR."""
+    d = A.dim
+    acc = echelon(A.field, d)
+    for y in zip(*A.mult_ints(a, "left")):
+        if any(y):
+            for row in A.mult_ints(y, "left"):
+                acc.add(row)
+            if acc.rank == d:
+                return None
+    return null_space(A.field, d, acc)
+
+
 def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> PrimeReport:
     F = A.field
     d = A.dim
@@ -531,15 +573,19 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
         rays = (p ** d - 1) // (p - 1)
         if rays > budget:
             raise BudgetError(f"{rays} rays exceed the primality budget {budget}")
-        checked, a, rows = _first_failing_ray(A, p)
-        if a is not None:
-            return PrimeReport(
-                status=Verdict.FAILS,
-                mode="exhaustive",
-                checked=checked,
-                witness=(tuple(a), _first_kernel_witness(A, a, rows)),
-                detail="a R b = 0 with both nonzero",
-            )
+        failing_rows = _packed_ray_test(A, p)
+        checked = 0
+        for a in _ray_representatives(A):
+            checked += 1
+            rows = failing_rows(a)
+            if rows is not None:
+                return PrimeReport(
+                    status=Verdict.FAILS,
+                    mode="exhaustive",
+                    checked=checked,
+                    witness=(tuple(a), _first_kernel_witness(A, a, rows)),
+                    detail="a R b = 0 with both nonzero",
+                )
         return PrimeReport(
             status=Verdict.HOLDS,
             mode="exhaustive",
@@ -548,33 +594,24 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
         )
 
     rng = random.Random(seed)
+    failing_rows = _packed_ray_test(A, _CERT_PRIME)
     checked = 0
     for _ in range(samples):
-        a = tuple(F.coerce(rng.randint(-9, 9)) for _ in range(d))
-        if all(F.is_zero(v) for v in a):
+        a = [rng.randint(-9, 9) for _ in range(d)]
+        if not any(a):
             continue
         checked += 1
-        acc = echelon(F, d)
-        full = False
-        for t in range(d):
-            y = A.mul_coords(a, A.basis_element(t).coords)
-            if all(F.is_zero(v) for v in y):
-                continue
-            for row in A.left_mult_matrix(y).int_form()[0]:
-                acc.add(row)
-            if acc.rank == d:
-                full = True
-                break
-        if not full:
-            ker = null_space(F, d, acc)
-            if not ker.is_zero():
-                return PrimeReport(
-                    status=Verdict.FAILS,
-                    mode="sampled",
-                    checked=checked,
-                    witness=(a, ker.basis[0]),
-                    detail="a R b = 0 with both nonzero",
-                )
+        if failing_rows([x % _CERT_PRIME for x in a]) is None:
+            continue
+        ker = _sampled_kernel(A, a)
+        if ker is not None:
+            return PrimeReport(
+                status=Verdict.FAILS,
+                mode="sampled",
+                checked=checked,
+                witness=(F.from_ints(a), ker.basis[0]),
+                detail="a R b = 0 with both nonzero",
+            )
     return PrimeReport(
         status=Verdict.UNDECIDED,
         mode="sampled",

@@ -6,7 +6,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altrings.algebra import Algebra, find_unit
+from altrings.algebra import Algebra, center, find_unit, nucleus
 from altrings.catalog import catalog, parse, serialize
 from altrings.fields import GF, QQ
 from altrings.peirce import (
@@ -373,7 +373,7 @@ def _inverse_mod(P, p):
     return [r[n:] for r in rows]
 
 
-def _dense_rebase(A, p, seed):
+def _dense_rebase(A, p, seed, unit=False):
     """A over GF(p) in the seeded random basis f_i = sum_r P[i][r] e_r."""
     d = A.dim
     rng = random.Random(seed)
@@ -382,28 +382,80 @@ def _dense_rebase(A, p, seed):
         Q = _inverse_mod(P, p)
         if Q is not None:
             break
+    return _change_basis(A, P, Q, unit)
+
+
+def _q_rebase(A, seed):
+    """A over Q in the basis f_i = sum_r P[i][r] e_r for a seeded P = L U
+    with unit triangular integer L and U: det P = 1, so P^-1 and the
+    structure constants stay integral."""
+    d = A.dim
+    rng = random.Random(seed)
+    L = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(d)]
+         for i in range(d)]
+    U = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(d)]
+         for i in range(d)]
+    P = [[sum(L[i][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return _change_basis(A, P, _inverse(P))
+
+
+def _change_basis(A, P, Q, unit=False):
+    """A in the basis f_i = sum_r P[i][r] e_r, Q = P^-1; the idempotent, and
+    the unit if asked, carried over."""
+    F, d = A.field, A.dim
     c = A.tensor
     triples = {}
     for i in range(d):
         for j in range(d):
             # f_i f_j = sum P[i][r] P[j][s] e_r e_s, and e_k = sum_l Q[k][l] f_l
-            e = [sum(P[i][r] * P[j][s] * int(c[r][s][k]) for r in range(d) for s in range(d))
+            e = [sum(P[i][r] * P[j][s] * c[r][s][k] for r in range(d) for s in range(d))
                  for k in range(d)]
             for l in range(d):
-                v = sum(e[k] * Q[k][l] for k in range(d)) % p
-                if v:
+                v = F.coerce(sum(e[k] * Q[k][l] for k in range(d)))
+                if not F.is_zero(v):
                     triples[(i, j, l)] = v
-    idem = None if A.idempotent is None else tuple(
-        sum(int(A.idempotent[k]) * Q[k][l] for k in range(d)) % p for l in range(d))
-    return Algebra(GF(p), d, triples, idempotent=idem)
+
+    def coords(x):
+        return tuple(F.coerce(sum(x[k] * Q[k][l] for k in range(d))) for l in range(d))
+
+    return Algebra(F, d, triples, unit=coords(A.unit) if unit else None,
+                   idempotent=None if A.idempotent is None else coords(A.idempotent))
+
+
+def _divided(A, q):
+    """A over Q in the basis e_0, e_1 / q, e_2, ...: a rescaled copy whose
+    structure constants have a denominator divisible by q."""
+    d = A.dim
+    scale = [Fraction(1)] * d
+    scale[1] = Fraction(1, q)
+    triples = {(i, j, k): c * scale[i] * scale[j] / scale[k]
+               for i in range(d) for j in range(d)
+               for k, c in enumerate(A.tensor[i][j]) if c}
+    return Algebra(QQ, d, triples,
+                   idempotent=[x / s for x, s in zip(A.idempotent, scale)])
 
 
 _HOLDS = "all {} rays have trivial annihilator"
 _FAILS = "a R b = 0 with both nonzero"
 
+_SAMPLED = "no witness among 50 random samples; not exhaustive over Q"
+
 # (status, mode, checked, witness, detail) of is_prime, as frozen before the
-# scan was rewritten on packed operators
+# scan was rewritten on packed operators (GF(p)) and before the sampled loop
+# (Q) was certified mod a prime; mat2~div251 and product2~div251 have a
+# denominator divisible by that prime, so no sample is certified there
 FROZEN_PRIME = {
+    "zorn/Q": (Verdict.UNDECIDED, "sampled", 50, None, _SAMPLED),
+    "zorn~dense1/Q": (Verdict.UNDECIDED, "sampled", 50, None, _SAMPLED),
+    "zorn~dense2/Q": (Verdict.UNDECIDED, "sampled", 50, None, _SAMPLED),
+    "mat2/Q": (Verdict.UNDECIDED, "sampled", 50, None, _SAMPLED),
+    "mat2~div251/Q": (Verdict.UNDECIDED, "sampled", 50, None, _SAMPLED),
+    "tri2/Q": (Verdict.FAILS, "sampled", 21, ((0, 8, 0), (1, 0, 0)), _FAILS),
+    "tri2~dense1/Q": (Verdict.FAILS, "sampled", 10,
+                      ((2, 4, 1), (1, 0, Fraction(-2, 5))), _FAILS),
+    "product2/Q": (Verdict.FAILS, "sampled", 4, ((3, 0), (0, 1)), _FAILS),
+    "product2~dense1/Q": (Verdict.FAILS, "sampled", 28, ((-7, -7), (1, 2)), _FAILS),
+    "product2~div251/Q": (Verdict.FAILS, "sampled", 4, ((3, 0), (0, 1)), _FAILS),
     "zorn/GF(2)": (Verdict.HOLDS, "exhaustive", 255, None, _HOLDS.format(255)),
     "zorn/GF(3)": (Verdict.HOLDS, "exhaustive", 3280, None, _HOLDS.format(3280)),
     "zorn~dense1/GF(3)": (Verdict.HOLDS, "exhaustive", 3280, None, _HOLDS.format(3280)),
@@ -421,17 +473,40 @@ FROZEN_PRIME = {
 }
 
 
+def _frozen_algebra(case):
+    """The algebra of a FROZEN_PRIME key: catalog name / field, where
+    name~denseN is the seeded rebase N and name~divN is ``_divided`` by N."""
+    name, field = case.split("/")
+    F = QQ if field == "Q" else GF(int(field[3:-1]))
+    base, _, variant = name.partition("~")
+    A = catalog(base, F)
+    if variant.startswith("dense"):
+        seed = int(variant[5:])
+        return _q_rebase(A, seed) if field == "Q" else _dense_rebase(A, F.p, seed)
+    if variant.startswith("div"):
+        return _divided(A, int(variant[3:]))
+    return A
+
+
 @pytest.mark.filterwarnings("ignore:primality loop")
 @pytest.mark.parametrize("case", sorted(FROZEN_PRIME))
 def test_prime_reports_are_frozen(case):
-    name, field = case.split("/")
-    p = int(field[3:-1])
-    if "~dense" in name:
-        A = _dense_rebase(catalog("zorn", GF(p)), p, int(name[-1]))
-    else:
-        A = catalog(name, GF(p))
-    rep = is_prime(A)
+    rep = is_prime(_frozen_algebra(case))
     assert (rep.status, rep.mode, rep.checked, rep.witness, rep.detail) == FROZEN_PRIME[case]
+
+
+@pytest.mark.parametrize("case", ["mat2~div251/Q", "product2~div251/Q"])
+def test_sampled_prime_certificate_never_fires_when_p_divides_den(case):
+    """Both frozen reports above come from the exact test alone here."""
+    from altrings.peirce import _CERT_PRIME, _packed_ray_test
+
+    A = _frozen_algebra(case)
+    assert A._den % _CERT_PRIME == 0
+    failing_rows = _packed_ray_test(A, _CERT_PRIME)
+    rng = random.Random(0)
+    samples = [[rng.randint(-9, 9) for _ in range(A.dim)] for _ in range(50)]
+    assert all(failing_rows([x % _CERT_PRIME for x in a]) is not None
+               for a in samples if any(a))
 
 
 def _mul(c, p, x, y):
@@ -508,6 +583,75 @@ def _first_rref_vector(vectors):
     first = min(pivots)
     return next(v for v, i in lead.items() if i == first and v[first] == 1
                 and not any(v[c] for c in pivots - {first}))
+
+
+def _brute_center_nucleus(c, p, d):
+    """The center and the nucleus of the constants c over GF(p), enumerated:
+    every z with z e_j = e_j z, and every n whose associators with n in one
+    slot and basis vectors in the other two vanish."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+    def mul(x, y):
+        return _mul(c, p, x, y)
+
+    def associates(x, y, z):
+        return mul(mul(x, y), z) == mul(x, mul(y, z))
+
+    space = list(product(range(p), repeat=d))
+    center = {z for z in space if all(mul(z, u) == mul(u, z) for u in units)}
+    nucleus = {n for n in space if all(
+        associates(n, a, b) and associates(a, n, b) and associates(a, b, n)
+        for a in units for b in units)}
+    return center, nucleus
+
+
+@st.composite
+def unitizations(draw):
+    """(p, d, c, declared): F.1 + A for a random A of dim d - 1 over GF(p),
+    its unit e_0 declared or not, or else the unit-less A itself."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 3 if p == 2 else 2))
+    shape = draw(st.sampled_from(("declared", "undeclared", "bare")))
+    a = [[[draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(n)]
+         for _ in range(n)]
+    if shape == "bare":
+        return p, n, a, False
+    d = n + 1
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        c[0][i][i] = c[i][0][i] = 1
+    for i in range(n):
+        for j in range(n):
+            c[i + 1][j + 1][1:] = a[i][j]
+    return p, d, c, shape == "declared"
+
+
+@settings(max_examples=120, deadline=None)
+@given(unitizations())
+def test_center_and_nucleus_match_enumeration_with_and_without_unit(case):
+    """With a declared unit center and nucleus stop folding at rank d - 1;
+    the sets must not change, with the unit declared, solvable but not
+    declared, or absent."""
+    p, d, c, declared = case
+    triples = {(i, j, k): c[i][j][k] for i in range(d) for j in range(d)
+               for k in range(d) if c[i][j][k]}
+    unit = tuple(int(i == 0) for i in range(d)) if declared else None
+    A = Algebra(GF(p), d, triples, unit=unit)
+    Z, N = _brute_center_nucleus(c, p, d)
+    assert set(center(A).vectors()) == Z
+    assert set(nucleus(A).vectors()) == N
+
+
+@pytest.mark.parametrize("name, p, seed", [
+    ("mat2", 3, 1), ("mat2", 3, 2), ("mat2", 2, 3), ("zorn", 2, 1), ("zorn", 2, 2),
+])
+def test_center_and_nucleus_of_unital_rebases_match_enumeration(name, p, seed):
+    for unit in (True, False):
+        A = _dense_rebase(catalog(name, GF(p)), p, seed, unit=unit)
+        assert (A.unit is not None) is unit
+        Z, N = _brute_center_nucleus(A.tensor, p, A.dim)
+        assert set(center(A).vectors()) == Z
+        assert set(nucleus(A).vectors()) == N
 
 
 # condition key -> (domain slot, other slot, side): x*b = 0 (right) or b*x = 0
