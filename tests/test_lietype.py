@@ -930,3 +930,38 @@ def test_decompose_builds_field_elements_only_for_its_outputs(monkeypatch):
     dec = decompose(ctx, D, 2)
     assert len(calls) <= A.dim, calls
     assert dec.delta + dec.tau == D
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_abc_gates_agree_with_the_abc_space(p):
+    """check_conditions_abc holds on D exactly when conditions_abc_subspace
+    contains D, on the catalog algebras and a dense zorn rebase: for random
+    integer combinations of the space's basis, the same maps with one or
+    two entries perturbed, and sparse random maps."""
+    algebras = [catalog(name, QQ) for name in ("mat2", "tri2", "product2", "zorn")]
+    algebras.append(_rebase(catalog("zorn", QQ), 1))
+    holds = 0
+    for seed, A in enumerate(algebras):
+        if p is not None:
+            A = _mod(A, p)
+        d = A.dim
+        ctx = peirce_context(A, A.idempotent)
+        space = conditions_abc_subspace(ctx)
+        rng = random.Random(seed)
+        cases = []
+        for _ in range(16):
+            coeffs = [rng.randint(-3, 3) for _ in space.basis]
+            member = [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*space.basis)]
+            perturbed = list(member)
+            for _ in range(rng.randint(1, 2)):
+                perturbed[rng.randrange(d * d)] += rng.choice((-1, 1, 2))
+            sparse = [0] * (d * d)
+            for _ in range(rng.randint(1, 3)):
+                sparse[rng.randrange(d * d)] = rng.randint(-2, 2)
+            cases += [member, perturbed, sparse]
+        for vec in cases:
+            D = LinearMap.from_vector(A, vec)
+            gate = check_conditions_abc(ctx, D).all_hold
+            assert gate == space.contains(D.to_vector()), (A.name, vec)
+            holds += gate
+    assert 0 < holds < len(algebras) * 48

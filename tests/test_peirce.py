@@ -840,3 +840,226 @@ def test_projections_on_conjugated_catalog_algebras(entry, seed):
         for b, y in enumerate(pi):
             assert matmul(x, y) == (x if a == b else zero)
     assert tuple(sum(x[r][r] for r in range(d)) for x in pi) == dims  # trace = rank
+
+
+_RATIONAL_CONSTANTS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _relations_algebra(field, seed):
+    """A seeded algebra of dim 2..4 over GF(2), GF(3) or Q with e_0 e_0 = e_0.
+
+    Each e_j, j >= 1, is put in a random Peirce slot at e_0 (e_0 e_j and
+    e_j e_0 are e_j or 0), the products of e_1 .. e_{d-1} are sparse random
+    constants (fractional over Q), and one e_0 product in four is disturbed,
+    so that some e_0 are no Peirce idempotent.  Half of the algebras are
+    rewritten in a random basis, so the components are not coordinate
+    aligned."""
+    rng = random.Random(seed)
+    F = QQ if field == "Q" else GF(int(field[3:-1]))
+    d = rng.choice((2, 3, 4) if field != "GF(3)" else (2, 3, 3, 4))
+    triples = {(0, 0, 0): 1}
+    for j in range(1, d):
+        left, right = rng.choice(_SLOTS_AT_E0)
+        if left:
+            triples[(0, j, j)] = 1
+        if right:
+            triples[(j, 0, j)] = 1
+    for i in range(1, d):
+        for j in range(1, d):
+            for k in range(d):
+                if rng.random() < 0.15:
+                    triples[(i, j, k)] = (rng.choice(_RATIONAL_CONSTANTS) if F is QQ
+                                          else rng.randrange(1, F.p))
+    if rng.random() < 0.25:
+        triples[(0, rng.randrange(1, d), rng.randrange(d))] = 1
+    idem = (1,) + (0,) * (d - 1)
+    A = Algebra(F, d, {t: c for t, c in triples.items() if F.coerce(c)}, idempotent=idem)
+    if rng.random() < 0.5:
+        A = _q_rebase(A, seed) if F is QQ else _dense_rebase(A, F.p, seed)
+    return A
+
+
+# (e_0 e_j == e_j, e_j e_0 == e_j) for e_j in R11, R12, R21, R22
+_SLOTS_AT_E0 = ((True, True), (True, False), (False, True), (False, False))
+
+
+def _relations_context(field, seed):
+    A = _relations_algebra(field, seed)
+    try:
+        return peirce_context(A, A.idempotent)
+    except PeirceError:
+        return None
+
+
+def _report_key(rep):
+    flags = (rep.composition, rep.same_component, rep.orthogonality, rep.square_free)
+    return flags, tuple((v.relation, v.source, v.product, v.detail) for v in rep.violations)
+
+
+def test_peirce_relations_match_enumeration():
+    """On seeded algebras over GF(2) and GF(3), each flag of
+    verify_peirce_relations equals the relation enumerated over all element
+    pairs of the components (found as sets from e1 x and x e1 alone), and
+    every violation is a product of elements of its source components that
+    escapes its target (or is nonzero), in this test's own arithmetic."""
+    seen = {name: set() for name in ("composition", "same_component",
+                                     "orthogonality", "square_free")}
+    contexts = 0
+    for field in ("GF(2)", "GF(3)"):
+        for seed in range(60):
+            ctx = _relations_context(field, seed)
+            if ctx is None:
+                continue
+            contexts += 1
+            A = ctx.algebra
+            p, d, e = A.field.p, A.dim, ctx.e1
+            products = {}
+
+            def mul(x, y):
+                if (x, y) not in products:
+                    products[(x, y)] = _mul(A.tensor, p, x, y)
+                return products[(x, y)]
+
+            zero = (0,) * d
+            comp = {(i, j): {x for x in product(range(p), repeat=d)
+                             if mul(e, x) == (x if i == 1 else zero)
+                             and mul(x, e) == (x if j == 1 else zero)}
+                    for i in (1, 2) for j in (1, 2)}
+
+            def pairs(s, t):
+                return {mul(x, y) for x in comp[s] for y in comp[t]}
+
+            slots = list(comp)
+            want = {
+                "composition": all(pairs((i, j), (j, l)) <= comp[(i, l)]
+                                   for i in (1, 2) for j in (1, 2) for l in (1, 2)),
+                "same_component": all(pairs(s, s) <= comp[s[::-1]] for s in slots),
+                "orthogonality": all(pairs(s, t) == {zero} for s in slots for t in slots
+                                     if s[1] != t[0] and s != t),
+                "square_free": all(mul(x, x) == zero
+                                   for s in ((1, 2), (2, 1)) for x in comp[s]),
+            }
+            rep = verify_peirce_relations(ctx)
+            got = dict(zip(want, _report_key(rep)[0]))
+            assert got == want, (field, seed)
+            assert {v.relation for v in rep.violations} == {k for k, ok in want.items() if not ok}
+            for name, ok in want.items():
+                seen[name].add(ok)
+            for v in rep.violations:
+                src = v.source
+                if v.relation == "composition":
+                    i, j, l = src
+                    assert v.product in pairs((i, j), (j, l)) - comp[(i, l)]
+                elif v.relation == "same_component":
+                    assert v.product in pairs(src, src) - comp[src[::-1]]
+                elif v.relation == "orthogonality":
+                    assert v.product in pairs(src[:2], src[2:]) - {zero}
+                else:
+                    assert v.product in {mul(x, x) for x in comp[src]} - {zero}
+    assert contexts >= 60
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+# (flags, violations) of verify_peirce_relations on _relations_context(field,
+# seed), recorded before the relations were checked on int rows; flags are
+# (composition, same_component, orthogonality, square_free) and each
+# violation is (relation, source, product, detail)
+FROZEN_RELATIONS = {
+    "GF(2)/10": ((True, True, False, True), (
+        ('orthogonality', (1, 1, 2, 2), (0, 1, 1, 1), 'R11*R22 is nonzero'),
+    )),
+    "GF(2)/17": ((False, False, False, False), (
+        ('composition', (2, 2, 1), (1, 0, 0, 0), 'R22*R21 escapes R21'),
+        ('same_component', (2, 1), (0, 0, 0, 1), 'R21*R21 escapes R12'),
+        ('orthogonality', (2, 1, 2, 2), (0, 1, 1, 0), 'R21*R22 is nonzero'),
+        ('orthogonality', (2, 1, 2, 2), (1, 0, 0, 0), 'R21*R22 is nonzero'),
+        ('square_free', (2, 1), (0, 0, 0, 1), 'square of (0, 0, 0, 1) is nonzero'),
+    )),
+    "GF(2)/37": ((False, True, False, True), (
+        ('composition', (2, 1, 1), (1, 1, 0, 0), 'R21*R11 escapes R21'),
+        ('composition', (2, 1, 1), (1, 0, 0, 0), 'R21*R11 escapes R21'),
+        ('orthogonality', (1, 1, 2, 1), (1, 1, 0, 0), 'R11*R21 is nonzero'),
+        ('orthogonality', (1, 1, 2, 1), (0, 1, 0, 0), 'R11*R21 is nonzero'),
+    )),
+    "GF(2)/42": ((True, False, False, False), (
+        ('same_component', (2, 1), (0, 0, 0, 1), 'R21*R21 escapes R12'),
+        ('orthogonality', (1, 1, 2, 1), (1, 0, 0, 0), 'R11*R21 is nonzero'),
+        ('orthogonality', (1, 1, 2, 1), (0, 1, 1, 0), 'R11*R21 is nonzero'),
+        ('square_free', (2, 1), (0, 0, 0, 1), 'square of (0, 0, 0, 1) is nonzero'),
+    )),
+    "GF(3)/11": ((False, False, False, False), (
+        ('composition', (2, 2, 2), (2, 1, 0, 0), 'R22*R22 escapes R22'),
+        ('composition', (2, 2, 2), (2, 0, 0, 0), 'R22*R22 escapes R22'),
+        ('same_component', (1, 2), (1, 0, 0, 0), 'R12*R12 escapes R21'),
+        ('same_component', (2, 2), (2, 1, 0, 0), 'R22*R22 escapes R22'),
+        ('same_component', (2, 2), (2, 0, 0, 0), 'R22*R22 escapes R22'),
+        ('orthogonality', (2, 2, 1, 2), (0, 0, 1, 0), 'R22*R12 is nonzero'),
+        ('square_free', (1, 2), (1, 0, 0, 0), 'square of (0, 0, 0, 1) is nonzero'),
+    )),
+    "GF(3)/20": ((False, True, True, True), (
+        ('composition', (2, 1, 1), (1, 0, 0), 'R21*R11 escapes R21'),
+    )),
+    "GF(3)/30": ((True, True, False, True), (
+        ('orthogonality', (1, 2, 1, 1), (0, 0, 1), 'R12*R11 is nonzero'),
+    )),
+    "GF(3)/53": ((False, True, False, True), (
+        ('composition', (1, 2, 2), (0, 0, 1), 'R12*R22 escapes R12'),
+        ('orthogonality', (2, 2, 1, 2), (0, 0, 1), 'R22*R12 is nonzero'),
+    )),
+    "Q/5": ((False, False, False, False), (
+        ('composition', (1, 1, 1), (0, 1, 0, 0), 'R11*R11 escapes R11'),
+        ('composition', (2, 1, 1), (-1, 0, 0, 0), 'R21*R11 escapes R21'),
+        ('same_component', (1, 1), (0, 1, 0, 0), 'R11*R11 escapes R11'),
+        ('same_component', (2, 1), (0, 0, 0, -1), 'R21*R21 escapes R12'),
+        ('same_component', (2, 1), (Fraction(1, 2), 0, 0, -1), 'R21*R21 escapes R12'),
+        ('same_component', (2, 1), (0, 0, Fraction(-2, 3), 0), 'R21*R21 escapes R12'),
+        ('same_component', (2, 1), (1, 0, -1, 0), 'R21*R21 escapes R12'),
+        ('orthogonality', (1, 1, 2, 1), (0, 0, 0, Fraction(1, 2)), 'R11*R21 is nonzero'),
+        ('square_free', (2, 1), (0, 0, 0, -1), 'square of (0, 1, 0, 0) is nonzero'),
+    )),
+    "Q/10": ((True, True, False, True), (
+        ('orthogonality', (1, 1, 2, 2), (22, -8, 4, 2), 'R11*R22 is nonzero'),
+        ('orthogonality', (1, 1, 2, 2),
+         (Fraction(572, 9), Fraction(-208, 9), Fraction(104, 9), Fraction(52, 9)),
+         'R11*R22 is nonzero'),
+        ('orthogonality', (1, 1, 2, 2),
+         (Fraction(297, 5), Fraction(-108, 5), Fraction(54, 5), Fraction(27, 5)),
+         'R11*R22 is nonzero'),
+        ('orthogonality', (1, 1, 2, 2),
+         (Fraction(858, 5), Fraction(-312, 5), Fraction(156, 5), Fraction(78, 5)),
+         'R11*R22 is nonzero'),
+    )),
+    "Q/37": ((False, True, False, True), (
+        ('composition', (2, 1, 1),
+         (Fraction(-74, 21), Fraction(23, 21), Fraction(8, 63), Fraction(107, 126)),
+         'R21*R11 escapes R21'),
+        ('composition', (2, 1, 1),
+         (Fraction(-221, 21), Fraction(137, 42), Fraction(17, 42), Fraction(18, 7)),
+         'R21*R11 escapes R21'),
+        ('composition', (2, 1, 1),
+         (Fraction(-4, 7), Fraction(5, 42), Fraction(3, 14), Fraction(8, 21)),
+         'R21*R11 escapes R21'),
+        ('orthogonality', (1, 1, 2, 1),
+         (Fraction(121, 42), Fraction(-23, 21), Fraction(4, 7), Fraction(1, 7)),
+         'R11*R21 is nonzero'),
+        ('orthogonality', (1, 1, 2, 1),
+         (Fraction(359, 42), Fraction(-137, 42), Fraction(73, 42), Fraction(10, 21)),
+         'R11*R21 is nonzero'),
+        ('orthogonality', (1, 1, 2, 1),
+         (Fraction(-6, 7), Fraction(3, 14), Fraction(3, 14), Fraction(3, 7)),
+         'R11*R21 is nonzero'),
+    )),
+    "Q/42": ((True, False, False, False), (
+        ('same_component', (2, 1), (0, 0, 0, -1), 'R21*R21 escapes R12'),
+        ('orthogonality', (1, 1, 2, 1), (-1, 0, 0, 0), 'R11*R21 is nonzero'),
+        ('orthogonality', (1, 1, 2, 1), (0, Fraction(1, 2), 2, 0), 'R11*R21 is nonzero'),
+        ('square_free', (2, 1), (0, 0, 0, -1), 'square of (0, 0, 0, 1) is nonzero'),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_RELATIONS))
+def test_peirce_relation_reports_are_frozen(case):
+    field, seed = case.split("/")
+    rep = verify_peirce_relations(_relations_context(field, int(seed)))
+    assert _report_key(rep) == FROZEN_RELATIONS[case]
