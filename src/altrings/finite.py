@@ -73,7 +73,7 @@ class FiniteRing:
 
     Whole-ring scans read the lazily built row tables ``add_rows``,
     ``comm_rows`` and ``negatives``.  The point ops ``add``, ``neg``,
-    ``sub``, ``mul`` and ``commutator`` compute from coordinates and never
+    ``sub`` and ``commutator`` compute from coordinates and never
     touch a row, so sparse use (sampled checks) builds nothing.  Rows have
     no size budget: a scan that reads them all is bounded by its own tuple
     budget.
@@ -172,19 +172,8 @@ class FiniteRing:
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
 
-    def mul(self, i: int, j: int) -> int:
-        return self.index[self.algebra.mul_coords(self.elements[i], self.elements[j])]
-
     def commutator(self, i: int, j: int) -> int:
         return self._commutator_of(self.elements[i], self.elements[j])
-
-    def nested(self, indices) -> int:
-        """p_n on element indices (left-nested)."""
-        it = iter(indices)
-        acc = next(it)
-        for j in it:
-            acc = self.commutator(acc, j)
-        return acc
 
     @property
     def central(self) -> frozenset[int]:

@@ -269,161 +269,66 @@ class DecompositionError(ValueError):
         self.certificate = certificate
 
 
-class _PeirceInts:
-    """The int forms the map-side checks at one idempotent read, each
-    derived once from the context: the projections, e1 as (ints, den), and
-    per side the rows z e1 (side 1) or z e2 = z - z e1 (side 2) over the Z
-    basis with their span, the central action space.  One is built per
-    public call and dropped with it.
-
-    A map D enters as its int-backed matrix; a check is an int mat-vec
-    product (``_image``) and a membership test by
-    ``Subspace._residual_ints``, and field elements are built only for
-    witnesses and returned maps.
-    """
-
-    def __init__(self, ctx: PeirceContext):
-        A = ctx.algebra
-        F = A.field
-        Z = ctx.center
-        self.ctx, self.algebra, self.field = ctx, A, F
-        self.p = F.characteristic
-        self.pi = {slot: m.matrix for slot, m in ctx.projections.items()}
-        self.e1 = F.to_ints(ctx.e1)
-        e1, e1_den = self.e1
-        # z e1 is over Z._den * scale, and so is scale * z
-        self.scale = e1_den * A._den
-        ze1 = [A._mul_ints(z, e1) for z in Z._num]
-        self.actions = {
-            1: ze1,
-            2: [[self.scale * x - y for x, y in zip(z, w)] for z, w in zip(Z._num, ze1)],
-        }
-        self.action_spaces = {side: Subspace.from_ints(F, A.dim, rows)
-                              for side, rows in self.actions.items()}
-
-    def abc(self, D: Matrix) -> AbcReport:
-        return AbcReport(
-            a=self._diagonal(D, (1, 1), (2, 2), 2, "e2 D(R11) e2 inside Z(R) e2"),
-            b=self._diagonal(D, (2, 2), (1, 1), 1, "e1 D(R22) e1 inside Z(R) e1"),
-            c=self._off_diagonal(D),
-        )
-
-    def _diagonal(self, D: Matrix, slot, pi_slot, side: int, label: str) -> ConditionVerdict:
-        pi = self.pi[pi_slot]
-        target = self.action_spaces[side]
-        comp = self.ctx.components[slot]
-        for k, a in enumerate(comp._num):
-            img = _image(pi, _image(D, (a, comp._den)))
-            if any(target._residual_ints(img[0])):
-                return ConditionVerdict(
-                    Verdict.FAILS,
-                    f"{label}: projection escapes the central action space",
-                    witness=(comp.basis[k], self.field.from_ints(*img)),
-                )
-        return ConditionVerdict(Verdict.HOLDS, label)
-
-    def _off_diagonal(self, D: Matrix) -> ConditionVerdict:
-        for i, j in ((1, 2), (2, 1)):
-            comp = self.ctx.components[(i, j)]
-            for k, v in enumerate(comp._num):
-                img = _image(D, (v, comp._den))
-                if any(comp._residual_ints(img[0])):
-                    return ConditionVerdict(
-                        Verdict.FAILS,
-                        f"D(R{i}{j}) escapes R{i}{j}",
-                        witness=(comp.basis[k], self.field.from_ints(*img)),
-                    )
-        return ConditionVerdict(Verdict.HOLDS, "D(R12) inside R12 and D(R21) inside R21")
-
-    def normalize(self, D: Matrix) -> tuple[Matrix, Matrix]:
-        """(D - f, f) with f = f_{y,e1}, y the off-diagonal part of D(e1),
-        once (D - f)(e1) and, with a unit, (D - f)(unit - e1) test central."""
-        A, F, e1 = self.algebra, self.field, self.e1
-        y = _image(self.pi[(1, 2)] + self.pi[(2, 1)], _image(D, e1))
-        f = _inner_derivation(A, y, e1)
-        Dp = D - f
-        Z = self.ctx.center
-        if any(Z._residual_ints(_image(Dp, e1)[0])):
-            raise NormalizationError(
-                "central_normalization",
-                "D(e1) minus the inner correction is not central; "
-                "the ring-side hypotheses fail upstream",
-            )
-        unit = find_unit(A)
-        # D'(e1) is central, so D'(unit - e1) is central iff D'(unit) is
-        if unit is not None and any(Z._residual_ints(_image(Dp, F.to_ints(unit.coords))[0])):
-            raise NormalizationError(
-                "central_normalization_complement",
-                "D(unit - e1) is not central after normalization",
-            )
-        return Dp, f
-
-    def central_graph(self, side: int) -> Subspace:
-        """The span of the rows [z e_side | z] over the Z basis, in F^2d."""
-        return Subspace.from_ints(self.field, 2 * self.algebra.dim, [
-            w + [self.scale * x for x in z]
-            for w, z in zip(self.actions[side], self.ctx.center._num)
-        ])
-
-    def solve_central(self, side: int, graph: Subspace, t, t_den: int) -> tuple[list[int], int]:
-        """The unique central z with z e_side = t / t_den, as (ints, den).
-
-        The graph rows are [x | phi(x)] with phi(z e_side) = z, and their
-        RREF keeps that form.  So the residual of [t | 0] is zero on the
-        first d columns iff t lies in the action space, and then its last d
-        columns are -graph._den * t_den * z, since the pivots whose rows
-        carry t are all in the first d columns.
-        """
-        d = self.algebra.dim
-        Z = self.ctx.center
-        if Z.is_zero():
-            if _nonzero(t, self.p):
-                raise DecompositionError(
-                    "no_central_solution",
-                    "diagonal image has a central part but the center is zero",
-                )
-            return [0] * d, 1
-        r = graph._residual_ints(list(t) + [0] * d)
-        if any(r[:d]):
-            raise DecompositionError(
-                "no_central_solution",
-                "no central element reproduces the diagonal image "
-                "(condition (a)/(b) violated)",
-            )
-        if self.action_spaces[side].dim < Z.dim:
-            raise DecompositionError(
-                "non_unique_z",
-                "central solution is not unique; the center is degenerate "
-                "against conditions (2)/(3)",
-            )
-        return [-x for x in r[d:]], graph._den * t_den
+def _memberships(ctx: PeirceContext) -> tuple:
+    """Hypotheses (a), (b) and (c) at ctx as memberships post D(source) in
+    target, post None for the identity: (a) pi22 D(R11) in Z e2, (b) pi11
+    D(R22) in Z e1, (c) D(R12) in R12 and D(R21) in R21.  Each entry is
+    (name, source, post, target, text when it holds, text when it fails);
+    the gates and ``conditions_abc_subspace`` both read this table."""
+    R, pi, Ze = ctx.components, ctx.projections, ctx.action_spaces
+    a, b = "e2 D(R11) e2 inside Z(R) e2", "e1 D(R22) e1 inside Z(R) e1"
+    escapes = ": projection escapes the central action space"
+    c = "D(R12) inside R12 and D(R21) inside R21"
+    return (
+        ("a", R[(1, 1)], pi[(2, 2)], Ze[2], a, a + escapes),
+        ("b", R[(2, 2)], pi[(1, 1)], Ze[1], b, b + escapes),
+        ("c", R[(1, 2)], None, R[(1, 2)], c, "D(R12) escapes R12"),
+        ("c", R[(2, 1)], None, R[(2, 1)], c, "D(R21) escapes R21"),
+    )
 
 
 def check_conditions_abc(ctx: PeirceContext, D: LinearMap) -> AbcReport:
     """(a) pi22 D(R11) in Z e2; (b) pi11 D(R22) in Z e1; (c) D(R_ij) in R_ij.
 
-    Each gate maps the int basis rows of a component through D's int
-    matrix (and for (a)/(b) the projection's), and tests membership on
-    ints against the central action spaces Z e1 and Z e2, derived once per
-    call; only a failure's witness is built as field elements.
+    Each gate of ``_memberships`` maps the int basis rows of its source
+    through D's int matrix (and the projection post), and tests membership
+    in its target on ints; the first escaping basis vector of a hypothesis
+    is its witness, with its image, the only field elements built.
     """
-    return _PeirceInts(ctx).abc(D.matrix)
+    F = ctx.algebra.field
+    table = _memberships(ctx)
+    verdicts = {name: ConditionVerdict(Verdict.HOLDS, holds)
+                for name, _, _, _, holds, _ in table}
+    for name, source, post, target, _, fails in table:
+        if verdicts[name].status is Verdict.FAILS:
+            continue
+        for k, a in enumerate(source._num):
+            img = _image(D.matrix, (a, source._den))
+            if post is not None:
+                img = _image(post, img)
+            if any(target._residual_ints(img[0])):
+                verdicts[name] = ConditionVerdict(
+                    Verdict.FAILS, fails, witness=(source.basis[k], F.from_ints(*img)),
+                )
+                break
+    return AbcReport(**verdicts)
 
 
 def conditions_abc_subspace(ctx: PeirceContext) -> Subspace:
-    """All linear maps satisfying (a), (b), (c), as a subspace of d*d vectors."""
+    """All linear maps satisfying (a), (b), (c), as a subspace of d*d vectors.
+
+    Each membership post D(a) in target of ``_memberships`` gives, per basis
+    row a of its source, the rows residual_target(post D a) = 0, linear in
+    D; each is the outer product lead[r] (x) a of int rows.
+    """
     A = ctx.algebra
     F = A.field
     d = A.dim
-    g = _PeirceInts(ctx)
     acc = echelon(F, d * d)
-
-    def add_membership_rows(source: Subspace, post, target: Subspace):
-        # rows of: residual_target( post @ D @ a ) = 0, linear in D; each
-        # row is the outer product lead[r] (x) a of int rows
+    for _, source, post, target, _, _ in _memberships(ctx):
         lead = target._complement()[0]
         if post is not None:
-            lead = _product_ints(lead, post)
+            lead = _product_ints(lead, post.int_form()[0])
         for a in source._num:
             for lrow in lead:
                 row = [0] * (d * d)
@@ -431,13 +336,6 @@ def conditions_abc_subspace(ctx: PeirceContext) -> Subspace:
                     if cm:
                         row[m * d:(m + 1) * d] = [cm * ak for ak in a]
                 acc.add(row)
-
-    comps = ctx.components
-    add_membership_rows(comps[(1, 1)], g.pi[(2, 2)].int_form()[0], g.action_spaces[2])
-    add_membership_rows(comps[(2, 2)], g.pi[(1, 1)].int_form()[0], g.action_spaces[1])
-    add_membership_rows(comps[(1, 2)], None, comps[(1, 2)])
-    add_membership_rows(comps[(2, 1)], None, comps[(2, 1)])
-
     return null_space(F, d * d, acc)
 
 
@@ -446,10 +344,32 @@ def normalize_at_idempotent(ctx: PeirceContext, D: LinearMap):
 
     Returns (D', f) with D' = D - f, certifying D'(e1) central and, when
     A has a unit (declared or solved), D'(unit - e1) central as well.  y, f
-    and both centrality tests run on ints (see ``_PeirceInts.normalize``).
+    and both centrality tests run on ints, from the context's e1 ints and
+    projections.
     """
     A = ctx.algebra
-    Dp, f = _PeirceInts(ctx).normalize(D.matrix)
+    e1 = ctx.e1_ints
+    De1 = _image(D.matrix, e1)
+    # y = pi12 D(e1) + pi21 D(e1), over the product of the two dens
+    (u, u_den), (v, v_den) = (_image(ctx.projections[s], De1) for s in ((1, 2), (2, 1)))
+    y = [a * v_den + b * u_den for a, b in zip(u, v)], u_den * v_den
+    f = _inner_derivation(A, y, e1)
+    Dp = D.matrix - f
+    Z = ctx.center
+    if any(Z._residual_ints(_image(Dp, e1)[0])):
+        raise NormalizationError(
+            "central_normalization",
+            "D(e1) minus the inner correction is not central; "
+            "the ring-side hypotheses fail upstream",
+        )
+    unit = find_unit(A)
+    # D'(e1) is central, so D'(unit - e1) is central iff D'(unit) is
+    if unit is not None and any(Z._residual_ints(
+            _image(Dp, A.field.to_ints(unit.coords))[0])):
+        raise NormalizationError(
+            "central_normalization_complement",
+            "D(unit - e1) is not central after normalization",
+        )
     return LinearMap(A, Dp), LinearMap(A, f)
 
 
@@ -488,12 +408,12 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     delta, central values of tau, and tau's vanishing on the span of
     nested-commutator values.
 
-    Every step runs on int forms: the projections, e1, the central action
-    spaces and the solver of z e_side = t are derived once per call (one
-    ``_PeirceInts``); maps enter as their int matrices, each check is an
-    int mat-vec product with a membership test on ints, and field
-    elements are built only for the returned maps and failure witnesses.
-    Nothing is kept between calls.
+    Every step runs on the int forms that ``peirce_context`` derived once:
+    the projections, e1, the central action spaces and their graphs, from
+    which z e_side = t is solved; maps enter as their int matrices, each
+    check is an int mat-vec product with a membership test on ints, and
+    field elements are built only for the returned maps and failure
+    witnesses.  Conditions (1)-(4) and W_n are computed on every call.
 
     Raises DecompositionError whose ``certificate`` names the first
     failing step: ring_conditions, condition_a/b/c, central_normalization,
@@ -519,27 +439,32 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
                     stacklevel=2,
                 )
 
-    g = _PeirceInts(ctx)
-    _gate(g.abc(D.matrix), "condition_{}", "input map violates ({}): {}")
+    _gate(check_conditions_abc(ctx, D), "condition_{}", "input map violates ({}): {}")
     try:
-        Dp, f = g.normalize(D.matrix)
+        Dp, f = normalize_at_idempotent(ctx, D)
     except NormalizationError as exc:
         raise DecompositionError(exc.certificate, str(exc)) from exc
-    _gate(g.abc(Dp), "condition_{}_normalized", "normalized map violates ({}): {}")
+    _gate(check_conditions_abc(ctx, Dp), "condition_{}_normalized",
+          "normalized map violates ({}): {}")
 
     # tau sends each basis vector a of R11 (of R22) to the unique central z_a
     # with z_a e2 = pi22 D'(a) (with z_a e1 = pi11 D'(a)) and kills R12 + R21.
-    # A component basis is in RREF, so the coordinate of pi_ii x along a is
-    # the entry of pi_ii x at a's pivot column: tau is the sum over a of the
-    # column z_a times that row of pi_ii.
-    pi12, pi21 = g.pi[(1, 2)].int_form()[0], g.pi[(2, 1)].int_form()[0]
+    # z_a is read off the action graph, whose rows [x | phi(x)] with
+    # phi(z e_side) = z keep that form in RREF: the residual of [t | 0] is
+    # zero on the first d columns iff t is in the action space, and then its
+    # last d columns are -graph._den * t_den * z.  A component basis is in
+    # RREF, so the coordinate of pi_ii x along a is the entry of pi_ii x at
+    # a's pivot column: tau is the sum over a of the column z_a times that
+    # row of pi_ii.
+    pi = ctx.projections
+    pi12, pi21 = pi[(1, 2)].int_form()[0], pi[(2, 1)].int_form()[0]
     terms = []  # (z_a ints, pi_ii row at a's pivot, their joint den)
     for slot, other, side in (((1, 1), (2, 2), 2), ((2, 2), (1, 1), 1)):
         comp = ctx.components[slot]
-        pi_rows, pi_den = g.pi[slot].int_form()
-        graph = g.central_graph(side)
+        pi_rows, pi_den = pi[slot].int_form()
+        graph = ctx.action_graphs[side]
         for a, pivot in zip(comp._num, comp._pivots):
-            img = _image(Dp, (a, comp._den))
+            img = _image(Dp.matrix, (a, comp._den))
             if (_nonzero(_apply_ints(pi12, img[0]), p)
                     or _nonzero(_apply_ints(pi21, img[0]), p)):
                 raise DecompositionError(
@@ -547,8 +472,21 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
                     "diagonal image has an off-diagonal component; "
                     "the identity hypotheses fail upstream",
                 )
-            z, z_den = g.solve_central(side, graph, *_image(g.pi[other], img))
-            terms.append((z, pi_rows[pivot], z_den * pi_den))
+            t, t_den = _image(pi[other], img)
+            r = graph._residual_ints(t + [0] * d)
+            if any(r[:d]):
+                raise DecompositionError(
+                    "no_central_solution",
+                    "no central element reproduces the diagonal image "
+                    "(condition (a)/(b) violated)",
+                )
+            if ctx.action_spaces[side].dim < ctx.center.dim:
+                raise DecompositionError(
+                    "non_unique_z",
+                    "central solution is not unique; the center is degenerate "
+                    "against conditions (2)/(3)",
+                )
+            terms.append(([-x for x in r[d:]], pi_rows[pivot], graph._den * t_den * pi_den))
     den = lcm(*[t[2] for t in terms])
     tau_rows = [[0] * d for _ in range(d)]
     for z, row, t_den in terms:
@@ -577,7 +515,7 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
                 "tau does not vanish on the nested-commutator span",
             )
 
-    return Decomposition(delta=delta, tau=LinearMap(A, tau), normalizer=LinearMap(A, f))
+    return Decomposition(delta=delta, tau=LinearMap(A, tau), normalizer=f)
 
 
 def fosner_inclusion(A: Algebra, n: int, k: int) -> bool:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from itertools import product
+from operator import mul
 
 from .algebra import (
     Algebra,
@@ -25,6 +27,7 @@ from .algebra import (
 from .linalg import (
     Matrix,
     Subspace,
+    _nonzero,
     echelon,
     kernel_vectors,
     null_space,
@@ -50,20 +53,29 @@ _CERT_PRIME = 251
 
 @dataclass(frozen=True)
 class PeirceContext:
-    """Validated Peirce data at one idempotent."""
+    """Validated Peirce data at one idempotent, derived once by
+    ``peirce_context``: e1 as field elements and as (ints, den), the
+    projections pi_ij as int-backed matrices, their images R_ij, the
+    center Z, and per side 1, 2 the central action space Z e_side (z e2 =
+    z - z e1) with its graph, the span of the rows [z e_side | z] over the
+    Z basis.  Nothing is cached on the algebra or shared between contexts.
+    """
 
     algebra: Algebra
     e1: tuple
+    e1_ints: tuple
     projections: dict
     components: dict
     center: Subspace
+    action_spaces: dict
+    action_graphs: dict
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return tuple(self.components[s].dim for s in _SLOTS)
 
     def projection(self, i: int, j: int) -> LinearMap:
-        return self.projections[(i, j)]
+        return LinearMap(self.algebra, self.projections[(i, j)])
 
     def component(self, i: int, j: int) -> Subspace:
         return self.components[(i, j)]
@@ -71,16 +83,17 @@ class PeirceContext:
     def component_part(self, x, i: int, j: int) -> tuple:
         """Coordinates of the R_ij part of x."""
         coords = x.coords if isinstance(x, AlgebraElement) else tuple(x)
-        return self.projections[(i, j)].apply_coords(coords)
+        return self.projections[(i, j)].apply(coords)
 
 
 def peirce_context(A: Algebra, e1) -> PeirceContext:
-    """Build and validate the four projections and components at e1.
+    """Build and validate the Peirce data at e1 (see ``PeirceContext``).
 
     L = L_{e1} and R = R_{e1} are int-backed ``Matrix`` objects built from
     e1's ints by ``Algebra.mult_matrix_ints``; the checks and the
     projections are their products and differences, and each component is
-    the span of its projection's int columns.
+    the span of its projection's int columns.  The rows z e1 come from the
+    ints of the Z basis and of e1.
     """
     coords = A._coerce_coords(e1)
     check = is_idempotent(A, coords)
@@ -119,13 +132,27 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
     }
     components = {slot: Subspace.from_ints(F, d, zip(*m.int_form()[0]))
                   for slot, m in pi.items()}
-    projections = {slot: LinearMap(A, m) for slot, m in pi.items()}
+    Z = center(A)
+    # z e1 is over Z._den * scale, and so are scale * z and z e2 = z - z e1
+    scale = e[1] * A._den
+    ze1 = [A._mul_ints(z, e[0]) for z in Z._num]
+    actions = {
+        1: ze1,
+        2: [[scale * x - y for x, y in zip(z, w)] for z, w in zip(Z._num, ze1)],
+    }
     return PeirceContext(
         algebra=A,
         e1=coords,
-        projections=projections,
+        e1_ints=e,
+        projections=pi,
         components=components,
-        center=center(A),
+        center=Z,
+        action_spaces={side: Subspace.from_ints(F, d, rows) for side, rows in actions.items()},
+        action_graphs={
+            side: Subspace.from_ints(F, 2 * d, [w + [scale * x for x in z]
+                                                for w, z in zip(rows, Z._num)])
+            for side, rows in actions.items()
+        },
     )
 
 
@@ -162,83 +189,58 @@ def verify_peirce_relations(ctx: PeirceContext) -> PeirceRelationsReport:
     """Check the four relations exactly; collect violations.
 
     The three product relations are bilinear, so component-basis pairs
-    decide them.  x^2 = 0 is quadratic, so it is checked at the points
-    b_a and b_a + b_c of each off-diagonal component basis, which decides
-    it in every characteristic (see algebra.basis_points); the first
-    failing point of a component is its violation.
+    decide them: one table of (relation, source, left slot, right slot,
+    target slot or None for zero), one loop over the components' int basis
+    rows, and field elements only for violations.  The same-component
+    entries R_ii R_ii inside R_ii repeat composition's.  x^2 = 0 is
+    quadratic, so it is checked at the points b_a and b_a + b_c of each
+    off-diagonal component basis, which decides it in every characteristic
+    (see algebra.basis_points); the first failing point of a component is
+    its violation.
     """
     A = ctx.algebra
     F = A.field
+    p = F.characteristic
+    comps = ctx.components
+    table = (
+        *(("composition", (i, j, l), (i, j), (j, l), (i, l))
+          for i in (1, 2) for j in (1, 2) for l in (1, 2)),
+        *(("same_component", s, s, s, s[::-1]) for s in _SLOTS),
+        *(("orthogonality", s + t, s, t, None)
+          for s in _SLOTS for t in _SLOTS if s[1] != t[0] and s != t),
+    )
     violations = []
+    for relation, source, s, t, target in table:
+        X, Y = comps[s], comps[t]
+        name = "R{}{}*R{}{}".format(*s, *t)
+        detail = f"{name} escapes R{target[0]}{target[1]}" if target else f"{name} is nonzero"
+        for x in X._num:
+            for y in Y._num:
+                prod = A._mul_ints(x, y)
+                if (any(comps[target]._residual_ints(prod)) if target
+                        else _nonzero(prod, p)):
+                    violations.append(RelationViolation(
+                        relation, source, F.from_ints(prod, X._den * Y._den * A._den), detail,
+                    ))
 
-    def basis_of(s):
-        return ctx.components[s].basis
-
-    # (composition) R_ij R_jl inside R_il
-    composition = True
-    for i in (1, 2):
-        for j in (1, 2):
-            for l in (1, 2):
-                target = ctx.components[(i, l)]
-                for x in basis_of((i, j)):
-                    for y in basis_of((j, l)):
-                        prod = A.mul_coords(x, y)
-                        if not target.contains(prod):
-                            composition = False
-                            violations.append(RelationViolation(
-                                "composition", (i, j, l), prod,
-                                f"R{i}{j}*R{j}{l} escapes R{i}{l}",
-                            ))
-
-    # (same component) R_ij R_ij inside R_ji
-    same_component = True
-    for i in (1, 2):
-        for j in (1, 2):
-            target = ctx.components[(j, i)]
-            for x in basis_of((i, j)):
-                for y in basis_of((i, j)):
-                    prod = A.mul_coords(x, y)
-                    if not target.contains(prod):
-                        same_component = False
-                        violations.append(RelationViolation(
-                            "same_component", (i, j), prod,
-                            f"R{i}{j}*R{i}{j} escapes R{j}{i}",
-                        ))
-
-    # (orthogonality) R_ij R_kl = 0 for j != k and (i,j) != (k,l)
-    orthogonality = True
-    for (i, j) in _SLOTS:
-        for (k, l) in _SLOTS:
-            if j == k or (i, j) == (k, l):
-                continue
-            for x in basis_of((i, j)):
-                for y in basis_of((k, l)):
-                    prod = A.mul_coords(x, y)
-                    if any(not F.is_zero(v) for v in prod):
-                        orthogonality = False
-                        violations.append(RelationViolation(
-                            "orthogonality", (i, j, k, l), prod,
-                            f"R{i}{j}*R{k}{l} is nonzero",
-                        ))
-
-    # (square free) x^2 = 0 for x in an off-diagonal component
-    square_free = True
-    for (i, j) in ((1, 2), (2, 1)):
-        for vec in basis_points(F, basis_of((i, j))):
-            sq = A.mul_coords(vec, vec)
-            if any(not F.is_zero(v) for v in sq):
-                square_free = False
+    for s in ((1, 2), (2, 1)):
+        X = comps[s]
+        for x in basis_points(F, X._num):
+            sq = A._mul_ints(x, x)
+            if _nonzero(sq, p):
+                point = ", ".join(map(F.format, F.from_ints(x, X._den)))
                 violations.append(RelationViolation(
-                    "square_free", (i, j), sq,
-                    f"square of ({', '.join(map(F.format, vec))}) is nonzero",
+                    "square_free", s, F.from_ints(sq, X._den ** 2 * A._den),
+                    f"square of ({point}) is nonzero",
                 ))
                 break
 
+    failed = {v.relation for v in violations}
     return PeirceRelationsReport(
-        composition=composition,
-        same_component=same_component,
-        orthogonality=orthogonality,
-        square_free=square_free,
+        composition="composition" not in failed,
+        same_component="same_component" not in failed,
+        orthogonality="orthogonality" not in failed,
+        square_free="square_free" not in failed,
         violations=tuple(violations),
     )
 
@@ -348,10 +350,16 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
                 f"{rays} central rays exceed the enumeration budget {_RAY_BUDGET}",
             )
         else:
-            # L_{cz} = c L_z, so each ray is decided by its first vector in
-            # the enumeration, the one whose first nonzero coordinate is 1
-            bad = next((z for z in Z.vectors() if next((v for v in z if v), 0) == 1
-                        and _left_rank(A, z) != d), None)
+            # L_{cz} = c L_z, so a ray is decided by its vector whose first
+            # nonzero coefficient over the RREF Z basis is 1, in the order
+            # of Z.vectors(): the lead from the last position to the first
+            k = Z.dim
+            columns = list(zip(*Z._num))
+            leading_one = ((0,) * lead + (1,) + rest for lead in reversed(range(k))
+                           for rest in product(F.elements(), repeat=k - lead - 1))
+            central = (F.from_ints([sum(map(mul, c, col)) for col in columns])
+                       for c in leading_one)
+            bad = next((z for z in central if _left_rank(A, z) != d), None)
             if bad is None:
                 entries["4"] = ConditionVerdict(
                     Verdict.HOLDS, "all nonzero central z have zR = R (enumerated)"
@@ -393,8 +401,6 @@ class PrimeReport:
 
 def _ray_representatives(A: Algebra):
     """Nonzero vectors up to scale: basis vectors first, then by leading slot."""
-    from itertools import product as iter_product
-
     F = A.field
     d = A.dim
     one, zero = F.one, F.zero
@@ -408,7 +414,7 @@ def _ray_representatives(A: Algebra):
     seen = set(basis)
     for lead in range(d):
         tail = d - lead - 1
-        for rest in iter_product(F.elements(), repeat=tail):
+        for rest in product(F.elements(), repeat=tail):
             vec = (zero,) * lead + (one,) + rest
             if vec not in seen:
                 yield vec

@@ -45,11 +45,8 @@ def test_ring_tables(ring2):
     assert ring2.elements[1] == (1, 0, 0, 0)  # coordinate 0 varies fastest
     i = ring2.index[(1, 0, 0, 0)]
     j = ring2.index[(0, 1, 0, 0)]
-    assert ring2.mul(i, j) == j  # E11 * E12 = E12
-    assert ring2.mul(j, i) == 0
     assert ring2.commutator(i, j) == j
     assert ring2.add(i, i) == 0  # char 2
-    assert ring2.nested([i, j]) == j
 
 
 def test_ring_requires_finite_field():
@@ -426,7 +423,6 @@ def test_ring_ops_and_rows_match_coordinate_arithmetic(case):
         for j in range(S):
             assert ring.add(i, j) == orc.add_t[i][j]
             assert ring.sub(i, j) == orc.sub(i, j)
-            assert ring.mul(i, j) == orc.mul_t[i][j]
             assert ring.commutator(i, j) == orc.comm_t[i][j]
     assert not ring.add_rows and not ring.comm_rows  # point ops build no rows
     assert ring.negatives == orc.neg_t

@@ -731,6 +731,32 @@ def test_condition_4_over_budget_is_undecided_without_enumerating():
     assert entry.detail == "262143 central rays exceed the enumeration budget 131072"
 
 
+def _mat2_over_gf_p2(p):
+    """2x2 matrices over GF(p^2) = GF(p)[t]/(t^2 - n), n a non-square, as
+    an 8-dim GF(p)-algebra with basis E_rc t^a at index 4r + 2c + a."""
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    triples = {}
+    for r, c, s, a, b in product(range(2), repeat=5):
+        k, scale = divmod(a + b, 2)  # t^(a+b) = n^k t^scale
+        triples[(4 * r + 2 * c + a, 4 * c + 2 * s + b, 4 * r + 2 * s + scale)] = n ** k
+    return Algebra(GF(p), 8, triples, unit=(1, 0, 0, 0, 0, 0, 1, 0),
+                   idempotent=(1,) + (0,) * 7)
+
+
+def test_condition_4_enumerates_rays_not_vectors():
+    """The center GF(p^2) of mat2 over GF(p^2) has dim 2 over GF(p), so (4)
+    scans its p + 1 rays; at p = 1009 listing all p^2 central vectors
+    instead takes seconds."""
+    A = _mat2_over_gf_p2(1009)
+    ctx = peirce_context(A, A.idempotent)
+    assert ctx.center.dim == 2
+    start = perf_counter()
+    entry = check_conditions_1_to_4(ctx).entries["4"]
+    assert perf_counter() - start < 2.0
+    assert entry.status is Verdict.HOLDS
+    assert entry.detail == "all nonzero central z have zR = R (enumerated)"
+
+
 coeff = st.integers(-3, 3)
 vec8 = st.tuples(*([coeff] * 8))
 
