@@ -361,7 +361,8 @@ def _cmd_search(args, em: Emitter):
             em.emit("search:exhaust-complete", Verdict.HOLDS)
         else:
             em.emit("search:exhaust-complete", Verdict.UNDECIDED,
-                    f"budget hit after {rep.nodes} nodes")
+                    f"budget hit after {rep.instances} identity instances"
+                    f" and {rep.nodes} nodes")
         contradiction = rep.tally.get((True, False), 0)
         em.from_bool(
             "search:exhaust-no-contradiction",

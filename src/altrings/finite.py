@@ -32,6 +32,16 @@ list comparison.  Everything below a node depends only on its state
 passed at the same depth.  On a table delta + tau (delta a derivation,
 tau central and zero on p_n values) acc_k = delta(p_k), so a depth
 holds at most as many states as there are p_k values.
+
+The pruned search over all S^S tables assigns the entries for elements
+0, 1, ... in order.  An instance of (1) need not read every entry it mentions: the
+term of slot i is f_i(T(x_i)) for the additive map
+f_i(y) = [[[p_{i-1}, y], x_{i+1}], ..., x_n], so the instance reads T(p_n)
+and only those T(x_i) whose f_i is not zero on the basis.  Each instance
+is checked once the last entry it reads is assigned, and every completion
+past the last entry any instance reads satisfies (1).  When the center is
+the whole ring those completions are all almost additive, and the search
+counts them in closed form.
 """
 
 from __future__ import annotations
@@ -462,8 +472,31 @@ class SearchReport:
     leaves: int = 0
     covered: int = 0  # tables accounted for (leaves + pruned subtrees)
     total: int = 0
+    instances: int = 0  # identity instances filed
     nodes: int = 0
     complete: bool = False
+
+
+def _last_read(comm, basis, xs) -> int:
+    """Largest table position that the instance of (1) at xs reads.
+
+    It reads T(p_n), and T(x_i) unless the additive map
+    y -> [[[p_{i-1}, y], x_{i+1}], ..., x_n] (y -> [[y, x_2], ..., x_n]
+    for i = 1) is identically zero, which its values on the basis decide.
+    """
+    prefix = [xs[0]]
+    for x in xs[1:]:
+        prefix.append(comm[prefix[-1]][x])
+    last = prefix[-1]
+    for i, x in enumerate(xs):
+        if x <= last:
+            continue
+        images = basis if i == 0 else [comm[prefix[i - 1]][e] for e in basis]
+        for y in xs[i + 1:]:
+            images = [comm[z][y] for z in images]
+        if any(images):
+            last = x
+    return last
 
 
 def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
@@ -471,56 +504,92 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
     """Enumerate all value tables, pruning on violated identity instances.
 
     Tables are built by assigning T(element_0), T(element_1), ... in
-    order; an identity instance is checked as soon as every index it
-    mentions is assigned, so each leaf satisfies identity (1) outright.
-    Every leaf is independently re-verified and classified for almost
-    additivity.  ``budget`` bounds the number of assignment nodes; an
-    exhausted budget yields a partial report with the covered fraction.
+    order.  The instance of (1) at xs reads T(p_n) and each T(x_i) whose
+    slot map y -> [[[p_{i-1}, y], x_{i+1}], ..., x_n] is not identically
+    zero; it is checked as soon as the largest position it reads is
+    assigned, so every table counted in ``leaves`` satisfies (1).  Past
+    the last position that any instance reads, all completions satisfy
+    (1).  When the center is the whole ring every additivity defect is
+    central, so those completions are counted in closed form as
+    (True, True); otherwise they are enumerated, and each such leaf is
+    re-verified with ``verify_lie_n_identity`` and
+    ``almost_additivity_defect`` and tallied by the result.  ``summaries``
+    are the first ``max_summaries`` leaves in lexicographic order, each
+    re-verified; one inside a closed-form block that is not (True, True)
+    raises ``AssertionError``.
+
+    ``budget`` bounds the work: the identity instances filed (S^n) plus
+    the assignment ``nodes``.  Running out of it, while filing or while
+    searching, yields a partial report with the covered fraction.
     """
+    if n < 2:
+        raise ValueError("the identity needs n >= 2")
     ring = FiniteRing(A, budget=2 ** 6)  # tables are S^S; keep S tiny
     S = ring.size
     total = S ** S
     report = SearchReport(total=total)
-    if budget <= 0:
-        return report
-
-    # constraints grouped by the highest element index they mention
     comm, add = ring.comm_rows, ring.add_rows
+
+    # instances grouped by the largest position they read
+    basis = [ring.p ** t for t in range(A.dim)]
     by_last: list[list[tuple]] = [[] for _ in range(S)]
     for xs in itertools.product(range(S), repeat=n):
-        pv = xs[0]
-        for x in xs[1:]:
-            pv = comm[pv][x]
-        by_last[max(max(xs), pv)].append(xs)
+        if report.instances >= budget:
+            return report
+        report.instances += 1
+        by_last[_last_read(comm, basis, xs)].append(xs)
+    last = max(pos for pos in range(S) if by_last[pos])
+    closed = len(ring.central) == S
 
     table = [0] * S
-    nodes = 0
-    exhausted = False
+    nodes, node_budget = 0, budget - report.instances
+
+    def verified() -> TableSummary:
+        T = MapTable(ring, table)
+        return TableSummary(
+            values=tuple(table),
+            # exhaustive at any n: a leaf's lie_ok is decided, never sampled
+            lie_ok=verify_lie_n_identity(A, T, n, budget=S ** n).ok,
+            additive_ok=almost_additivity_defect(A, T).all_central,
+        )
 
     def leaf():
-        T = MapTable(ring, table)
-        lie = verify_lie_n_identity(A, T, n).ok
-        additive = almost_additivity_defect(A, T).all_central
-        report.tally[(lie, additive)] += 1
+        summary = verified()
+        report.tally[(summary.lie_ok, summary.additive_ok)] += 1
         report.leaves += 1
         report.covered += 1
         if len(report.summaries) < max_summaries:
-            report.summaries.append(
-                TableSummary(values=tuple(table), lie_ok=lie, additive_ok=additive)
-            )
+            report.summaries.append(summary)
+
+    def unread_block(pos: int):
+        """All S^(S - pos) completions of table[:pos], counted at once."""
+        need = max_summaries - len(report.summaries)
+        for tail in itertools.islice(itertools.product(range(S), repeat=S - pos), need):
+            table[pos:] = tail
+            summary = verified()
+            if not (summary.lie_ok and summary.additive_ok):
+                raise AssertionError(
+                    "a table counted in closed form fails re-verification;"
+                    " the search is broken"
+                )
+            report.summaries.append(summary)
+        count = S ** (S - pos)
+        report.tally[(True, True)] += count
+        report.leaves += count
+        report.covered += count
 
     def assign(pos: int):
-        nonlocal nodes, exhausted
+        nonlocal nodes
+        if closed and pos > last:
+            unread_block(pos)
+            return
         if pos == S:
             leaf()
             return
         for v in range(S):
-            if exhausted:
+            if nodes == node_budget:  # every later node is refused too
                 return
             nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return
             table[pos] = v
             ok = True
             for xs in by_last[pos]:
@@ -537,6 +606,5 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
 
     assign(0)
     report.nodes = nodes
-    report.complete = not exhausted and report.covered == total
+    report.complete = report.covered == total
     return report
-

@@ -1,0 +1,170 @@
+"""Helpers shared by the test modules.
+
+Maps and fixtures several modules use, basis changes that turn a catalog
+algebra into a dense copy of itself, matrix inverses written straight from
+Gauss-Jordan, and the scalar strategies of the hypothesis references.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import strategies as st
+
+from altrings.algebra import Algebra, LinearMap
+from altrings.catalog import catalog
+from altrings.fields import QQ
+
+
+def ad(A, u_index):
+    """x -> [x, e_u] as a linear map."""
+    e = A.basis_element(u_index)
+    return LinearMap(A, A.right_mult_matrix(e) - A.left_mult_matrix(e))
+
+
+@pytest.fixture(scope="module")
+def zorn():
+    return catalog("zorn", QQ)
+
+
+def unimodular_rebase(A, seed):
+    """A over Q in a dense basis with det P = 1 (see ``rebase``), so the
+    structure constants, unit and idempotent stay integral."""
+    return rebase(A, seed)
+
+
+def rebase(A, seed, det=1):
+    """A over Q in the basis f_i = sum_r P[i][r] e_r, P = L U with unit
+    triangular integer L, U and row 0 scaled by det (so det P = det, and
+    P^-1 is integral when det = 1)."""
+    d = A.dim
+    rng = random.Random(seed)
+    L = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(d)]
+         for i in range(d)]
+    U = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(d)]
+         for i in range(d)]
+    P = [[sum(L[i][k] * U[k][j] for k in range(d)) * (det if i == 0 else 1)
+          for j in range(d)] for i in range(d)]
+    # Q = P^-1 by Gauss-Jordan on [P | I]; every pivot is found since det P != 0
+    rows = [[Fraction(v) for v in P[i]] + [Fraction(int(i == j)) for j in range(d)]
+            for i in range(d)]
+    for c in range(d):
+        piv = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    Q = [row[d:] for row in rows]
+    c = A.tensor
+    triples = {}
+    for i in range(d):
+        for j in range(d):
+            e = [sum(P[i][r] * P[j][s] * c[r][s][k] for r in range(d) for s in range(d))
+                 for k in range(d)]
+            for l in range(d):
+                v = sum(e[k] * Q[k][l] for k in range(d))
+                if v:
+                    triples[(i, j, l)] = v
+
+    def coords(x):
+        return [sum(x[k] * Q[k][l] for k in range(d)) for l in range(d)]
+
+    return Algebra(QQ, d, triples, unit=coords(A.unit), idempotent=coords(A.idempotent))
+
+
+def q_rebase(A, seed):
+    """A over Q in the basis f_i = sum_r P[i][r] e_r for a seeded P = L U
+    with unit triangular integer L and U: det P = 1, so P^-1 and the
+    structure constants stay integral."""
+    d = A.dim
+    rng = random.Random(seed)
+    L = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(d)]
+         for i in range(d)]
+    U = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(d)]
+         for i in range(d)]
+    P = [[sum(L[i][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return change_basis(A, P, inverse(P))
+
+
+def inverse(P):
+    """Inverse of a square Fraction matrix by Gauss-Jordan, or None."""
+    d = len(P)
+    rows = [list(map(Fraction, row)) + [Fraction(int(r == s)) for s in range(d)]
+            for r, row in enumerate(P)]
+    for col in range(d):
+        pivot = next((i for i in range(col, d) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(d):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return [row[d:] for row in rows]
+
+
+def dense_rebase(A, p, seed, unit=False):
+    """A over GF(p) in the seeded random basis f_i = sum_r P[i][r] e_r."""
+    d = A.dim
+    rng = random.Random(seed)
+    while True:
+        P = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        Q = inverse_mod(P, p)
+        if Q is not None:
+            break
+    return change_basis(A, P, Q, unit)
+
+
+def inverse_mod(P, p):
+    """P^-1 mod p by Gauss-Jordan, or None when P is singular."""
+    n = len(P)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(P)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c] % p), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [v * inv % p for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def change_basis(A, P, Q, unit=False):
+    """A in the basis f_i = sum_r P[i][r] e_r, Q = P^-1; the idempotent, and
+    the unit if asked, carried over."""
+    F, d = A.field, A.dim
+    c = A.tensor
+    triples = {}
+    for i in range(d):
+        for j in range(d):
+            # f_i f_j = sum P[i][r] P[j][s] e_r e_s, and e_k = sum_l Q[k][l] f_l
+            e = [sum(P[i][r] * P[j][s] * c[r][s][k] for r in range(d) for s in range(d))
+                 for k in range(d)]
+            for l in range(d):
+                v = F.coerce(sum(e[k] * Q[k][l] for k in range(d)))
+                if not F.is_zero(v):
+                    triples[(i, j, l)] = v
+
+    def coords(x):
+        return tuple(F.coerce(sum(x[k] * Q[k][l] for k in range(d))) for l in range(d))
+
+    return Algebra(F, d, triples, unit=coords(A.unit) if unit else None,
+                   idempotent=None if A.idempotent is None else coords(A.idempotent))
+
+
+def scalars(F):
+    if F is QQ:
+        return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    return st.integers(-5 * F.p, 5 * F.p)
+
+
+def normal(F, v):
+    """The reference's normal form: a Fraction over Q, an int in [0, p) over GF(p)."""
+    return Fraction(v) if F is QQ else v % F.p

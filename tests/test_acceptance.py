@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from altrings.algebra import LinearMap, associator, classify_identities
+from altrings.algebra import associator, classify_identities
 from altrings.catalog import CATALOG_NAMES, SafError, catalog, parse, serialize
 from altrings.cli import main as cli_main
 from altrings.fields import GF, QQ
@@ -42,6 +42,7 @@ from altrings.peirce import (
     verify_peirce_relations,
 )
 from altrings.verdict import Verdict
+from oracles import ad
 
 
 class timed:
@@ -59,11 +60,6 @@ class timed:
                 f"runtime {self.elapsed:.2f}s exceeds bound {self.bound}s"
             )
         return False
-
-
-def ad(A, u_index):
-    e = A.basis_element(u_index)
-    return LinearMap(A, A.right_mult_matrix(e) - A.left_mult_matrix(e))
 
 
 def report(n, label, t):

@@ -26,16 +26,12 @@ from altrings.algebra import (
 from altrings.catalog import catalog, direct_sum
 from altrings.fields import GF, QQ, FieldError
 from altrings.linalg import Matrix, Subspace
+from oracles import normal, scalars, zorn
 
 
 @pytest.fixture(scope="module")
 def mat2():
     return catalog("mat2", QQ)
-
-
-@pytest.fixture(scope="module")
-def zorn():
-    return catalog("zorn", QQ)
 
 
 def test_algebra_construction_and_products(mat2):
@@ -336,17 +332,6 @@ def test_zorn_center_commutes(a):
 # integer constants only) and unreduced ints over GF(p).
 
 FIELDS = [QQ, GF(2), GF(3), GF(7)]
-
-
-def scalars(F):
-    if F is QQ:
-        return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
-    return st.integers(-5 * F.p, 5 * F.p)
-
-
-def normal(F, v):
-    """The reference's normal form: a Fraction over Q, an int in [0, p) over GF(p)."""
-    return Fraction(v) if F is QQ else v % F.p
 
 
 @st.composite

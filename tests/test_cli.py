@@ -183,6 +183,26 @@ def test_search_exhaust(capsys):
     assert "search:exhaust-no-contradiction" in out
 
 
+def test_search_exhaust_product2_gf3_completes(capsys):
+    code, out, _ = run(
+        capsys, "search", "--catalog", "product2", "--field", "GFp:3",
+        "--mode", "exhaust",
+    )
+    assert code == 0
+    assert "search:exhaust-complete            holds" in out
+    assert "{'lie=True,almost-additive=True': 43046721}" in out
+
+
+def test_search_exhaust_budget_detail_names_what_ran_out(capsys):
+    code, out, _ = run(
+        capsys, "search", "--catalog", "tri2", "--field", "GFp:2",
+        "--mode", "exhaust", "--n", "7", "--budget", "10",
+    )
+    assert code == 2
+    assert ("search:exhaust-complete            undecided  budget hit after"
+            " 10 identity instances and 0 nodes") in out.splitlines()
+
+
 def test_search_converse_verify_defect_pipeline(tmp_path, capsys):
     lmap = tmp_path / "ad.lmap"
     lmap.write_text(

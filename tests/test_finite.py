@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +23,7 @@ from altrings.finite import (
 from altrings.lietype import lie_leibniz_residual
 from altrings.peirce import peirce_context
 from altrings.verdict import Verdict
-
-
-def ad(A, u_index):
-    e = A.basis_element(u_index)
-    return LinearMap(A, A.right_mult_matrix(e) - A.left_mult_matrix(e))
+from oracles import ad
 
 
 @pytest.fixture(scope="module")
@@ -235,9 +233,63 @@ def test_pruned_search_budget_paths():
     A = catalog("product2", GF(2))
     rep = pruned_exhaustive_search(A, 2, budget=0)
     assert rep.leaves == 0 and rep.covered == 0
-    partial = pruned_exhaustive_search(A, 2, budget=20)
+    # 64 identity instances, then 136 of the 2,064 nodes a full search takes
+    partial = pruned_exhaustive_search(catalog("tri2", GF(2)), 2, budget=200)
     assert not partial.complete
     assert 0 < partial.covered < partial.total
+    assert (partial.instances, partial.nodes) == (64, 136)
+
+
+def test_pruned_search_budget_bounds_the_constraint_table():
+    """8^7 identity instances at n = 7; the budget stops the filing."""
+    A = catalog("tri2", GF(2))
+    start = time.perf_counter()
+    rep = pruned_exhaustive_search(A, 7, budget=10)
+    assert time.perf_counter() - start < 1.0
+    assert not rep.complete
+    assert (rep.instances, rep.nodes, rep.leaves, rep.covered) == (10, 0, 0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_pruned_search_validates_n_first(n):
+    # zorn/GF(2) has 256 elements, past the ring budget: no ring is built
+    for A in (catalog("product2", GF(2)), catalog("zorn", GF(2))):
+        with pytest.raises(ValueError, match="n >= 2"):
+            pruned_exhaustive_search(A, n)
+
+
+def test_pruned_search_product2_gf3_completes_in_closed_form():
+    """Every instance reads only T(0) on a commutative ring, and Z = R: the
+    8 positions after it are counted in closed form."""
+    rep = pruned_exhaustive_search(catalog("product2", GF(3)), 2)
+    assert rep.complete and rep.covered == rep.total == 9 ** 9
+    assert (rep.instances, rep.nodes) == (81, 9)
+    assert rep.leaves == 9 ** 8
+    assert rep.tally == {(True, True): 9 ** 8}
+    assert len(rep.summaries) == 256
+    assert [s.values for s in rep.summaries] == [
+        (0, 0, 0, 0, 0, 0) + tail for tail in itertools.product(range(9), repeat=3)
+    ][:256]
+    assert all(s.lie_ok and s.additive_ok for s in rep.summaries)
+
+
+def test_pruned_search_tri2_frozen():
+    """Z != R: the unread tail is enumerated and every leaf re-verified."""
+    rep = pruned_exhaustive_search(catalog("tri2", GF(2)), 2)
+    assert rep.complete
+    assert (rep.instances, rep.nodes, rep.leaves) == (64, 2064, 256)
+    assert rep.tally == {(True, True): 256}
+
+
+def test_closed_form_summary_failing_reverification_raises(monkeypatch):
+    import altrings.finite as fin
+
+    monkeypatch.setattr(
+        fin, "almost_additivity_defect",
+        lambda A, T, budget=10 ** 7: fin.AdditivityReport(all_central=False, checked=0),
+    )
+    with pytest.raises(AssertionError, match="closed form"):
+        pruned_exhaustive_search(catalog("product2", GF(2)), 2)
 
 
 def test_verified_tables_almost_additive_on_good_rings(ring2):
@@ -366,9 +418,9 @@ class Oracle:
 
 
 @st.composite
-def small_rings(draw):
-    p, d = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
-                                 (3, 3), (5, 1), (5, 2)]))
+def small_rings(draw, shapes=((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                              (3, 3), (5, 1), (5, 2))):
+    p, d = draw(st.sampled_from(shapes))
     index = st.tuples(*[st.integers(0, d - 1)] * 3)
     consts = draw(st.dictionaries(index, st.integers(-2 * p, 2 * p), max_size=2 * d * d))
     return p, d, consts
@@ -544,3 +596,22 @@ def test_sampled_verify_builds_no_rows(monkeypatch):
     assert rep.residual != (0,) * 8
     assert built == []
     assert not ring.add_rows and not ring.comm_rows and ring._negatives is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings(shapes=((2, 1), (2, 2), (3, 1))), st.sampled_from([2, 3]),
+       st.integers(0, 40))
+def test_pruned_search_matches_full_enumeration(case, n, max_summaries):
+    """All S^S tables (S <= 4) checked by the oracle: the search's tally,
+    leaves and first summaries agree, whatever it filed or counted."""
+    A, orc = build(case)
+    S = orc.S
+    leaves = [(values, True, orc.defect(values)[0])
+              for values in itertools.product(range(S), repeat=S)
+              if orc.verify(values, n)[0] == "holds"]
+    rep = pruned_exhaustive_search(A, n, max_summaries=max_summaries)
+    assert rep.complete and rep.covered == rep.total == S ** S
+    assert rep.leaves == len(leaves)
+    assert rep.tally == Counter((lie, additive) for _, lie, additive in leaves)
+    assert [(s.values, s.lie_ok, s.additive_ok)
+            for s in rep.summaries] == leaves[:max_summaries]

@@ -28,22 +28,12 @@ from altrings.lietype import (
 )
 from altrings.peirce import peirce_context
 from altrings.verdict import Verdict
-
-
-def ad(A, u_index):
-    """x -> [x, e_u] as a linear map."""
-    e = A.basis_element(u_index)
-    return LinearMap(A, A.right_mult_matrix(e) - A.left_mult_matrix(e))
+from oracles import ad, rebase, unimodular_rebase, zorn
 
 
 @pytest.fixture(scope="module")
 def mat2():
     return catalog("mat2", QQ)
-
-
-@pytest.fixture(scope="module")
-def zorn():
-    return catalog("zorn", QQ)
 
 
 @pytest.fixture(scope="module")
@@ -347,60 +337,13 @@ def test_lie3_members_satisfy_identity_everywhere(a, b, c):
 # projections: a digest of delta, tau and the normalizer for each admissible
 # member, or the certificate and message of each rejected map.
 
-def _unimodular_rebase(A, seed):
-    """A over Q in a dense basis with det P = 1 (see ``_rebase``), so the
-    structure constants, unit and idempotent stay integral."""
-    return _rebase(A, seed)
-
-
-def _rebase(A, seed, det=1):
-    """A over Q in the basis f_i = sum_r P[i][r] e_r, P = L U with unit
-    triangular integer L, U and row 0 scaled by det (so det P = det, and
-    P^-1 is integral when det = 1)."""
-    d = A.dim
-    rng = random.Random(seed)
-    L = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(d)]
-         for i in range(d)]
-    U = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(d)]
-         for i in range(d)]
-    P = [[sum(L[i][k] * U[k][j] for k in range(d)) * (det if i == 0 else 1)
-          for j in range(d)] for i in range(d)]
-    # Q = P^-1 by Gauss-Jordan on [P | I]; every pivot is found since det P != 0
-    rows = [[Fraction(v) for v in P[i]] + [Fraction(int(i == j)) for j in range(d)]
-            for i in range(d)]
-    for c in range(d):
-        piv = next(r for r in range(c, d) if rows[r][c])
-        rows[c], rows[piv] = rows[piv], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
-        for r in range(d):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-    Q = [row[d:] for row in rows]
-    c = A.tensor
-    triples = {}
-    for i in range(d):
-        for j in range(d):
-            e = [sum(P[i][r] * P[j][s] * c[r][s][k] for r in range(d) for s in range(d))
-                 for k in range(d)]
-            for l in range(d):
-                v = sum(e[k] * Q[k][l] for k in range(d))
-                if v:
-                    triples[(i, j, l)] = v
-
-    def coords(x):
-        return [sum(x[k] * Q[k][l] for k in range(d)) for l in range(d)]
-
-    return Algebra(QQ, d, triples, unit=coords(A.unit), idempotent=coords(A.idempotent))
-
-
 def test_is_derivation_agrees_with_leibniz_rows():
     """is_derivation against the dot products of leibniz_rows with vec(g),
     taken here on field elements: on members of derivation_space, on those
     members moved off it by one matrix unit, and on random maps."""
     algebras = [catalog(name, F) for name in ("mat2", "tri2", "zorn", "product2")
                 for F in (QQ, GF(2), GF(3))]
-    algebras += [_unimodular_rebase(catalog(name, QQ), seed)
+    algebras += [unimodular_rebase(catalog(name, QQ), seed)
                  for name in ("mat2", "zorn") for seed in (1, 2)]
     rng = random.Random(5)
     for A in algebras:
@@ -460,7 +403,7 @@ def _frozen_outcomes():
             out[f"{name}/{F} #{k}"] = _outcome(ctx, D)
     for name in ("mat2", "zorn"):
         for seed in (1, 2):
-            A = _unimodular_rebase(catalog(name, QQ), seed)
+            A = unimodular_rebase(catalog(name, QQ), seed)
             ctx, members = _admissible_members(A, seed, 2)
             for k, D in enumerate(members):
                 out[f"{name}~{seed}/Q #{k}"] = _outcome(ctx, D)
@@ -865,7 +808,7 @@ def test_decompose_certificates_match_own_peirce_arithmetic(name, p):
             base = direct_sum(catalog("mat2", QQ), catalog("mat2", QQ))
         else:
             base = catalog(name, QQ)
-        A = _rebase(base, seed, det)
+        A = rebase(base, seed, det)
         if p is not None:
             A = _mod(A, p)
         F, d = A.field, A.dim
@@ -916,7 +859,7 @@ def test_decompose_builds_field_elements_only_for_its_outputs(monkeypatch):
     conditions' witnesses, and the returned maps, which are read as field
     elements only when asked.  The bound is d, where a per-vector round
     trip through the Peirce bases would cost O(d^2)."""
-    A = _unimodular_rebase(catalog("zorn", QQ), 1)
+    A = unimodular_rebase(catalog("zorn", QQ), 1)
     ctx, (D,) = _admissible_members(A, 1, 1)
     calls = []
     for method in ("to_ints", "from_ints"):
@@ -939,7 +882,7 @@ def test_abc_gates_agree_with_the_abc_space(p):
     integer combinations of the space's basis, the same maps with one or
     two entries perturbed, and sparse random maps."""
     algebras = [catalog(name, QQ) for name in ("mat2", "tri2", "product2", "zorn")]
-    algebras.append(_rebase(catalog("zorn", QQ), 1))
+    algebras.append(rebase(catalog("zorn", QQ), 1))
     holds = 0
     for seed, A in enumerate(algebras):
         if p is not None:

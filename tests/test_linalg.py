@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from altrings.fields import GF, QQ
 from altrings.linalg import Matrix, Subspace, kernel, rank, rref, solve
+from oracles import normal, scalars
 
 
 def mat(rows, field=QQ):
@@ -219,20 +220,9 @@ def test_intersection_and_killed_by_match_their_definitions(data):
 FIELDS = [QQ, GF(2), GF(3), GF(7)]
 
 
-def scalars(F):
-    if F is QQ:
-        return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
-    return st.integers(-5 * F.p, 5 * F.p)
-
-
 def rows_of(F, nrows, ncols):
     row = st.lists(scalars(F), min_size=ncols, max_size=ncols)
     return st.lists(row, min_size=nrows, max_size=nrows)
-
-
-def normal(F, v):
-    """The reference's normal form: a Fraction over Q, an int in [0, p) over GF(p)."""
-    return Fraction(v) if F is QQ else v % F.p
 
 
 def assert_normal_form(F, values):

@@ -18,6 +18,7 @@ from altrings.peirce import (
     verify_peirce_relations,
 )
 from altrings.verdict import Verdict
+from oracles import dense_rebase, inverse, q_rebase
 
 
 @pytest.fixture(scope="module")
@@ -355,73 +356,6 @@ def test_cross_invariants_on_catalog():
                 assert check_offdiag_commutant(ctx, "21").contained_in_center
 
 
-def _inverse_mod(P, p):
-    """P^-1 mod p by Gauss-Jordan, or None when P is singular."""
-    n = len(P)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(P)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] % p), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        rows[c] = [v * inv % p for v in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[c])]
-    return [r[n:] for r in rows]
-
-
-def _dense_rebase(A, p, seed, unit=False):
-    """A over GF(p) in the seeded random basis f_i = sum_r P[i][r] e_r."""
-    d = A.dim
-    rng = random.Random(seed)
-    while True:
-        P = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-        Q = _inverse_mod(P, p)
-        if Q is not None:
-            break
-    return _change_basis(A, P, Q, unit)
-
-
-def _q_rebase(A, seed):
-    """A over Q in the basis f_i = sum_r P[i][r] e_r for a seeded P = L U
-    with unit triangular integer L and U: det P = 1, so P^-1 and the
-    structure constants stay integral."""
-    d = A.dim
-    rng = random.Random(seed)
-    L = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(d)]
-         for i in range(d)]
-    U = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(d)]
-         for i in range(d)]
-    P = [[sum(L[i][k] * U[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    return _change_basis(A, P, _inverse(P))
-
-
-def _change_basis(A, P, Q, unit=False):
-    """A in the basis f_i = sum_r P[i][r] e_r, Q = P^-1; the idempotent, and
-    the unit if asked, carried over."""
-    F, d = A.field, A.dim
-    c = A.tensor
-    triples = {}
-    for i in range(d):
-        for j in range(d):
-            # f_i f_j = sum P[i][r] P[j][s] e_r e_s, and e_k = sum_l Q[k][l] f_l
-            e = [sum(P[i][r] * P[j][s] * c[r][s][k] for r in range(d) for s in range(d))
-                 for k in range(d)]
-            for l in range(d):
-                v = F.coerce(sum(e[k] * Q[k][l] for k in range(d)))
-                if not F.is_zero(v):
-                    triples[(i, j, l)] = v
-
-    def coords(x):
-        return tuple(F.coerce(sum(x[k] * Q[k][l] for k in range(d))) for l in range(d))
-
-    return Algebra(F, d, triples, unit=coords(A.unit) if unit else None,
-                   idempotent=None if A.idempotent is None else coords(A.idempotent))
-
-
 def _divided(A, q):
     """A over Q in the basis e_0, e_1 / q, e_2, ...: a rescaled copy whose
     structure constants have a denominator divisible by q."""
@@ -482,7 +416,7 @@ def _frozen_algebra(case):
     A = catalog(base, F)
     if variant.startswith("dense"):
         seed = int(variant[5:])
-        return _q_rebase(A, seed) if field == "Q" else _dense_rebase(A, F.p, seed)
+        return q_rebase(A, seed) if field == "Q" else dense_rebase(A, F.p, seed)
     if variant.startswith("div"):
         return _divided(A, int(variant[3:]))
     return A
@@ -647,7 +581,7 @@ def test_center_and_nucleus_match_enumeration_with_and_without_unit(case):
 ])
 def test_center_and_nucleus_of_unital_rebases_match_enumeration(name, p, seed):
     for unit in (True, False):
-        A = _dense_rebase(catalog(name, GF(p)), p, seed, unit=unit)
+        A = dense_rebase(catalog(name, GF(p)), p, seed, unit=unit)
         assert (A.unit is not None) is unit
         Z, N = _brute_center_nucleus(A.tensor, p, A.dim)
         assert set(center(A).vectors()) == Z
@@ -669,7 +603,7 @@ def test_center_annihilators_and_commutants_match_enumeration(name, p, seed):
     """On a random rebase over GF(p), the center, each annihilator of
     conditions (1)-(3) and both off-diagonal commutants against sets
     enumerated from the structure constants alone."""
-    A = _dense_rebase(catalog(name, GF(p)), p, seed)
+    A = dense_rebase(catalog(name, GF(p)), p, seed)
     ctx = peirce_context(A, A.idempotent)
     d, e = A.dim, A.idempotent
 
@@ -794,24 +728,6 @@ def test_zorn_component_products_land_correctly(a, b):
                 assert all(v == 0 for v in prod)
 
 
-def _inverse(P):
-    """Inverse of a square Fraction matrix by Gauss-Jordan, or None."""
-    d = len(P)
-    rows = [list(map(Fraction, row)) + [Fraction(int(r == s)) for s in range(d)]
-            for r, row in enumerate(P)]
-    for col in range(d):
-        pivot = next((i for i in range(col, d) if rows[i][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for i in range(d):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return [row[d:] for row in rows]
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([("mat2", (1, 1, 1, 1)), ("tri2", (1, 1, 0, 1)),
                         ("zorn", (1, 3, 3, 1)), ("product2", (1, 0, 0, 1))]),
@@ -828,7 +744,7 @@ def test_projections_on_conjugated_catalog_algebras(entry, seed):
     rng = random.Random(seed)
     while True:
         P = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
-        Q = _inverse(P)
+        Q = inverse(P)
         if Q is not None:
             break
     c = base.tensor
@@ -901,7 +817,7 @@ def _relations_algebra(field, seed):
     idem = (1,) + (0,) * (d - 1)
     A = Algebra(F, d, {t: c for t, c in triples.items() if F.coerce(c)}, idempotent=idem)
     if rng.random() < 0.5:
-        A = _q_rebase(A, seed) if F is QQ else _dense_rebase(A, F.p, seed)
+        A = q_rebase(A, seed) if F is QQ else dense_rebase(A, F.p, seed)
     return A
 
 
