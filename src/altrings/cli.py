@@ -363,12 +363,16 @@ def _cmd_search(args, em: Emitter):
             em.emit("search:exhaust-complete", Verdict.UNDECIDED,
                     f"budget hit after {rep.instances} identity instances"
                     f" and {rep.nodes} nodes")
+        # one contradiction refutes; finding none proves it only over all tables
         contradiction = rep.tally.get((True, False), 0)
-        em.from_bool(
-            "search:exhaust-no-contradiction",
-            contradiction == 0,
-            f"{contradiction} tables satisfy the identity but are not almost additive",
-        )
+        detail = f"{contradiction} tables satisfy the identity but are not almost additive"
+        if contradiction:
+            em.emit("search:exhaust-no-contradiction", Verdict.FAILS, detail)
+        elif rep.complete:
+            em.emit("search:exhaust-no-contradiction", Verdict.HOLDS, detail)
+        else:
+            em.emit("search:exhaust-no-contradiction", Verdict.UNDECIDED,
+                    detail + " in the covered part")
     else:
         raise CliError(f"unknown search mode {args.mode!r}")
 

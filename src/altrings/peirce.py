@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 from operator import mul
+from typing import Callable, NamedTuple
 
 from .algebra import (
     Algebra,
@@ -399,27 +400,6 @@ class PrimeReport:
     detail: str = ""
 
 
-def _ray_representatives(A: Algebra):
-    """Nonzero vectors up to scale: basis vectors first, then by leading slot."""
-    F = A.field
-    d = A.dim
-    one, zero = F.one, F.zero
-    basis = []
-    for i in range(d):
-        vec = [zero] * d
-        vec[i] = one
-        vec = tuple(vec)
-        basis.append(vec)
-        yield vec
-    seen = set(basis)
-    for lead in range(d):
-        tail = d - lead - 1
-        for rest in product(F.elements(), repeat=tail):
-            vec = (zero,) * lead + (one,) + rest
-            if vec not in seen:
-                yield vec
-
-
 def _repeat(x: int, stride: int, n: int) -> int:
     """x at bit offsets 0, stride, ..., (n - 1)*stride, for 0 <= x < 2**stride:
     blocks of 2**k copies, one per set bit k of n."""
@@ -435,31 +415,54 @@ def _repeat(x: int, stride: int, n: int) -> int:
     return out
 
 
-def _packed_ray_test(A: Algebra, p: int):
-    """failing_rows(a) on A's operators packed mod p, for int coordinates a
-    with every entry in 0..p-1: None when the ray of a passes, and otherwise
-    rows spanning the constraints on b with aRb = 0.
+class _RayKernel(NamedTuple):
+    failing_rows: Callable   # (a, U=None, W=None) -> rows | None
+    walk: Callable           # () -> (checked, a, rows) per failing ray
+
+
+def _packed_ray_test(A: Algebra, p: int) -> _RayKernel:
+    """The primality test of a ray on A's operators packed mod p.
+
+    ``failing_rows(a)``, for int coordinates a with every entry in 0..p-1,
+    is None when the ray of a passes, and otherwise rows spanning the
+    constraints on b with aRb = 0.  ``walk()`` runs the same test on every
+    ray of GF(p)^d in the scan order and yields (checked, a, rows) at each
+    ray that fails: e_0, ..., e_{d-1}, then for each lead position the
+    vectors 1 there, 0 before it, with the tails after it in ``product``
+    order, the all-zero tail (a basis vector) left out.
 
     {b : (a r) b = 0 for all r} depends only on aR, the column space of
     L_a, so a ray costs one rank test of L_a and, when that falls short of
-    d, one rank test of the stacked L_y for a basis y of aR.  rank L_a = d
-    passes at once: then aR = R, and Rb = 0 would put b in ker L_a = 0.
+    d, one rank test of the stacked L_{a e_t} over the pivot columns t of
+    L_a, whose columns a e_t span aR.  rank L_a = d passes at once: then
+    aR = R, and Rb = 0 would put b in ker L_a = 0.  Both come from
+    unreduced sums, U = sum a_i L_{e_i} and W = sum a_i L_{e_i e_t} (a
+    table of d blocks per i, L_{e_i e_t} reduced mod p at block t), whose
+    slots stay below V: block t of W is L_{a e_t}, since e_i e_t is
+    linear in e_i.  The walk steps U and W like an odometer: moving the
+    tail to the next one in ``product`` order raises digit k by one and
+    clears the digits after it from p - 1 to 0, so each sum steps by one
+    precomputed delta_k = X_k - (p - 1) sum_{j>k} X_j; a ray costs two adds
+    and one reduce of U before its rank test.  ``failing_rows(a)`` builds
+    the sums from a instead, and the table on first need.
     Operators are ints of w-bit slots, entry (k, j) of a d-column matrix
-    at slot k*d + j; no slot exceeds V before one SWAR Barrett step
-    reduces them all mod p.  The structure constants enter as their ints
-    over A._den reduced mod p, so over Q each rank is that of an int
-    matrix mod p, a lower bound for its rank over Q.
+    at slot k*d + j, block t of a stack at slot t*d*d; no slot exceeds V
+    before one SWAR Barrett step reduces them all mod p.  The structure
+    constants enter as their ints over A._den reduced mod p, so over Q each
+    rank is that of an int matrix mod p, a lower bound for its rank over Q.
     """
     d = A.dim
-    # a slot holds at most a sum of d products c*c' (operator) or
+    # a slot holds at most a sum of d products c*c' (U, W, the table) or
     # v*x + (p - c)*y (pivot_shifts), with all of c, c', v, x, y below p
     V = max(d * (p - 1) ** 2, (2 * p - 1) * (p - 1))
     b = V.bit_length()
     s = b + p.bit_length()
     w = b + s
     rw = w * d  # one row
+    bw = rw * d  # one block of d rows
     m = (1 << s) // p + 1
     digit = (1 << w) - 1
+    block = (1 << bw) - 1
     qmask = _repeat((1 << b) - 1, w, d ** 3)
     column = _repeat(digit, rw, d * d)
     # p in the column slot of each row of a stack of r blocks of d rows
@@ -468,15 +471,22 @@ def _packed_ray_test(A: Algebra, p: int):
         sum(c % p << (w * (k * d + j)) for j in range(d) for k, c in A._pairs[i][j])
         for i in range(d)
     ]
+    table = []
 
     def reduce(x):
         # per slot x - p*floor(x/p): exact below 2**b, where m's excess over
         # 2**s / p costs less than 1/p in the quotient
         return x - p * (((x * m) >> s) & qmask)
 
-    def operator(y):
-        """L_y with every entry in 0..p-1."""
-        return reduce(sum(c * packed[i] for i, c in enumerate(y) if c))
+    def products():
+        """The table: block t of entry i is L_{e_i e_t} mod p."""
+        if not table:
+            table.extend(
+                reduce(sum(c % p * packed[k] << (bw * t)
+                           for t in range(d) for k, c in A._pairs[i][t]))
+                for i in range(d)
+            )
+        return table
 
     def pivot_shifts(M, blocks):
         """Bit offsets of the pivot columns of M (blocks*d rows), up to d.
@@ -495,21 +505,58 @@ def _packed_ray_test(A: Algebra, p: int):
             M = reduce(M * v + (p_column[blocks] - ((M >> shift) & column)) * prow)
         return shifts
 
-    def failing_rows(a):
-        left = operator(a)
-        shifts = pivot_shifts(left, 1)
+    def failing_rows(a, U=None, W=None):
+        """Rows or None for the ray of a; the walk passes the unreduced
+        sums U and W it keeps, and they are built from a when absent."""
+        if U is None:
+            U = sum(c * x for c, x in zip(a, packed) if c)
+        shifts = pivot_shifts(reduce(U), 1)
         if len(shifts) == d:
             return None
-        stack = 0  # L_y for y = a e_t at the pivot columns t
+        if W is None:
+            W = sum(c * x for c, x in zip(a, products()) if c)
+        stack = 0  # L_{a e_t} at the pivot columns t
         for i, shift in enumerate(shifts):
-            y = [(left >> (rw * k + shift)) & digit for k in range(d)]
-            stack |= operator(y) << (rw * d * i)
+            stack |= (W >> (bw * (shift // w)) & block) << (bw * i)
+        stack = reduce(stack)
         if len(pivot_shifts(stack, len(shifts))) == d:
             return None
         return [[(stack >> (rw * k + w * j)) & digit for j in range(d)]
                 for k in range(d * len(shifts))]
 
-    return failing_rows
+    def rays():
+        """(a, U, W) per ray in the scan order; a is reused between rays."""
+        products()
+        # delta_k: the step of a sum when digit k rises and those after it
+        # wrap from p - 1 to 0
+        delta, table_delta = (
+            [x - (p - 1) * sum(xs[k + 1:]) for k, x in enumerate(xs)]
+            for xs in (packed, table)
+        )
+        for i in range(d):
+            yield (0,) * i + (1,) + (0,) * (d - i - 1), packed[i], table[i]
+        for lead in range(d - 1):
+            a = [0] * d
+            a[lead] = 1
+            U, W = packed[lead], table[lead]
+            for _ in range(p ** (d - lead - 1) - 1):
+                k = d - 1
+                while a[k] == p - 1:
+                    a[k] = 0
+                    k -= 1
+                a[k] += 1
+                U += delta[k]
+                W += table_delta[k]
+                yield a, U, W
+
+    def walk():
+        """(checked, a, rows) at each failing ray, in the scan order."""
+        for checked, (a, U, W) in enumerate(rays(), 1):
+            rows = failing_rows(a, U, W)
+            if rows is not None:
+                yield checked, tuple(a), rows
+
+    return _RayKernel(failing_rows, walk)
 
 
 def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
@@ -519,13 +566,17 @@ def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
     Exhaustive over GF(p), one representative a per scalar ray: the b with
     aRb = 0 are those with yb = 0 for all y in aR, the column space of L_a.
     A ray with rank L_a = d has aR = R and passes at once; otherwise the
-    stacked L_y over a basis y of aR must have rank d.  Over Q the loop is
-    sampled, so "no witness" is undecided.  Each sample a (int coordinates)
-    first runs the same packed test mod the fixed prime _CERT_PRIME on the
-    int operators A._den*L_y: a pass there is exact, since an int matrix
-    has at least its rank mod p over Q.  Only a sample that fails mod p
-    gets the exact stacked test on int rows over Q (``_sampled_kernel``),
-    so the report is the one the exact test alone gives.
+    stacked L_{a e_t} over the pivot columns t of L_a must have rank d.
+    The rays are walked in the order of ``_packed_ray_test``: basis vectors
+    first, then per leading 1 the tails in ``product`` order, each ray's
+    packed L_a and L_{a e_t} table stepped from the last by one carry
+    delta.  Over Q the loop is sampled, so "no witness" is undecided.  Each
+    sample a (int coordinates) first runs the same packed test mod the
+    fixed prime _CERT_PRIME on the int operators over A._den: a pass there
+    is exact, since an int matrix has at least its rank mod p over Q.
+    Only a sample that fails mod p gets the exact stacked test on int rows
+    over Q (``_sampled_kernel``), so the report is the one the exact test
+    alone gives.
     Char-3 rings get a torsion warning: the equivalence with ideal-primality
     needs 3-torsion-freeness.
     """
@@ -579,28 +630,25 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
         rays = (p ** d - 1) // (p - 1)
         if rays > budget:
             raise BudgetError(f"{rays} rays exceed the primality budget {budget}")
-        failing_rows = _packed_ray_test(A, p)
-        checked = 0
-        for a in _ray_representatives(A):
-            checked += 1
-            rows = failing_rows(a)
-            if rows is not None:
-                return PrimeReport(
-                    status=Verdict.FAILS,
-                    mode="exhaustive",
-                    checked=checked,
-                    witness=(tuple(a), _first_kernel_witness(A, a, rows)),
-                    detail="a R b = 0 with both nonzero",
-                )
+        failing = next(_packed_ray_test(A, p).walk(), None)
+        if failing is not None:
+            checked, a, rows = failing
+            return PrimeReport(
+                status=Verdict.FAILS,
+                mode="exhaustive",
+                checked=checked,
+                witness=(a, _first_kernel_witness(A, a, rows)),
+                detail="a R b = 0 with both nonzero",
+            )
         return PrimeReport(
             status=Verdict.HOLDS,
             mode="exhaustive",
-            checked=checked,
-            detail=f"all {checked} rays have trivial annihilator",
+            checked=rays,
+            detail=f"all {rays} rays have trivial annihilator",
         )
 
     rng = random.Random(seed)
-    failing_rows = _packed_ray_test(A, _CERT_PRIME)
+    failing_rows = _packed_ray_test(A, _CERT_PRIME).failing_rows
     checked = 0
     for _ in range(samples):
         a = [rng.randint(-9, 9) for _ in range(d)]

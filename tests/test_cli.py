@@ -203,6 +203,37 @@ def test_search_exhaust_budget_detail_names_what_ran_out(capsys):
             " 10 identity instances and 0 nodes") in out.splitlines()
 
 
+
+def test_search_exhaust_incomplete_without_contradiction_is_undecided(capsys):
+    # 20,484 of 2^24 tables covered: no contradiction among them proves nothing
+    code, out, _ = run(
+        capsys, "search", "--catalog", "tri2", "--field", "GFp:2",
+        "--mode", "exhaust", "--budget", "200",
+    )
+    assert code == 2
+    lines = out.splitlines()
+    assert "search:exhaust-coverage            holds      17 leaves, 20484/16777216 tables covered" in lines
+    assert ("search:exhaust-no-contradiction    undecided  0 tables satisfy the identity"
+            " but are not almost additive in the covered part") in lines
+
+
+
+def test_search_exhaust_contradiction_fails_even_if_incomplete(capsys, monkeypatch):
+    from collections import Counter
+
+    from altrings import finite
+
+    rep = finite.SearchReport(tally=Counter({(True, False): 1}), leaves=1,
+                              covered=1, total=16, nodes=3, complete=False)
+    monkeypatch.setattr(finite, "pruned_exhaustive_search", lambda *args, **kw: rep)
+    code, out, _ = run(
+        capsys, "search", "--catalog", "product2", "--field", "GFp:2", "--mode", "exhaust",
+    )
+    assert code == 1
+    assert ("search:exhaust-no-contradiction    fails      1 tables satisfy the identity"
+            " but are not almost additive") in out.splitlines()
+
+
 def test_search_converse_verify_defect_pipeline(tmp_path, capsys):
     lmap = tmp_path / "ad.lmap"
     lmap.write_text(

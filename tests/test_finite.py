@@ -128,6 +128,44 @@ def test_almost_additivity_linear_and_swapped(ring2):
         almost_additivity_defect(A, T, budget=10)
 
 
+
+def _direct_defect(ring, values):
+    """(all_central, checked) of a direct scan of the pairs a <= b; both
+    rings below are associative, so their center is the set of elements
+    commuting with every element."""
+    A = ring.algebra
+    S = ring.size
+    central = {i for i, z in enumerate(ring.elements)
+               if all(A.mul_coords(z, e) == A.mul_coords(e, z) for e in ring.elements)}
+    checked = 0
+    for a in range(S):
+        for b in range(a, S):
+            checked += 1
+            defect = ring.sub(values[ring.add(a, b)], ring.add(values[a], values[b]))
+            if defect not in central:
+                return False, checked
+    return True, checked
+
+
+def test_almost_additivity_report_matches_direct_pair_scan(ring3):
+    # product2/GF(3) is its own center, so every table is almost additive in
+    # S(S + 1)/2 = 45 pairs; mat2/GF(3)'s center is its 3 scalars
+    product2 = FiniteRing(catalog("product2", GF(3)))
+    assert len(product2.central) == product2.size
+    rng = random.Random(5)
+    cases = [(product2, [rng.randrange(9) for _ in range(9)]) for _ in range(4)]
+    ctx = peirce_context(ring3.algebra, ring3.algebra.idempotent)
+    converse = construct_converse_example(ctx, ad(ring3.algebra, 0), 2, seed=1)
+    cases += [(ring3, converse.values), (ring3, list(range(81))),
+              (ring3, [rng.randrange(81) for _ in range(81)])]
+    for ring, values in cases:
+        rep = almost_additivity_defect(ring.algebra, MapTable(ring, values))
+        assert (rep.all_central, rep.checked) == _direct_defect(ring, values)
+    assert _direct_defect(product2, cases[0][1]) == (True, 45)
+    assert not _direct_defect(ring3, cases[-1][1])[0]
+    assert _direct_defect(ring3, converse.values) == (True, 81 * 82 // 2)
+
+
 def test_nested_value_set_mat2_gf3(ring3):
     P = nested_value_set(ring3, 2)
     # the commutator values of M2 are exactly the trace-zero matrices

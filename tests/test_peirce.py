@@ -436,7 +436,7 @@ def test_sampled_prime_certificate_never_fires_when_p_divides_den(case):
 
     A = _frozen_algebra(case)
     assert A._den % _CERT_PRIME == 0
-    failing_rows = _packed_ray_test(A, _CERT_PRIME)
+    failing_rows = _packed_ray_test(A, _CERT_PRIME).failing_rows
     rng = random.Random(0)
     samples = [[rng.randint(-9, 9) for _ in range(A.dim)] for _ in range(50)]
     assert all(failing_rows([x % _CERT_PRIME for x in a]) is not None
@@ -506,6 +506,44 @@ def test_prime_scan_matches_brute_force(alg):
     assert any(a) and any(b)
     for r in product(range(p), repeat=d):
         assert not any(_mul(c, p, _mul(c, p, a, r), b))
+
+
+
+def _gf_square_pair(p):
+    """GF(p^2) x GF(p^2) over GF(p), p in (2, 3), on the basis 1, x of each
+    factor (x^2 = x + 1 over GF(2), x^2 = -1 over GF(3)): not prime, and
+    its failing rays are the 2(p + 1) lying in one factor."""
+    square = {2: (1, 1), 3: (p - 1, 0)}[p]  # x^2 on the basis 1, x
+    triples = {}
+    for f in (0, 2):
+        triples[(f, f, f)] = triples[(f, f + 1, f + 1)] = triples[(f + 1, f, f + 1)] = 1
+        triples[(f + 1, f + 1, f)], triples[(f + 1, f + 1, f + 1)] = square
+    return Algebra(GF(p), 4, {k: v for k, v in triples.items() if v})
+
+
+# (base, p, seed of the dense basis); over GF(3) the pair's seeds put its
+# first failing ray at 23 and 24 of 40, past the carry (0, 2, 2) -> (1, 0, 0)
+DIM4_PRIME_CASES = [("mat2", p, seed) for p in (2, 3) for seed in (1, 2, 3)] + [
+    ("square_pair", 2, 1), ("square_pair", 3, 565), ("square_pair", 3, 1409),
+]
+
+
+@pytest.mark.filterwarnings("ignore:primality loop")
+@pytest.mark.parametrize("base, p, seed", DIM4_PRIME_CASES)
+def test_prime_scan_matches_brute_force_dim4(base, p, seed):
+    """Dim 4 in dense bases, where a tail of 3 digits carries across two:
+    mat2 is prime, so every ray is walked; the pair is not."""
+    A = catalog("mat2", GF(p)) if base == "mat2" else _gf_square_pair(p)
+    A = dense_rebase(A, p, seed)
+    c = [[list(row) for row in plane] for plane in A.tensor]
+    rep = is_prime(A)
+    checked, a, b = _brute_prime(c, p, 4)
+    assert rep.mode == "exhaustive" and rep.checked == checked
+    assert (base == "mat2") == (a is None)
+    if a is None:
+        assert rep.status is Verdict.HOLDS and rep.witness is None
+    else:
+        assert rep.status is Verdict.FAILS and rep.witness == (a, b)
 
 
 def _first_rref_vector(vectors):
