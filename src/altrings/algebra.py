@@ -20,9 +20,6 @@ from .fields import FieldError
 from .linalg import Matrix, Subspace, echelon, null_space, solve
 
 
-_UNSOLVED = object()
-
-
 class AlgebraError(ValueError):
     """Raised for inconsistent algebra data (bad unit, bad idempotent, ...)."""
 
@@ -32,7 +29,11 @@ class BudgetError(RuntimeError):
 
 
 class Algebra:
-    """A structure-constant algebra over an exact field."""
+    """A structure-constant algebra over an exact field.  It cannot change
+    once built, and what is derived from it is memoised in its ``_memo``."""
+
+    __slots__ = ("field", "dim", "name", "tensor", "_den", "_num", "_pairs",
+                 "unit", "idempotent", "_memo")
 
     def __init__(self, field, dim: int, triples, unit=None, idempotent=None,
                  name: str | None = None):
@@ -71,20 +72,32 @@ class Algebra:
             )
             for i in range(dim)
         )
-        self._prime_cache: dict = {}
-        self._solved_unit = _UNSOLVED  # find_unit's memo; never read as `unit`
-        self.unit = None
         if unit is not None:
-            u = self._coerce_coords(unit)
-            if not self._is_unit(u):
+            unit = self._coerce_coords(unit)
+            if not self._is_unit(unit):
                 raise AlgebraError("declared unit is not a two-sided identity")
-            self.unit = u
-        self.idempotent = None
+        self.unit = unit
         if idempotent is not None:
-            e = self._coerce_coords(idempotent)
-            if self.mul_coords(e, e) != e:
+            idempotent = self._coerce_coords(idempotent)
+            if self.mul_coords(idempotent, idempotent) != idempotent:
                 raise AlgebraError("declared idempotent does not square to itself")
-            self.idempotent = e
+        self.idempotent = idempotent
+        self._memo = {}  # set last: from here on every assignment raises
+
+    def __setattr__(self, attr, value):
+        if hasattr(self, "_memo"):
+            raise AttributeError(f"Algebra is immutable: cannot set {attr!r}")
+        object.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"Algebra is immutable: cannot delete {attr!r}")
+
+    def _memoised(self, key, compute):
+        """The value derived under key, computed by compute() on first use."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def _coerce_coords(self, coords) -> tuple:
         if isinstance(coords, AlgebraElement):
@@ -549,7 +562,8 @@ def _unit_kernel(A: Algebra, rows) -> Subspace:
     """The null space of int rows of width d that every vector of span(unit)
     satisfies.  Without a declared unit every nonzero row is folded; with
     one the folding stops at rank d - 1, since the kernel, which holds the
-    unit, is then span(unit)."""
+    unit, is then span(unit).  The declared unit was checked when A was
+    built, and A cannot change after that."""
     d = A.dim
     full = d - 1 if A.unit is not None else d
     acc = echelon(A.field, d)
@@ -568,27 +582,19 @@ def find_unit(A: Algebra) -> AlgebraElement | None:
     declared ``unit``, so serialisation and unit-guarded checks do not
     depend on whether this ran.
     """
-    if A.unit is not None:
-        return AlgebraElement(A, A.unit)
-    if A._solved_unit is not _UNSOLVED:
-        u = A._solved_unit
-        return None if u is None else AlgebraElement(A, u)
-    d = A.dim
-    F = A.field
-    rows = []
-    rhs = []
-    for j in range(d):
-        # u * e_j = e_j : sum_i u_i c[i][j][m] = delta_{jm}
-        for m in range(d):
-            rows.append([A.tensor[i][j][m] for i in range(d)])
-            rhs.append(F.one if m == j else F.zero)
-        # e_j * u = e_j : sum_i u_i c[j][i][m] = delta_{jm}
-        for m in range(d):
-            rows.append([A.tensor[j][i][m] for i in range(d)])
-            rhs.append(F.one if m == j else F.zero)
-    result = solve(Matrix(F, rows), tuple(rhs))
-    u = A._solved_unit = None if result is None else result[0]
+    u = A.unit if A.unit is not None else A._memoised("unit", lambda: _solve_unit(A))
     return None if u is None else AlgebraElement(A, u)
+
+
+def _solve_unit(A: Algebra) -> tuple | None:
+    """The coordinates of the two-sided identity, or None if there is none."""
+    d, F, c = A.dim, A.field, A.tensor
+    # u e_j = e_j and e_j u = e_j: sum_i u_i c[i][j][m] = sum_i u_i c[j][i][m] = delta_jm
+    rows = [[c[i][j][m] for i in range(d)] for j in range(d) for m in range(d)]
+    rows += [[c[j][i][m] for i in range(d)] for j in range(d) for m in range(d)]
+    rhs = [F.one if m == j else F.zero for j in range(d) for m in range(d)] * 2
+    result = solve(Matrix(F, rows), rhs)
+    return None if result is None else result[0]
 
 
 @dataclass(frozen=True)

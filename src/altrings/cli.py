@@ -107,6 +107,12 @@ def _int_at_least(low: int):
     return parse
 
 
+def _budget(args) -> dict:
+    """``budget=`` for the library call when ``--budget`` is given; otherwise
+    nothing, so the called function's own default applies."""
+    return {} if args.budget is None else {"budget": args.budget}
+
+
 def _parse_coords(text: str, A: Algebra) -> tuple:
     parts = text.replace(",", " ").split()
     if len(parts) != A.dim:
@@ -222,7 +228,7 @@ def _cmd_check(args, em: Emitter):
         for k in args.torsion:
             em.from_bool(f"check:torsion-free-{k}", torsion_free(A, k))
     if args.prime:
-        rep = is_prime(A, budget=args.budget or 2 ** 17, seed=args.seed)
+        rep = is_prime(A, seed=args.seed, **_budget(args))
         detail = rep.detail
         if rep.witness is not None:
             a, b = rep.witness
@@ -312,7 +318,7 @@ def _cmd_search(args, em: Emitter):
         ring = finmod.FiniteRing(A)
         T = _load_map(args.map, parse_map_table, ring)
         rep = finmod.verify_lie_n_identity(
-            A, T, args.n, budget=args.budget or 10 ** 7, seed=args.seed
+            A, T, args.n, seed=args.seed, **_budget(args)
         )
         detail = f"mode {rep.mode}, checked {rep.checked}"
         if rep.witness:
@@ -324,7 +330,7 @@ def _cmd_search(args, em: Emitter):
             raise CliError("search --mode defect needs --map <path> (tmap)")
         ring = finmod.FiniteRing(A)
         T = _load_map(args.map, parse_map_table, ring)
-        rep = finmod.almost_additivity_defect(A, T, budget=args.budget or 10 ** 7)
+        rep = finmod.almost_additivity_defect(A, T, **_budget(args))
         detail = f"checked {rep.checked} pairs"
         if rep.witness:
             a, b, defect = rep.witness
@@ -339,7 +345,7 @@ def _cmd_search(args, em: Emitter):
         ctx = _context(A, args)
         delta = _load_map(args.map, parse_linear_map, A)
         T = finmod.construct_converse_example(
-            ctx, delta, args.n, seed=args.seed, budget=args.budget or 10 ** 7
+            ctx, delta, args.n, seed=args.seed, **_budget(args)
         )
         rep = finmod.almost_additivity_defect(A, T)
         if args.out:  # before any verdict, so a failed write prints none
@@ -350,7 +356,7 @@ def _cmd_search(args, em: Emitter):
         if args.out:
             em.fact("search:converse-table", args.out)
     elif args.mode == "exhaust":
-        rep = finmod.pruned_exhaustive_search(A, args.n, budget=args.budget or 10 ** 6)
+        rep = finmod.pruned_exhaustive_search(A, args.n, **_budget(args))
         tally = {f"lie={k[0]},almost-additive={k[1]}": v for k, v in rep.tally.items()}
         em.fact("search:exhaust-tally", str(tally))
         em.fact(

@@ -223,10 +223,6 @@ class MapTable:
              for t in range(A.dim)]
         ))
 
-    def apply_index(self, i: int) -> int:
-        # kept: perfbench/tracer.py counts calls to it
-        return self.values[i]
-
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.ring.element(self.values[self.ring.index[x.coords]])
 

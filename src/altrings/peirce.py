@@ -580,19 +580,15 @@ def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
     Char-3 rings get a torsion warning: the equivalence with ideal-primality
     needs 3-torsion-freeness.
     """
-    # warn before the cache lookup: a warm cache must not silence this
+    # warn before the memo lookup: a memoised report must not silence this
     if A.field.characteristic == 3:
         warnings.warn(
             "primality loop on a char-3 ring: the ideal-theoretic equivalence "
             "assumes 3-torsion-freeness",
             stacklevel=2,
         )
-    key = ("is_prime", budget, samples, seed)
-    if key in A._prime_cache:
-        return A._prime_cache[key]
-    report = _is_prime_uncached(A, budget, samples, seed)
-    A._prime_cache[key] = report
-    return report
+    return A._memoised(("is_prime", budget, samples, seed),
+                       lambda: _is_prime_uncached(A, budget, samples, seed))
 
 
 def _first_kernel_witness(A: Algebra, a, rows) -> tuple:

@@ -230,6 +230,32 @@ def test_catalog_nuclei():
         assert nucleus(zorn) == Subspace.from_vectors(F, 8, [zorn.unit])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Algebra(QQ, 2, {(0, 0, 0): 1, (1, 1, 1): 1}, unit=(1, 1), idempotent=(1, 0),
+                    name="declared"),
+    lambda: catalog("zorn", GF(3)),
+], ids=["declared", "catalog"])
+def test_algebra_attributes_cannot_be_assigned_or_deleted(build):
+    A = build()
+    before = (A.field, A.dim, A.name, A.tensor, A.unit, A.idempotent)
+    for attr in Algebra.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(A, attr, getattr(A, attr, None))
+        with pytest.raises(AttributeError):
+            delattr(A, attr)
+    assert (A.field, A.dim, A.name, A.tensor, A.unit, A.idempotent) == before
+
+
+def test_unit_assigned_after_construction_cannot_shortcut_center_and_nucleus():
+    # e1 e2 = e2 has no unit and trivial centre and nucleus; a unit slipped
+    # in after construction would stop their folding at rank d - 1
+    A = Algebra(QQ, 2, {(0, 1, 1): 1})
+    with pytest.raises(AttributeError):
+        A.unit = (1, 0)
+    assert A.unit is None
+    assert center(A).dim == 0 and nucleus(A).dim == 0
+
+
 def test_find_unit(mat2):
     u = find_unit(mat2)
     assert u.coords == (1, 0, 0, 1)

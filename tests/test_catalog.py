@@ -23,9 +23,19 @@ def test_catalog_names():
         catalog("octonions", QQ)
 
 
-def test_catalog_instances_cached():
-    assert catalog("mat2", QQ) is catalog("mat2", QQ)
-    assert catalog("mat2", QQ) is not catalog("mat2", GF(5))
+def test_catalog_builds_fresh_instances():
+    for name in CATALOG_NAMES:
+        for F in (QQ, GF(5)):
+            A, B = catalog(name, F), catalog(name, F)
+            assert A is not B
+            assert serialize(A) == serialize(B)
+
+
+def test_catalog_unit_cannot_be_cleared_for_later_callers():
+    A = catalog("mat2", QQ)
+    with pytest.raises(AttributeError):
+        A.unit = None
+    assert A.unit == catalog("mat2", QQ).unit == (1, 0, 0, 1)
 
 
 def test_mat2_is_associative():

@@ -66,7 +66,7 @@ def test_map_table_validation(ring2):
     with pytest.raises(ValueError):
         MapTable(ring2, [99] + [0] * 15)
     T = MapTable.identity(ring2)
-    assert T.apply_index(5) == 5
+    assert T.values[5] == 5
     x = ring2.element(3)
     assert T(x) == x
 

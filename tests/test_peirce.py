@@ -329,6 +329,18 @@ def test_prime_char3_warns():
     assert rep.status is Verdict.HOLDS
 
 
+def test_prime_report_is_memoised_per_algebra():
+    A, B = catalog("mat2", GF(2)), catalog("mat2", GF(2))
+    first = is_prime(A)
+    assert is_prime(A) is first
+    again = is_prime(B)
+    assert again is not first and again == first
+    # over Q the seed picks the samples, so it is part of the memo key
+    P = catalog("product2", QQ)
+    assert is_prime(P, samples=20, seed=1).status is Verdict.UNDECIDED
+    assert is_prime(P, samples=20, seed=2).status is Verdict.FAILS
+
+
 def test_cross_invariants_on_catalog():
     """Prime + alternative forces (1)-(3); (1)-(3) force both commutants."""
     from altrings.algebra import classify_identities
