@@ -578,7 +578,8 @@ def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
     over Q (``_sampled_kernel``), so the report is the one the exact test
     alone gives.
     Char-3 rings get a torsion warning: the equivalence with ideal-primality
-    needs 3-torsion-freeness.
+    needs 3-torsion-freeness.  Reports live in A's memo, keyed over GF(p)
+    by the budget and over Q by budget, samples and seed.
     """
     # warn before the memo lookup: a memoised report must not silence this
     if A.field.characteristic == 3:
@@ -587,8 +588,10 @@ def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
             "assumes 3-torsion-freeness",
             stacklevel=2,
         )
-    return A._memoised(("is_prime", budget, samples, seed),
-                       lambda: _is_prime_uncached(A, budget, samples, seed))
+    # the walk over GF(p) reads neither samples nor seed, so one report
+    # serves every call at the same budget
+    key = ("is_prime", budget) if A.field.is_finite else ("is_prime", budget, samples, seed)
+    return A._memoised(key, lambda: _is_prime_uncached(A, budget, samples, seed))
 
 
 def _first_kernel_witness(A: Algebra, a, rows) -> tuple:

@@ -2,11 +2,14 @@
 
 Maps and fixtures several modules use, basis changes that turn a catalog
 algebra into a dense copy of itself, matrix inverses written straight from
-Gauss-Jordan, and the scalar strategies of the hypothesis references.
+Gauss-Jordan, the scalar strategies of the hypothesis references, and the
+plain incremental eliminator over Q that ``linalg._RationalEchelon`` must
+match int for int.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -168,3 +171,91 @@ def scalars(F):
 def normal(F, v):
     """The reference's normal form: a Fraction over Q, an int in [0, p) over GF(p)."""
     return Fraction(v) if F is QQ else v % F.p
+
+
+class ReferenceEchelon:
+    """Incremental RREF over Q by reduction alone: every row is reduced
+    against the pivot rows and, if it enlarges the span, back-substituted
+    into them, each changed row cleared of its content with its first
+    nonzero entry positive.  A frozen copy of ``linalg._RationalEchelon``
+    from before it proved dependent rows by a packed dot product."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots: dict[int, list[int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @staticmethod
+    def _normalise(row: list[int]) -> None:
+        content = 0
+        for v in row:
+            content = gcd(content, v)
+            if content == 1:
+                break
+        if content > 1:
+            for i, v in enumerate(row):
+                row[i] = v // content
+        for v in row:
+            if v:
+                if v < 0:
+                    for i, w in enumerate(row):
+                        row[i] = -w
+                break
+
+    def _reduced(self, row: list[int]) -> list[int]:
+        # Pivot rows are mutually reduced, so elimination order is irrelevant.
+        for col, prow in self.pivots.items():
+            v = row[col]
+            if v:
+                lead = prow[col]
+                g = gcd(lead, v)
+                mult, sub = lead // g, v // g
+                if mult == 1:
+                    for i in range(self.width):
+                        row[i] -= prow[i] * sub
+                else:
+                    for i in range(self.width):
+                        row[i] = row[i] * mult - prow[i] * sub
+        if any(row):
+            self._normalise(row)
+        return row
+
+    def add(self, row) -> bool:
+        """Fold one int row into the accumulator; True if it enlarged the span."""
+        work = self._reduced(list(row))
+        lead_col = -1
+        for i, v in enumerate(work):
+            if v:
+                lead_col = i
+                break
+        if lead_col < 0:
+            return False
+        for prow in self.pivots.values():
+            v = prow[lead_col]
+            if v:
+                lead = work[lead_col]
+                g = gcd(lead, v)
+                mult, sub = lead // g, v // g
+                if mult == 1:
+                    for i in range(self.width):
+                        prow[i] -= work[i] * sub
+                else:
+                    for i in range(self.width):
+                        prow[i] = prow[i] * mult - work[i] * sub
+                self._normalise(prow)
+        self.pivots[lead_col] = work
+        return True
+
+    def rref_ints(self) -> tuple[list[tuple], int]:
+        """(RREF rows in pivot order, den): ints over their least common
+        denominator, so every pivot entry equals den."""
+        leads = [(self.pivots[col], col) for col in sorted(self.pivots)]
+        den = lcm(*[row[col] for row, col in leads])
+        return [tuple(row) if row[col] == den else tuple(v * (den // row[col]) for v in row)
+                for row, col in leads], den
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self.pivots)

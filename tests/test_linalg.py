@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from altrings import linalg
+from altrings.algebra import leibniz_rows
+from altrings.catalog import catalog
 from altrings.fields import GF, QQ
+from altrings.lietype import derivation_space, lie_n_derivation_space
 from altrings.linalg import Matrix, Subspace, kernel, rank, rref, solve
-from oracles import normal, scalars
+from oracles import ReferenceEchelon, normal, scalars, unimodular_rebase
 
 
 def mat(rows, field=QQ):
@@ -460,3 +464,96 @@ def test_subspace_from_int_rows_equals_and_hashes_like_fraction_rows(data):
     assert reference_rref(F, rows, n)[0] == list(S.basis)
     for v in S.basis:
         assert_normal_form(F, v)
+
+
+# The Q eliminator proves most dependent rows by a packed dot product
+# against a null basis of its span; its pivot rows must stay those of plain
+# reduction (oracles.ReferenceEchelon) int for int, after every row.
+
+def _row_stream(data, width):
+    """Rows of one width: fresh rows of dense 15-60-bit entries, zero rows,
+    and mostly combinations of earlier rows with big coefficients, some of
+    them scaled past 2^200 so that they overflow the packed slots."""
+    bits = data.draw(st.integers(15, 60), label="bits")
+    entry = st.integers(-(1 << bits), 1 << bits)
+    fresh = st.lists(entry, min_size=width, max_size=width)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 48), label="length")):
+        kind = data.draw(st.sampled_from(["fresh", "zero", "huge"] + ["combination"] * 5))
+        if kind == "fresh" or not rows:
+            rows.append(data.draw(fresh))
+        elif kind == "zero":
+            rows.append([0] * width)
+        else:
+            picks = data.draw(st.lists(st.sampled_from(range(len(rows))), min_size=1, max_size=4))
+            row = [0] * width
+            for i in picks:
+                c = data.draw(entry)
+                row = [x + c * y for x, y in zip(row, rows[i])]
+            if kind == "huge":
+                scale = (1 << 200) + data.draw(st.integers(-(1 << 20), 1 << 20))
+                row = [v * scale for v in row]
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_q_eliminator_matches_plain_reduction_row_by_row(data):
+    width = data.draw(st.sampled_from([1, 1, 2, 3, 4, 5, 6, 8]), label="width")
+    rows = _row_stream(data, width)
+    acc, ref = linalg.echelon(QQ, width), ReferenceEchelon(width)
+    for row in rows:
+        copy = list(row)
+        assert acc.add(row) == ref.add(row)
+        assert acc.pivots == ref.pivots
+        assert row == copy
+    assert acc.rref_ints() == ref.rref_ints()
+
+
+def test_q_eliminator_keeps_rows_that_would_carry_between_slots():
+    """After dependent rows c e_2 the packed slots are about as wide as c;
+    a row a e_0 - b e_1 whose slot values would carry into one another
+    (a = b 2^w) must still enlarge the span."""
+    for c in range(1, 9):
+        for b in (1, 2, 3):
+            for a in range(1, 40):
+                acc = linalg.echelon(QQ, 4)
+                for row in [[0, 0, 1, 0], [0, 0, 0, 1]] + [[0, 0, c, 0]] * 20:
+                    acc.add(row)
+                assert acc.add([a, -b, 0, 0])
+                assert not acc.add([a * c, -b * c, 5, -7])
+
+
+def test_packed_check_spares_most_dependent_leibniz_rows(monkeypatch):
+    """462 of the 512 Leibniz rows of a dense Zorn basis add no rank; the
+    packed check must spare the reduction of most of them."""
+    A = unimodular_rebase(catalog("zorn", QQ), 1)
+    reduced = linalg._RationalEchelon._reduced
+    calls = []
+
+    def counted(self, row):
+        calls.append(row)
+        return reduced(self, row)
+
+    monkeypatch.setattr(linalg._RationalEchelon, "_reduced", counted)
+    acc = linalg.echelon(QQ, 64)
+    rows = list(leibniz_rows(A))
+    for row in rows:
+        acc.add(row)
+    assert len(rows) == 512 and acc.rank == 50
+    assert len(calls) <= 120
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dense_zorn_spaces_equal_the_reference_eliminators(seed, monkeypatch):
+    A = unimodular_rebase(catalog("zorn", QQ), seed)
+
+    def spaces():
+        return [derivation_space(A).space, lie_n_derivation_space(A, 2).space,
+                lie_n_derivation_space(A, 3).space]
+
+    fast = spaces()
+    monkeypatch.setattr(linalg, "_RationalEchelon", ReferenceEchelon)
+    assert spaces() == fast
+    assert [S.dim for S in fast] == [14, 15, 15]

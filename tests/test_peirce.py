@@ -335,6 +335,9 @@ def test_prime_report_is_memoised_per_algebra():
     assert is_prime(A) is first
     again = is_prime(B)
     assert again is not first and again == first
+    # over GF(p) the walk reads neither samples nor seed: one report
+    C = catalog("mat2", GF(5))
+    assert is_prime(C, seed=1) is is_prime(C, seed=2) is is_prime(C, samples=7)
     # over Q the seed picks the samples, so it is part of the memo key
     P = catalog("product2", QQ)
     assert is_prime(P, samples=20, seed=1).status is Verdict.UNDECIDED
