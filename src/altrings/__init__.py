@@ -4,7 +4,15 @@ Structure constants over Q or GF(p), Peirce decomposition at an
 idempotent, hypothesis checkers, derivation and Lie-type derivation
 spaces, the derivation + central-map splitting, and brute-force table
 search on small finite rings.
+
+``import altrings`` loads `algebra`, `catalog`, `fields`, `linalg` and
+`verdict`.  The names from `peirce` (Peirce contexts, conditions (1)-(4),
+primality), `lietype` (derivation spaces, `decompose`) and `finite` (value
+tables and their search) are in ``__all__`` too, but their module loads on
+first use of one of its names, so a process pays only for what it runs.
 """
+
+import importlib
 
 from .algebra import (
     Algebra,
@@ -27,44 +35,62 @@ from .algebra import (
 )
 from .catalog import CATALOG_NAMES, SafError, catalog, direct_sum, opposite, parse, serialize
 from .fields import GF, QQ, FieldError, PrimeField, RationalField, parse_field
-from .finite import (
-    FiniteRing,
-    MapTable,
-    almost_additivity_defect,
-    construct_converse_example,
-    pruned_exhaustive_search,
-    verify_lie_n_identity,
-)
-from .lietype import (
-    Decomposition,
-    DecompositionError,
-    NormalizationError,
-    OperatorSpace,
-    check_conditions_abc,
-    conditions_abc_subspace,
-    decompose,
-    derivation_space,
-    fosner_inclusion,
-    lie_leibniz_residual,
-    lie_n_derivation_space,
-    nested_commutator,
-    nested_commutator_span,
-    normalize_at_idempotent,
-    standard_inner_derivation,
-)
 from .linalg import Matrix, Subspace, kernel, rank, rref, solve
-from .peirce import (
-    PeirceContext,
-    PeirceError,
-    check_conditions_1_to_4,
-    check_offdiag_commutant,
-    is_prime,
-    peirce_context,
-    verify_peirce_relations,
-)
 from .verdict import ConditionVerdict, Verdict
 
 __version__ = "0.1.0"
+
+# name -> home module of the names loaded on first use
+_LAZY = {
+    **dict.fromkeys((
+        "FiniteRing",
+        "MapTable",
+        "almost_additivity_defect",
+        "construct_converse_example",
+        "pruned_exhaustive_search",
+        "verify_lie_n_identity",
+    ), "finite"),
+    **dict.fromkeys((
+        "Decomposition",
+        "DecompositionError",
+        "NormalizationError",
+        "OperatorSpace",
+        "check_conditions_abc",
+        "conditions_abc_subspace",
+        "decompose",
+        "derivation_space",
+        "fosner_inclusion",
+        "lie_leibniz_residual",
+        "lie_n_derivation_space",
+        "nested_commutator",
+        "nested_commutator_span",
+        "normalize_at_idempotent",
+        "standard_inner_derivation",
+    ), "lietype"),
+    **dict.fromkeys((
+        "PeirceContext",
+        "PeirceError",
+        "check_conditions_1_to_4",
+        "check_offdiag_commutant",
+        "is_prime",
+        "peirce_context",
+        "verify_peirce_relations",
+    ), "peirce"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Read from the home module on every access and never stored here, so
+    # whoever patches the home module's attribute (and later restores it)
+    # is seen through the package as well.
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 __all__ = [
     "Algebra",

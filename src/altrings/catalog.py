@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .algebra import Algebra, AlgebraError, LinearMap
 from .fields import FieldError, parse_field
-from .finite import FiniteRing, MapTable
 from .linalg import Matrix
 
 CATALOG_NAMES = ("mat2", "tri2", "zorn", "product2")
@@ -344,6 +343,8 @@ def parse_linear_map(data, A: Algebra) -> LinearMap:
 def parse_map_table(data, ring: FiniteRing) -> MapTable:
     """Parse .tmap bytes (or text): ``tmap 1``, ``size <S>``, then S
     ``map <i> <j>`` lines, each sending element i of the ring to element j."""
+    from .finite import MapTable  # only .tmap readers need the finite module
+
     lines = _content_lines(data)
     _magic(lines, "tmap 1")
     number, size = _count(lines, 1, "size")

@@ -14,8 +14,6 @@ import argparse
 import os
 import sys
 
-from . import finite as finmod
-from . import lietype as ltmod
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -37,15 +35,10 @@ from .catalog import (
 )
 from .fields import QQ, FieldError, parse_field
 from .linalg import Matrix
-from .peirce import (
-    PeirceError,
-    check_conditions_1_to_4,
-    check_offdiag_commutant,
-    is_prime,
-    peirce_context,
-    verify_peirce_relations,
-)
 from .verdict import Verdict
+
+# `peirce`, `lietype` and `finite` are imported by the subcommands that run
+# them, so each process loads only what its subcommand needs.
 
 
 class CliError(ValueError):
@@ -86,7 +79,10 @@ class Emitter:
         return 0
 
 
-def _parse_field(text: str):
+def _parse_field(text: str | None):
+    """The field named by ``--field``; Q when the option is absent."""
+    if text is None:
+        return QQ
     try:
         return parse_field(text)
     except FieldError as exc:
@@ -125,6 +121,8 @@ def _parse_coords(text: str, A: Algebra) -> tuple:
 
 def _load_algebra(args) -> Algebra:
     if args.file:
+        if args.field is not None:
+            raise CliError("--field does not apply to --file: a .saf file names its field")
         return parse_saf(_read(args.file))
     if args.catalog:
         field = _parse_field(args.field)
@@ -136,6 +134,8 @@ def _load_algebra(args) -> Algebra:
 
 
 def _context(A: Algebra, args):
+    from . import peirce
+
     if args.idem:
         e1 = _parse_coords(args.idem, A)
     elif A.idempotent is not None:
@@ -143,8 +143,8 @@ def _context(A: Algebra, args):
     else:
         raise CliError("no idempotent: pass --idem or use a catalog algebra")
     try:
-        return peirce_context(A, e1)
-    except PeirceError as exc:
+        return peirce.peirce_context(A, e1)
+    except peirce.PeirceError as exc:
         raise CliError(f"{exc.kind}: {exc}") from exc
 
 
@@ -228,7 +228,9 @@ def _cmd_check(args, em: Emitter):
         for k in args.torsion:
             em.from_bool(f"check:torsion-free-{k}", torsion_free(A, k))
     if args.prime:
-        rep = is_prime(A, seed=args.seed, **_budget(args))
+        from . import peirce
+
+        rep = peirce.is_prime(A, seed=args.seed, **_budget(args))
         detail = rep.detail
         if rep.witness is not None:
             a, b = rep.witness
@@ -237,12 +239,14 @@ def _cmd_check(args, em: Emitter):
 
 
 def _cmd_peirce(args, em: Emitter):
+    from . import peirce
+
     A = _load_algebra(args)
     ctx = _context(A, args)
     em.fact("peirce:dims", str(ctx.dims))
     run_all = not (args.relations or args.conditions or args.commutant)
     if args.relations or run_all:
-        rep = verify_peirce_relations(ctx)
+        rep = peirce.verify_peirce_relations(ctx)
         em.from_bool("peirce:relation-composition", rep.composition)
         em.from_bool("peirce:relation-same-component", rep.same_component)
         em.from_bool("peirce:relation-orthogonality", rep.orthogonality)
@@ -251,12 +255,12 @@ def _cmd_peirce(args, em: Emitter):
             em.emit("peirce:relation-witness", Verdict.FAILS,
                     f"{v.detail}; product {_fmt_vec(A.field, v.product)}")
     if args.conditions or run_all:
-        rep = check_conditions_1_to_4(ctx)
+        rep = peirce.check_conditions_1_to_4(ctx)
         for key, verdict in rep.entries.items():
             em.emit(f"peirce:cond-{key}", verdict.status, verdict.detail)
     if args.commutant or run_all:
         for side in ("12", "21"):
-            rep = check_offdiag_commutant(ctx, side)
+            rep = peirce.check_offdiag_commutant(ctx, side)
             em.from_bool(
                 f"peirce:commutant-{side}",
                 rep.contained_in_center,
@@ -265,12 +269,14 @@ def _cmd_peirce(args, em: Emitter):
 
 
 def _cmd_derive(args, em: Emitter):
+    from . import lietype
+
     A = _load_algebra(args)
     if args.n is not None:
-        space = ltmod.lie_n_derivation_space(A, args.n)
+        space = lietype.lie_n_derivation_space(A, args.n)
         label = f"derive:lie{args.n}-dim"
     else:
-        space = ltmod.derivation_space(A)
+        space = lietype.derivation_space(A)
         label = "derive:der-dim"
     em.fact(label, str(space.dim))
     if args.basis:
@@ -279,14 +285,16 @@ def _cmd_derive(args, em: Emitter):
 
 
 def _cmd_decompose(args, em: Emitter):
+    from . import lietype
+
     A = _load_algebra(args)
     ctx = _context(A, args)
     if not args.map:
         raise CliError("decompose needs --map <path> with an lmap matrix block")
     D = _load_map(args.map, parse_linear_map, A)
     try:
-        dec = ltmod.decompose(ctx, D, args.n)
-    except ltmod.DecompositionError as exc:
+        dec = lietype.decompose(ctx, D, args.n)
+    except lietype.DecompositionError as exc:
         em.emit(f"decompose:{exc.certificate.replace('_', '-')}", Verdict.FAILS, str(exc))
         return
     em.emit("decompose:condition-a", Verdict.HOLDS, "")
@@ -301,23 +309,27 @@ def _cmd_decompose(args, em: Emitter):
 
 
 def _cmd_fosner(args, em: Emitter):
+    from . import lietype
+
     A = _load_algebra(args)
     n, k = args.n, args.k
     m = n + k * (n - 1)
-    ok = ltmod.fosner_inclusion(A, n, k)
+    ok = lietype.fosner_inclusion(A, n, k)
     em.from_bool(
         "fosner:inclusion", ok, f"Lie-{n} space inside Lie-{m} space (k = {k})"
     )
 
 
 def _cmd_search(args, em: Emitter):
+    from . import finite
+
     A = _load_algebra(args)
     if args.mode == "verify":
         if not args.map:
             raise CliError("search --mode verify needs --map <path> (tmap)")
-        ring = finmod.FiniteRing(A)
+        ring = finite.FiniteRing(A)
         T = _load_map(args.map, parse_map_table, ring)
-        rep = finmod.verify_lie_n_identity(
+        rep = finite.verify_lie_n_identity(
             A, T, args.n, seed=args.seed, **_budget(args)
         )
         detail = f"mode {rep.mode}, checked {rep.checked}"
@@ -328,9 +340,9 @@ def _cmd_search(args, em: Emitter):
     elif args.mode == "defect":
         if not args.map:
             raise CliError("search --mode defect needs --map <path> (tmap)")
-        ring = finmod.FiniteRing(A)
+        ring = finite.FiniteRing(A)
         T = _load_map(args.map, parse_map_table, ring)
-        rep = finmod.almost_additivity_defect(A, T, **_budget(args))
+        rep = finite.almost_additivity_defect(A, T, **_budget(args))
         detail = f"checked {rep.checked} pairs"
         if rep.witness:
             a, b, defect = rep.witness
@@ -344,10 +356,10 @@ def _cmd_search(args, em: Emitter):
             raise CliError("search --mode converse needs --map <path> (lmap, the derivation)")
         ctx = _context(A, args)
         delta = _load_map(args.map, parse_linear_map, A)
-        T = finmod.construct_converse_example(
+        T = finite.construct_converse_example(
             ctx, delta, args.n, seed=args.seed, **_budget(args)
         )
-        rep = finmod.almost_additivity_defect(A, T)
+        rep = finite.almost_additivity_defect(A, T)
         if args.out:  # before any verdict, so a failed write prints none
             _write(args.out, dump_map_table(T).encode("utf-8"))
         em.emit("search:converse-identity", Verdict.HOLDS, "verified exhaustively")
@@ -356,7 +368,7 @@ def _cmd_search(args, em: Emitter):
         if args.out:
             em.fact("search:converse-table", args.out)
     elif args.mode == "exhaust":
-        rep = finmod.pruned_exhaustive_search(A, args.n, **_budget(args))
+        rep = finite.pruned_exhaustive_search(A, args.n, **_budget(args))
         tally = {f"lie={k[0]},almost-additive={k[1]}": v for k, v in rep.tally.items()}
         em.fact("search:exhaust-tally", str(tally))
         em.fact(
@@ -397,6 +409,9 @@ def _cmd_catalog(args, em: Emitter):
         else:
             sys.stdout.write(data.decode("utf-8"))
         return
+    for option, value in (("--field", args.field), ("--out", args.out)):
+        if value is not None:  # the listing is over Q and writes no file
+            raise CliError(f"{option} needs --export NAME")
     for name in CATALOG_NAMES:
         A = load_catalog(name, QQ)
         rep = classify_identities(A)
@@ -412,10 +427,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="altrings", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, peirce=False, budget=False, seed=False):
-        p.add_argument("--catalog", choices=sorted(CATALOG_NAMES))
-        p.add_argument("--file")
-        p.add_argument("--field", default="Q", help="Q or GFp:<p>")
+    def common(p, peirce=False, budget=False, seed=False, source=True):
+        if source:  # the algebra: one built-in or one .saf file
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--catalog", choices=sorted(CATALOG_NAMES))
+            group.add_argument("--file", help=".saf file; it names its own field")
+        p.add_argument("--field", help="Q or GFp:<p> (default Q)")
         if budget:
             p.add_argument("--budget", type=_int_at_least(1), default=None)
         if seed:
@@ -468,7 +485,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the constructed table here")
 
     p = sub.add_parser("catalog", help="list built-in algebras or export one")
-    common(p)
+    common(p, source=False)
     p.add_argument("--export", metavar="NAME")
     p.add_argument("--out")
 

@@ -435,17 +435,31 @@ def test_nonpositive_budget_is_a_usage_error(capsys, budget):
 
 
 @pytest.mark.parametrize("argv", [
-    ["info", "--budget", "5"],
-    ["peirce", "--budget", "5"],
-    ["info", "--seed", "1"],
-    ["derive", "--seed", "1"],
-    ["derive", "--budget", "5"],
-    ["fosner", "--budget", "5"],
+    ["info", "--catalog", "mat2", "--budget", "5"],
+    ["peirce", "--catalog", "mat2", "--budget", "5"],
+    ["info", "--catalog", "mat2", "--seed", "1"],
+    ["derive", "--catalog", "mat2", "--seed", "1"],
+    ["derive", "--catalog", "mat2", "--budget", "5"],
+    ["fosner", "--catalog", "mat2", "--budget", "5"],
+    # one algebra source, and a .saf file names its own field
+    ["info", "--file", "x.saf", "--catalog", "mat2"],
+    ["info", "--catalog", "mat2", "--file", "x.saf"],
+    ["info", "--file", "x.saf", "--field", "GFp:3"],
+    ["derive", "--file", "x.saf", "--field", "Q"],
+    # the listing reads no algebra, is over Q and writes no file
+    ["catalog", "--catalog", "mat2"],
+    ["catalog", "--file", "/nonexistent.saf"],
+    ["catalog", "--out", "x.saf"],
+    ["catalog", "--field", "GFp:5"],
 ])
-def test_knob_on_a_subcommand_that_ignores_it_is_a_usage_error(capsys, argv):
-    code, out, err = run(capsys, argv[0], "--catalog", "mat2", *argv[1:])
+def test_knob_on_a_subcommand_that_ignores_it_is_a_usage_error(capsys, tmp_path,
+                                                                monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
-    assert argv[1] in err
+    knob = [a for a in argv if a.startswith("--")][-1]
+    assert knob in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand_exit_3(capsys):
