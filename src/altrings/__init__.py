@@ -10,6 +10,9 @@ search on small finite rings.
 primality), `lietype` (derivation spaces, `decompose`) and `finite` (value
 tables and their search) are in ``__all__`` too, but their module loads on
 first use of one of its names, so a process pays only for what it runs.
+No module loads `dataclasses` or `inspect`: result records are NamedTuples,
+so they unpack and equal the tuple of their values (``SearchReport``, which
+the search fills in, and ``ConditionsReport``, read by key, are plain classes).
 """
 
 import importlib

@@ -13,8 +13,8 @@ the field's ``from_ints``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .fields import FieldError
 from .linalg import Matrix, Subspace, echelon, null_space, solve
@@ -425,8 +425,7 @@ def is_derivation(A: Algebra, g: LinearMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Which standard identities the multiplication satisfies; every flag is
     decided exactly, in every characteristic (see classify_identities)."""
 
@@ -597,8 +596,7 @@ def _solve_unit(A: Algebra) -> tuple | None:
     return None if result is None else result[0]
 
 
-@dataclass(frozen=True)
-class IdempotentCheck:
+class IdempotentCheck(NamedTuple):
     """Result of testing e² = e; nontrivial is None when not idempotent."""
 
     idempotent: bool

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .algebra import (
     Algebra,
@@ -195,9 +196,8 @@ def _cmd_info(args, em: Emitter):
         _fmt_vec(F, A.idempotent) if A.idempotent is not None else "none",
     )
     rep = classify_identities(A)
-    em.fact("info:associative", str(rep.associative).lower())
-    em.fact("info:alternative", str(rep.alternative).lower())
-    em.fact("info:flexible", str(rep.flexible).lower())
+    for name, value in rep._asdict().items():
+        em.fact(f"info:{name}", str(value).lower())
     Z = center(A)
     N = nucleus(A)
     em.fact("info:center-dim", str(Z.dim))
@@ -217,13 +217,8 @@ def _cmd_check(args, em: Emitter):
             if "identities" in props
             else [p for p in props if p != "identities"]
         )
-        values = {
-            "associative": rep.associative,
-            "alternative": rep.alternative,
-            "flexible": rep.flexible,
-        }
         for name in wanted:
-            em.from_bool(f"check:{name}", values[name])
+            em.from_bool(f"check:{name}", getattr(rep, name))
     if args.torsion:
         for k in args.torsion:
             em.from_bool(f"check:torsion-free-{k}", torsion_free(A, k))
@@ -297,15 +292,11 @@ def _cmd_decompose(args, em: Emitter):
     except lietype.DecompositionError as exc:
         em.emit(f"decompose:{exc.certificate.replace('_', '-')}", Verdict.FAILS, str(exc))
         return
-    em.emit("decompose:condition-a", Verdict.HOLDS, "")
-    em.emit("decompose:condition-b", Verdict.HOLDS, "")
-    em.emit("decompose:condition-c", Verdict.HOLDS, "")
-    em.emit("decompose:leibniz", Verdict.HOLDS, "")
-    em.emit("decompose:tau-central", Verdict.HOLDS, "")
-    em.emit("decompose:tau-kills-pn", Verdict.HOLDS, "")
-    em.fact("decompose:delta", _fmt_matrix(dec.delta.matrix))
-    em.fact("decompose:tau", _fmt_matrix(dec.tau.matrix))
-    em.fact("decompose:normalizer", _fmt_matrix(dec.normalizer.matrix))
+    for name in ("condition-a", "condition-b", "condition-c", "leibniz",
+                 "tau-central", "tau-kills-pn"):
+        em.emit(f"decompose:{name}", Verdict.HOLDS, "")
+    for name, part in dec._asdict().items():  # delta, tau, normalizer
+        em.fact(f"decompose:{name}", _fmt_matrix(part.matrix))
 
 
 def _cmd_fosner(args, em: Emitter):
@@ -415,11 +406,8 @@ def _cmd_catalog(args, em: Emitter):
     for name in CATALOG_NAMES:
         A = load_catalog(name, QQ)
         rep = classify_identities(A)
-        kind = (
-            "associative"
-            if rep.associative
-            else "alternative" if rep.alternative else "nonassociative"
-        )
+        kind = ("associative" if rep.associative
+                else "alternative" if rep.alternative else "nonassociative")
         em.fact(f"catalog:{name}", f"dim {A.dim}, {kind}")
 
 
@@ -504,12 +492,19 @@ _HANDLERS = {
 }
 
 
+def _note(message, *_):
+    """A library warning as one stderr line, without source path or code."""
+    print(f"note: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         em = Emitter(args.format, sys.stdout)
-        _HANDLERS[args.command](args, em)
+        with warnings.catch_warnings():
+            warnings.showwarning = _note
+            _HANDLERS[args.command](args, em)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     # every package error but BudgetError is a ValueError
     except (ValueError, BudgetError) as exc:

@@ -50,7 +50,7 @@ import itertools
 import random
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .algebra import (
     Algebra,
@@ -251,8 +251,7 @@ class MapTable:
         return f"MapTable(size={self.ring.size})"
 
 
-@dataclass(frozen=True)
-class LieIdentityReport:
+class LieIdentityReport(NamedTuple):
     """Outcome of testing identity (1) on a value table."""
 
     status: Verdict
@@ -359,8 +358,7 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
     return LieIdentityReport(status=Verdict.UNDECIDED, mode="sampled", checked=samples)
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+class AdditivityReport(NamedTuple):
     """Whether every additivity defect T(a+b) - T(a) - T(b) is central."""
 
     all_central: bool
@@ -454,25 +452,30 @@ def construct_converse_example(ctx, delta: LinearMap, n: int, seed: int = 0,
     return T
 
 
-@dataclass(frozen=True)
-class TableSummary:
+class TableSummary(NamedTuple):
     values: tuple
     lie_ok: bool
     additive_ok: bool
 
 
-@dataclass
 class SearchReport:
-    """Tally of completed tables from the pruned exhaustive search."""
+    """Tally of completed tables from the pruned exhaustive search, filled in
+    as it runs: ``covered`` counts the tables accounted for (leaves and
+    pruned subtrees), ``instances`` the identity instances filed."""
 
-    tally: Counter = dataclass_field(default_factory=Counter)
-    summaries: list = dataclass_field(default_factory=list)
-    leaves: int = 0
-    covered: int = 0  # tables accounted for (leaves + pruned subtrees)
-    total: int = 0
-    instances: int = 0  # identity instances filed
-    nodes: int = 0
-    complete: bool = False
+    def __init__(self, tally: Counter | None = None, summaries: list | None = None,
+                 leaves: int = 0, covered: int = 0, total: int = 0,
+                 instances: int = 0, nodes: int = 0, complete: bool = False):
+        self.tally = Counter() if tally is None else tally
+        self.summaries = [] if summaries is None else summaries
+        self.leaves, self.covered, self.total = leaves, covered, total
+        self.instances, self.nodes, self.complete = instances, nodes, complete
+
+    def __repr__(self):
+        return f"SearchReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is SearchReport else NotImplemented
 
 
 def _last_read(comm, basis, xs) -> int:

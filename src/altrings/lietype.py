@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import (
     Algebra,
@@ -238,8 +238,7 @@ def standard_inner_derivation(A: Algebra, y, z) -> LinearMap:
                                           F.to_ints(A._coerce_coords(z))))
 
 
-@dataclass(frozen=True)
-class AbcReport:
+class AbcReport(NamedTuple):
     """Verdicts for the three map-side hypotheses at one idempotent."""
 
     a: ConditionVerdict
@@ -248,9 +247,7 @@ class AbcReport:
 
     @property
     def all_hold(self) -> bool:
-        return all(
-            v.status is Verdict.HOLDS for v in (self.a, self.b, self.c)
-        )
+        return all(v.status is Verdict.HOLDS for v in self)
 
 
 class NormalizationError(ValueError):
@@ -373,8 +370,7 @@ def normalize_at_idempotent(ctx: PeirceContext, D: LinearMap):
     return LinearMap(A, Dp), LinearMap(A, f)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """D = delta + tau with delta a derivation absorbing the normalizer.
 
     Only a fully certified split is returned: each failed check in
@@ -387,7 +383,7 @@ class Decomposition:
 
 
 def _gate(report: AbcReport, certificate: str, message: str) -> None:
-    for name, verdict in (("a", report.a), ("b", report.b), ("c", report.c)):
+    for name, verdict in report._asdict().items():
         if verdict.status is not Verdict.HOLDS:
             raise DecompositionError(
                 certificate.format(name), message.format(name, verdict.detail)

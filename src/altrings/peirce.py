@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 from operator import mul
 from typing import Callable, NamedTuple
@@ -52,8 +51,7 @@ _RAY_BUDGET = 2 ** 17  # rays of a primality or condition (4) enumeration
 _CERT_PRIME = 251
 
 
-@dataclass(frozen=True)
-class PeirceContext:
+class PeirceContext(NamedTuple):
     """Validated Peirce data at one idempotent, derived once by
     ``peirce_context``: e1 as field elements and as (ints, den), the
     projections pi_ij as int-backed matrices, their images R_ij, the
@@ -157,16 +155,14 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
     )
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(NamedTuple):
     relation: str
     source: tuple
     product: tuple
     detail: str
 
 
-@dataclass(frozen=True)
-class PeirceRelationsReport:
+class PeirceRelationsReport(NamedTuple):
     """Outcome of the four component-product relations, each decided
     exactly (see verify_peirce_relations)."""
 
@@ -174,16 +170,12 @@ class PeirceRelationsReport:
     same_component: bool         # R_ij R_ij inside R_ji
     orthogonality: bool          # R_ij R_kl = 0 for j != k, (i,j) != (k,l)
     square_free: bool            # x_ij^2 = 0 for i != j
-    violations: tuple = dataclass_field(default_factory=tuple)
+    violations: tuple = ()
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.composition
-            and self.same_component
-            and self.orthogonality
-            and self.square_free
-        )
+        return all((self.composition, self.same_component,
+                    self.orthogonality, self.square_free))
 
 
 def verify_peirce_relations(ctx: PeirceContext) -> PeirceRelationsReport:
@@ -246,8 +238,7 @@ def verify_peirce_relations(ctx: PeirceContext) -> PeirceRelationsReport:
     )
 
 
-@dataclass(frozen=True)
-class CommutantReport:
+class CommutantReport(NamedTuple):
     subspace: Subspace
     contained_in_center: bool
 
@@ -274,11 +265,25 @@ def check_offdiag_commutant(ctx: PeirceContext, side) -> CommutantReport:
     )
 
 
-@dataclass(frozen=True)
 class ConditionsReport:
-    """Verdicts for the four ring conditions, keyed by sub-check."""
+    """Verdicts for the four ring conditions, keyed by sub-check: a frozen
+    plain class, as on a NamedTuple ``report[key]`` would shadow indexing."""
 
-    entries: dict
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict):
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"ConditionsReport(entries={self.entries!r})"
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is ConditionsReport else NotImplemented
 
     def __getitem__(self, key: str) -> ConditionVerdict:
         return self.entries[key]
@@ -391,8 +396,7 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
     return ConditionsReport(entries=entries)
 
 
-@dataclass(frozen=True)
-class PrimeReport:
+class PrimeReport(NamedTuple):
     status: Verdict
     mode: str                      # exhaustive | sampled
     checked: int

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Verdict(str, Enum):
@@ -15,8 +15,7 @@ class Verdict(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     """One checked condition: status, explanation, optional witness vector(s)."""
 
     status: Verdict

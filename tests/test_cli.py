@@ -1,9 +1,13 @@
 import os
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
-from altrings.catalog import catalog, parse, serialize
+import altrings
+from altrings.catalog import catalog, direct_sum, parse, serialize
 from altrings.cli import main
 from altrings.fields import GF, QQ
 
@@ -484,3 +488,35 @@ def test_fosner_k_zero_is_the_trivial_inclusion(capsys):
     code, out, _ = run(capsys, "fosner", "--catalog", "mat2", "--k", "0")
     assert code == 0
     assert out.split()[:2] == ["fosner:inclusion", "holds"]
+
+
+def _cold(*argv):
+    """``python -m altrings argv`` in a fresh process: (exit code, stdout, stderr)."""
+    src = str(Path(altrings.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "altrings", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_char3_primality_warning_is_one_note_line():
+    code, out, err = _cold("check", "--catalog", "zorn", "--field", "GFp:3", "--prime")
+    assert code == 0
+    assert out == "check:prime                        holds      all 3280 rays have trivial annihilator\n"
+    assert err == ("note: primality loop on a char-3 ring: the ideal-theoretic"
+                   " equivalence assumes 3-torsion-freeness\n")
+
+
+def test_undecided_ring_condition_in_decompose_is_one_note_line(tmp_path, capsys):
+    # mat2 + mat2 over Q at (e11, e11): conditions (1)-(3) hold, and (4) is
+    # undecided since the center has dimension 2
+    saf, lmap = tmp_path / "m22.saf", tmp_path / "zero.lmap"
+    saf.write_bytes(serialize(direct_sum(catalog("mat2", QQ), catalog("mat2", QQ))))
+    lmap.write_text("lmap 1\ndim 8\n" + "row 0 0 0 0 0 0 0 0\n" * 8)
+    shown = warnings.showwarning
+    code, out, err = run(capsys, "decompose", "--file", str(saf), "--map", str(lmap),
+                         "--idem", "1 0 0 0 1 0 0 0")
+    assert code == 0 and warnings.showwarning is shown
+    assert out.splitlines()[3] == "decompose:leibniz                  holds      "
+    assert err == ("note: ring condition 4 undecided: zR = R is nonlinear in z;"
+                   " undecidable over an infinite field here\n")

@@ -1,9 +1,10 @@
 """What each entry point loads, and the package namespace it exposes.
 
 `altrings/__init__` imports `algebra`, `catalog`, `fields`, `linalg` and
-`verdict`; `finite`, `lietype` and `peirce` load on first use.  The import
-checks run in a fresh interpreter each, since this process has long since
-loaded every module.
+`verdict`; `finite`, `lietype` and `peirce` load on first use.  No entry
+point loads `dataclasses` or `inspect`: the result records are NamedTuples
+or plain classes.  The import checks run in a fresh interpreter each, since
+this process has long since loaded every module.
 """
 
 import importlib
@@ -21,6 +22,7 @@ from altrings.fields import GF
 
 SRC = str(Path(altrings.__file__).resolve().parents[1])
 LAZY = ("altrings.finite", "altrings.lietype", "altrings.peirce")
+HEAVY = {"dataclasses", "inspect"}  # ~13 ms of a cold CLI process, with ast, dis, tokenize
 MODULES = [importlib.import_module(f"altrings.{m}") for m in (
     "algebra", "catalog", "fields", "finite", "lietype", "linalg", "peirce", "verdict")]
 
@@ -30,8 +32,10 @@ import contextlib, io, json, sys
 from altrings.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("altrings."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
+LOADED = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+README_LMAP = "lmap 1\ndim 4\nrow 1 0 0 1\nrow 0 3 0 0\nrow 0 0 -3 0\nrow 1 0 0 1\n"
 
 
 def _python(code: str, *argv) -> str:
@@ -47,33 +51,40 @@ def _cli_loads(*argv):
 
 
 def test_import_altrings_loads_none_of_the_lazy_modules():
-    loaded = json.loads(_python(
-        "import json, sys, altrings; print(json.dumps(sorted(sys.modules)))"))
+    loaded = set(json.loads(_python("import altrings; " + LOADED)))
     assert "altrings.catalog" in loaded
-    assert not set(LAZY) & set(loaded)
+    assert not set(LAZY) & loaded
+    assert not HEAVY & loaded
+
+
+@pytest.mark.parametrize("module", LAZY)
+def test_lazy_module_loads_neither_dataclasses_nor_inspect(module):
+    loaded = set(json.loads(_python(f"import {module}; " + LOADED)))
+    assert module in loaded and not HEAVY & loaded
 
 
 def test_cli_loads_only_what_its_subcommand_runs(tmp_path):
     saf = tmp_path / "zorn2.saf"
     lmap = tmp_path / "D.lmap"
-    lmap.write_text("lmap 1\ndim 4\nrow 1 0 0 1\nrow 0 3 0 0\nrow 0 0 -3 0\nrow 1 0 0 1\n")
+    lmap.write_text(README_LMAP)
+    peirce, lietype = {"altrings.peirce"}, {"altrings.lietype", "altrings.peirce"}
 
-    for argv in (["catalog", "--export", "zorn", "--field", "GFp:2", "--out", saf],
-                 ["info", "--file", saf],
-                 ["check", "--catalog", "mat2", "--prop", "identities"]):
+    # argv -> the lazy modules it loads; none loads dataclasses or inspect
+    for argv, lazy in (
+            (["catalog", "--export", "zorn", "--field", "GFp:2", "--out", saf], set()),
+            (["info", "--file", saf], set()),
+            (["check", "--catalog", "mat2", "--prop", "identities"], set()),
+            (["check", "--file", saf, "--prime"], peirce),
+            (["peirce", "--catalog", "zorn", "--conditions"], peirce),
+            (["derive", "--catalog", "mat2"], lietype),
+            (["decompose", "--catalog", "mat2", "--map", lmap], lietype),
+            (["fosner", "--catalog", "mat2"], lietype),
+            (["search", "--catalog", "product2", "--field", "GFp:2", "--mode", "exhaust"],
+             {"altrings.finite"})):
         code, loaded = _cli_loads(*argv)
-        assert code == 0 and not set(LAZY) & loaded, argv
+        assert code == 0 and set(LAZY) & loaded == lazy, argv
+        assert not HEAVY & loaded, (argv, sorted(HEAVY & loaded))
     assert saf.read_bytes() == serialize(altrings.catalog("zorn", GF(2)))
-
-    code, loaded = _cli_loads("decompose", "--catalog", "mat2", "--map", lmap)
-    assert code == 0
-    assert {"altrings.lietype", "altrings.peirce"} <= loaded
-    assert "altrings.finite" not in loaded
-
-    code, loaded = _cli_loads("search", "--catalog", "product2", "--field", "GFp:2",
-                              "--mode", "exhaust")
-    assert code == 0
-    assert "altrings.finite" in loaded and "altrings.lietype" not in loaded
 
 
 def test_every_exported_name_is_the_object_of_its_home_module():
