@@ -53,7 +53,6 @@ from .linalg import (
     null_space,
     row_space,
 )
-from .peirce import PeirceContext, check_conditions_1_to_4
 from .verdict import ConditionVerdict, Verdict
 
 
@@ -422,6 +421,9 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     p = F.characteristic
 
     if check_ring_conditions:
+        # the caller has built ctx, so peirce is loaded already
+        from .peirce import check_conditions_1_to_4
+
         report = check_conditions_1_to_4(ctx)
         for key, verdict in report.entries.items():
             if verdict.status is Verdict.FAILS:

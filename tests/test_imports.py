@@ -67,7 +67,7 @@ def test_cli_loads_only_what_its_subcommand_runs(tmp_path):
     saf = tmp_path / "zorn2.saf"
     lmap = tmp_path / "D.lmap"
     lmap.write_text(README_LMAP)
-    peirce, lietype = {"altrings.peirce"}, {"altrings.lietype", "altrings.peirce"}
+    peirce, lietype = {"altrings.peirce"}, {"altrings.lietype"}
 
     # argv -> the lazy modules it loads; none loads dataclasses or inspect
     for argv, lazy in (
@@ -77,7 +77,7 @@ def test_cli_loads_only_what_its_subcommand_runs(tmp_path):
             (["check", "--file", saf, "--prime"], peirce),
             (["peirce", "--catalog", "zorn", "--conditions"], peirce),
             (["derive", "--catalog", "mat2"], lietype),
-            (["decompose", "--catalog", "mat2", "--map", lmap], lietype),
+            (["decompose", "--catalog", "mat2", "--map", lmap], lietype | peirce),
             (["fosner", "--catalog", "mat2"], lietype),
             (["search", "--catalog", "product2", "--field", "GFp:2", "--mode", "exhaust"],
              {"altrings.finite"})):

@@ -654,8 +654,8 @@ _ANNIHILATORS = {
        st.integers(0, 2 ** 16))
 def test_center_annihilators_and_commutants_match_enumeration(name, p, seed):
     """On a random rebase over GF(p), the center, each annihilator of
-    conditions (1)-(3) and both off-diagonal commutants against sets
-    enumerated from the structure constants alone."""
+    conditions (1)-(3), condition (4) and both off-diagonal commutants
+    against sets enumerated from the structure constants alone."""
     A = dense_rebase(catalog(name, GF(p)), p, seed)
     ctx = peirce_context(A, A.idempotent)
     d, e = A.dim, A.idempotent
@@ -686,6 +686,16 @@ def test_center_annihilators_and_commutants_match_enumeration(name, p, seed):
             assert verdict.detail.endswith(f": annihilator has dim {k}")
             assert verdict.witness == _first_rref_vector(ann)
 
+    # (4): zR = R for every nonzero central z; product2 has dim Z = 2
+    singular = {z for z in center - {zero} if len({mul(z, x) for x in space}) < len(space)}
+    four = report["4"]
+    if singular:
+        assert four.status is Verdict.FAILS and four.witness in singular
+        assert four.detail == "central z with zR != R"
+    else:
+        assert four.status is Verdict.HOLDS and four.witness is None
+        assert four.detail == "all nonzero central z have zR = R (enumerated)"
+
     diagonal = {tuple((a + b) % p for a, b in zip(x, y))
                 for x in comp[(1, 1)] for y in comp[(2, 2)]}
     for side, slot in (("12", (1, 2)), ("21", (2, 1))):
@@ -701,6 +711,20 @@ def test_condition_4_witness_is_the_first_central_zero_divisor(p):
     entry = check_conditions_1_to_4(peirce_context(P, P.idempotent)).entries["4"]
     assert entry.status is Verdict.FAILS
     assert entry.witness == (0, 1)
+    assert entry.detail == "central z with zR != R"
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_condition_4_fails_at_a_combination_of_passing_basis_rows(p):
+    """GF(p)[x]/(x^2 - 1): the center is all of it, its basis vectors 1 and
+    x are units, but 1 + x is a zero divisor, (1 + x)(1 - x) = 0."""
+    A = Algebra(GF(p), 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1},
+                unit=(1, 0), idempotent=((p + 1) // 2, (p + 1) // 2))
+    ctx = peirce_context(A, A.idempotent)
+    assert ctx.center.dim == 2
+    entry = check_conditions_1_to_4(ctx).entries["4"]
+    assert entry.status is Verdict.FAILS
+    assert entry.witness == (1, 1)
     assert entry.detail == "central z with zR != R"
 
 
