@@ -14,6 +14,7 @@ the field's ``from_ints``.
 from __future__ import annotations
 
 from itertools import product as iter_product
+from operator import add
 from typing import NamedTuple
 
 from .fields import FieldError
@@ -434,19 +435,6 @@ class IdentityReport(NamedTuple):
     flexible: bool
 
 
-def _associative(A: Algebra) -> bool:
-    d = A.dim
-    for i in range(d):
-        for j in range(d):
-            pij = A.tensor[i][j]
-            for k in range(d):
-                lhs = A.mul_coords(pij, A.basis_element(k).coords)
-                rhs = A.mul_coords(A.basis_element(i).coords, A.tensor[j][k])
-                if lhs != rhs:
-                    return False
-    return True
-
-
 def basis_points(F, basis) -> list:
     """The vectors b_i and b_i + b_j (i < j) of a basis.
 
@@ -466,40 +454,60 @@ def basis_points(F, basis) -> list:
     return points
 
 
-def _two_slot_identity(A: Algebra, slots) -> bool:
-    """Whether the associator vanishes whenever its two slots ``slots`` hold
-    one element x, checked as an operator identity at the basis points x."""
-    for x in basis_points(A.field, [b.coords for b in A.basis()]):
-        if slots == (0, 1):
-            # (x, x, y) = 0 for all y  <=>  L_{xx} = L_x L_x
-            L_x = A.left_mult_matrix(x)
-            holds = A.left_mult_matrix(A.mul_coords(x, x)) == L_x @ L_x
-        elif slots == (1, 2):
-            # (y, x, x) = 0 for all y  <=>  R_{xx} = R_x R_x
-            R_x = A.right_mult_matrix(x)
-            holds = A.right_mult_matrix(A.mul_coords(x, x)) == R_x @ R_x
-        else:
-            # (x, y, x) = 0 for all y  <=>  L_x R_x = R_x L_x
-            L_x, R_x = A.left_mult_matrix(x), A.right_mult_matrix(x)
-            holds = L_x @ R_x == R_x @ L_x
-        if not holds:
-            return False
-    return True
+def _associators(A: Algebra) -> list[tuple]:
+    """T with T[(a*d + b)*d + c] the ints of the basis associator
+    (e_a, e_b, e_c) over A._den^2 (residues mod p over GF(p)), built once
+    from the structure constants and memoised."""
+    def build():
+        d, pairs, p = A.dim, A._pairs, A.field.characteristic
+        T = []
+        for a, b, c in iter_product(range(d), repeat=3):
+            out = [0] * d
+            for k, x in pairs[a][b]:  # (e_a e_b) e_c
+                for m, y in pairs[k][c]:
+                    out[m] += x * y
+            for k, x in pairs[b][c]:  # e_a (e_b e_c)
+                for m, y in pairs[a][k]:
+                    out[m] -= x * y
+            T.append(tuple(v % p for v in out) if p else tuple(out))
+        return T
+
+    return A._memoised("associators", build)
 
 
 def classify_identities(A: Algebra) -> IdentityReport:
     """Decide associativity, alternativity and flexibility of the product.
 
-    Associativity is a basis check.  Alternativity and flexibility are
-    operator identities quadratic in their repeated variable x
-    (L_{xx} = L_x L_x, R_{xx} = R_x R_x, L_x R_x = R_x L_x), so checking
-    them at x = e_i and x = e_i + e_j decides them exactly in every
-    characteristic (see basis_points).
+    All three read the basis associators (``_associators``).  The product
+    is associative iff every one vanishes.  Alternativity and flexibility
+    ask the associator to vanish when two of its slots hold one x; that is
+    quadratic in x, so it holds iff it holds at x = e_a and x = e_a + e_b
+    (see basis_points).  On the trilinear table this reads: T with e_a in
+    both slots vanishes, and so does the sum of T with (e_a, e_b) and with
+    (e_b, e_a) in them, for a < b and every basis vector in the third
+    slot.  Checked on ints (mod p over GF(p)), this is exact in every
+    characteristic.
     """
-    if _associative(A):
+    d, p, T = A.dim, A.field.characteristic, _associators(A)
+    if not any(map(any, T)):
         return IdentityReport(True, True, True)
-    alternative = _two_slot_identity(A, (0, 1)) and _two_slot_identity(A, (1, 2))
-    flexible = alternative or _two_slot_identity(A, (0, 2))
+
+    def cancel(s, t):  # s + t = 0
+        return not any(v % p for v in map(add, s, t)) if p else not any(map(add, s, t))
+
+    strides = (d * d, d, 1)
+
+    def repeated(i, j):
+        # x in slots i and j, a basis vector e_c in the third
+        u, v, w = strides[i], strides[j], strides[3 - i - j]
+        cs = range(d)
+        diagonal = (T[a * (u + v) + c * w] for a in cs for c in cs)
+        crossed = ((T[a * u + b * v + c * w], T[b * u + a * v + c * w])
+                   for a in cs for b in range(a + 1, d) for c in cs)
+        return not any(map(any, diagonal)) and all(cancel(s, t) for s, t in crossed)
+
+    alternative = repeated(0, 1) and repeated(1, 2)
+    flexible = alternative or repeated(0, 2)
     return IdentityReport(False, alternative, flexible)
 
 
@@ -511,33 +519,19 @@ def nucleus(A: Algebra) -> Subspace:
     two vanish.  Coordinate m of such an associator is linear in n, and its
     row is coordinate m of the basis associators (e_t, e_i, e_j),
     (e_i, e_t, e_j) and (e_i, e_j, e_t) as t runs over the basis: up to
-    3d^3 rows of width d, built as ints over A._den^2 from the structure
-    constants as they are folded; zero rows are skipped.  With a declared
-    unit the folding stops at rank d - 1 (see ``_unit_kernel``).
+    3d^3 rows of width d, read from ``_associators``; zero rows are
+    skipped.  With a declared unit the folding stops at rank d - 1 (see
+    ``_unit_kernel``).
     """
-    d, pairs = A.dim, A._pairs
-    T = [None] * d ** 3  # (e_a, e_b, e_c) at (a*d + b)*d + c, once built
-
-    def associator_ints(a, b, c):
-        key = (a * d + b) * d + c
-        out = T[key]
-        if out is None:
-            out = T[key] = [0] * d
-            for k, x in pairs[a][b]:  # (e_a e_b) e_c
-                for m, y in pairs[k][c]:
-                    out[m] += x * y
-            for k, x in pairs[b][c]:  # e_a (e_b e_c)
-                for m, y in pairs[a][k]:
-                    out[m] -= x * y
-        return out
+    d, T = A.dim, _associators(A)
+    dd = d * d
 
     def rows():
-        ts = range(d)
-        for i in ts:
-            for j in ts:
-                yield from zip(*[associator_ints(t, i, j) for t in ts])
-                yield from zip(*[associator_ints(i, t, j) for t in ts])
-                yield from zip(*[associator_ints(i, j, t) for t in ts])
+        for i in range(d):
+            for j in range(d):
+                yield from zip(*T[i * d + j::dd])  # (e_t, e_i, e_j)
+                yield from zip(*T[i * dd + j:(i + 1) * dd:d])  # (e_i, e_t, e_j)
+                yield from zip(*T[(i * d + j) * d:(i * d + j + 1) * d])  # (e_i, e_j, e_t)
 
     return _unit_kernel(A, rows())
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product as iter_product
 
 import pytest
@@ -12,6 +13,7 @@ from altrings.algebra import (
     IdentityReport,
     LinearMap,
     associator,
+    basis_points,
     center,
     classify_identities,
     commutator,
@@ -23,10 +25,10 @@ from altrings.algebra import (
     nucleus,
     torsion_free,
 )
-from altrings.catalog import catalog, direct_sum
+from altrings.catalog import _triples, catalog, direct_sum
 from altrings.fields import GF, QQ, FieldError
 from altrings.linalg import Matrix, Subspace
-from oracles import normal, scalars, zorn
+from oracles import dense_rebase, normal, rebase, scalars, zorn
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,17 @@ def test_classification_decides_large_char2_sums():
     assert classify_identities(A) == IdentityReport(False, True, True)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_classification_in_a_dense_basis_over_gfp(p):
+    # dense structure constants: the basis associators are sums of many
+    # products, so they vanish mod p without vanishing as ints
+    for name, expected in (("mat2", IdentityReport(True, True, True)),
+                           ("tri2", IdentityReport(True, True, True)),
+                           ("zorn", IdentityReport(False, True, True))):
+        A = dense_rebase(catalog(name, GF(p)), p, 5)
+        assert classify_identities(A) == expected, name
+
+
 def _brute_identities(p, d, c):
     """(associative, alternative, flexible) of the GF(p) algebra with
     structure constants c[i][j][k], by checking every x, y (and z)."""
@@ -172,6 +185,57 @@ def test_classification_matches_brute_force_over_gf2_gf3():
         assert got == _brute_identities(p, d, c), (p, d, c)
         seen.update(enumerate(got))
     assert seen == {(i, v) for i in range(3) for v in (False, True)}
+
+
+def _rebased(name):
+    """The catalog algebra over Q in a dense basis of det 3: its structure
+    constants have the common denominator 3."""
+    A = rebase(catalog(name, QQ), 1, det=3)
+    assert A._den == 3
+    return A
+
+
+def _shifted_zorn():
+    """The rebased Zorn algebra with its first structure constant moved by
+    1/3, and no declared unit."""
+    triples = _triples(_rebased("zorn"))
+    triples[next(iter(triples))] += Fraction(1, 3)
+    A = Algebra(QQ, 8, triples)
+    assert A._den > 1
+    return A
+
+
+def _identities_at_basis_points(A):
+    """The report from element associators: on basis triples, and with the
+    repeated x at the basis points of the standard basis."""
+    es = A.basis()
+    points = [A.element(x) for x in basis_points(A.field, [e.coords for e in es])]
+
+    def zero(x, y, z):
+        return associator(x, y, z).is_zero()
+
+    return IdentityReport(
+        all(zero(x, y, z) for x in es for y in es for z in es),
+        all(zero(x, x, y) and zero(y, x, x) for x in points for y in es),
+        all(zero(x, y, x) for x in points for y in es),
+    )
+
+
+@pytest.mark.parametrize("build, expected", [
+    (partial(_rebased, "zorn"), IdentityReport(False, True, True)),
+    (partial(_rebased, "mat2"), IdentityReport(True, True, True)),
+    (partial(_rebased, "tri2"), IdentityReport(True, True, True)),
+    (_shifted_zorn, IdentityReport(False, False, False)),
+], ids=["zorn", "mat2", "tri2", "zorn-shifted"])
+def test_classification_over_q_with_a_denominator(build, expected):
+    A = build()
+    assert _identities_at_basis_points(A) == expected
+    assert classify_identities(A) == expected
+
+
+def test_nucleus_of_rebased_zorn_is_the_scalars():
+    Z = _rebased("zorn")
+    assert nucleus(Z) == Subspace.from_vectors(QQ, 8, [Z.unit])
 
 
 def test_center_and_nucleus_dims(mat2, zorn):

@@ -1,12 +1,14 @@
 """Verdicts do not depend on call order or on an algebra's memo.
 
 A hypothesis state machine builds one algebra and interleaves the calls
-that read or fill its memo (``is_prime``, ``find_unit``) with the ones that
-derive fresh data from it (centre, nucleus, derivations, the Peirce
-conditions, ``decompose``).  Each call's report is compared by value with
-the same call on a freshly built copy of the algebra.  The small algebras
-(dimension at most 4, over Q, GF(2) and GF(3), with their unit declared or
-left to be solved) take every call; Zorn only the cheap ones.
+that read or fill its memo (``is_prime``, ``find_unit``, and
+``classify_identities`` and ``nucleus``, which share its associator table)
+with the ones that derive fresh data from it (centre, derivations, the
+Peirce conditions, ``decompose``).  Each call's report is compared by
+value with the same call on a freshly built copy of the algebra.  The
+small algebras (dimension at most 4, over Q, GF(2) and GF(3), with their
+unit declared or left to be solved) take every call; Zorn only the cheap
+ones.
 """
 
 import warnings
@@ -15,7 +17,8 @@ from functools import partial
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
-from altrings.algebra import Algebra, BudgetError, LinearMap, center, find_unit, nucleus
+from altrings.algebra import (Algebra, BudgetError, LinearMap, center, classify_identities,
+                              find_unit, nucleus)
 from altrings.catalog import _triples, catalog
 from altrings.fields import GF, QQ
 from altrings.lietype import DecompositionError, decompose, derivation_space
@@ -61,7 +64,7 @@ def conditions(A):
     return check_conditions_1_to_4(peirce_context(A, A.idempotent))
 
 
-CHEAP = [center, nucleus, unit]
+CHEAP = [classify_identities, center, nucleus, unit]
 COSTLY = [derivations, conditions]  # small algebras only
 
 
