@@ -599,8 +599,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        return cls._of(field, ambient, Matrix.identity(field, ambient).int_form()[0], 1,
-                       range(ambient))
+        return cls._of(field, ambient, ((0,) * i + (1,) + (0,) * (ambient - i - 1)
+                                        for i in range(ambient)), 1, range(ambient))
 
     @property
     def basis(self) -> tuple:
@@ -677,30 +677,25 @@ class Subspace:
         return small.killed_by(large._complement()[0])
 
     def killed_by(self, rows) -> "Subspace":
-        """{x in self : r . x = 0 for every row r}, rows of ints.
+        """{x in self : r . x = 0 for every int row r of width ambient}.
 
-        Solved on the coordinates c of x = sum c_k b_k: a row costs one dot
-        product per basis row b_k (see ``combinations_killed_by``).
-        """
-        basis = self._num
-        return self.combinations_killed_by([sum(map(mul, r, b)) for b in basis]
-                                           for r in rows)
-
-    def combinations_killed_by(self, rows) -> "Subspace":
-        """{sum c_k b_k : r . c = 0 for every row r} over the basis rows b_k,
-        for int rows r of width dim.
-
-        The rows fold into a dim-wide eliminator until it is full.  The
+        Solved on the coordinates c of x = sum c_k b_k over the basis rows
+        b_k: a row r becomes (r . b_k) over k, and the nonzero ones fold
+        into a dim-wide eliminator.  Once it is full the answer is zero and
+        no further row is read, so rows may be a lazy stream.  Otherwise the
         null space of c and the basis are both RREF, so their product is too.
         """
         F = self.field
         k = self.dim
         basis = self._num
         acc = echelon(F, k)
-        for r in rows:
-            if acc.rank == k:
-                break
-            acc.add(r)
+        for r in rows if k else ():
+            if any(r):
+                c = [sum(map(mul, r, b)) for b in basis]
+                if any(c) and acc.add(c) and acc.rank == k:
+                    break
+        if acc.rank == k:
+            return Subspace.zero(F, self.ambient)
         coeffs = null_space(F, k, acc)
         cols = list(zip(*basis)) or [()] * self.ambient
         out, den = _lowest_terms(

@@ -22,15 +22,7 @@ from .algebra import (
     center,
     is_idempotent,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    _nonzero,
-    echelon,
-    kernel_vectors,
-    null_space,
-    rank,
-)
+from .linalg import Matrix, Subspace, _nonzero, echelon, kernel_vectors
 from .verdict import ConditionVerdict, Verdict
 
 
@@ -252,13 +244,10 @@ def check_offdiag_commutant(ctx: PeirceContext, side) -> CommutantReport:
     if side not in ("12", "21"):
         raise ValueError("side must be 12 or 21")
     slot = (1, 2) if side == "12" else (2, 1)
-    A = ctx.algebra
-    brackets = (  # the rows of R_b - L_b : x -> [x, b]
-        [x - y for x, y in zip(r, l)] for b in ctx.components[slot]._num
-        for r, l in zip(A.mult_ints(b, "right"), A.mult_ints(b, "left"))
-    )
     diagonal = ctx.components[(1, 1)].sum_with(ctx.components[(2, 2)])
-    S = diagonal.killed_by(brackets)
+    S = diagonal.killed_by(
+        _operator_rows(ctx.algebra, ctx.components[slot]._num, "bracket")
+    )
     return CommutantReport(
         subspace=S, contained_in_center=ctx.center.contains_subspace(S)
     )
@@ -288,18 +277,26 @@ class ConditionsReport:
         return self.entries[key]
 
 
+def _operator_rows(A: Algebra, vectors, side: str):
+    """The int rows of L_b (side "left"), R_b ("right") or R_b - L_b
+    ("bracket", x -> [x, b]) for each int vector b of vectors in turn,
+    straight from ``Algebra.mult_ints``: b's rows are over its den times
+    A._den, which no kernel sees.  Lazy, so a kernel that is full stops
+    building them."""
+    for b in vectors:
+        if side == "bracket":
+            yield from ([x - y for x, y in zip(r, l)]
+                        for r, l in zip(A.mult_ints(b, "right"), A.mult_ints(b, "left")))
+        else:
+            yield from A.mult_ints(b, side)
+
+
 def _kernel_condition(A: Algebra, domain: Subspace, others: Subspace,
                       side: str, label: str) -> ConditionVerdict:
-    # x*b = 0 (side right) or b*x = 0 (left) for every b, solved on the
-    # coordinates c of x = sum c_k x_k: coordinate m of sum c_k (x_k b) is a
-    # row, read from the int products of the basis rows x_k and b
-    def products(b):
-        return [A._mul_ints(x, b) if side == "right" else A._mul_ints(b, x)
-                for x in domain._num]
-
-    ann = domain.combinations_killed_by(
-        row for b in others._num for row in zip(*products(b)) if any(row)
-    )
+    """{x in domain : x*b = 0 (side "right") or b*x = 0 ("left") for every
+    basis vector b of others}: the kernel of the rows of R_b or L_b on
+    domain.  Row m of R_b dotted with a basis row x_k is (x_k b)_m."""
+    ann = domain.killed_by(_operator_rows(A, others._num, side))
     if ann.is_zero():
         return ConditionVerdict(Verdict.HOLDS, f"{label}: annihilator is zero")
     return ConditionVerdict(
@@ -312,15 +309,16 @@ def _kernel_condition(A: Algebra, domain: Subspace, others: Subspace,
 def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
     """Decide conditions (1)-(4); (4) may be undecided over an infinite field.
 
-    Each of the six annihilators is solved on the coordinates of its
-    domain's basis, from the int products of its basis rows with those of
-    the other component.  (4) needs rank L_z = d for every nonzero
-    central z; as L_{cz} = c L_z, over GF(p) the ray walker of
-    ``_packed_ray_test`` decides it with stage 1 over Z's RREF rows, last
-    row first, and the first failing ray is the witness.  Over Q only
-    dim Z = 1 is decided, by an exact rank: a rank mod p bounds it from
-    below, so it could certify HOLDS but never FAILS.  Field elements
-    are built only for witnesses.
+    Every exact kernel here is one ``Subspace.killed_by`` call on the int
+    rows of multiplication operators (``_operator_rows``): each of the six
+    annihilators on its Peirce component, with R_b for x*b = 0 and L_b
+    for b*x = 0 over the other component's basis rows b.  (4) needs rank
+    L_z = d for every nonzero central z; as L_{cz} = c L_z, over GF(p) the
+    ray walker of ``_packed_ray_test`` decides it with stage 1 over Z's
+    RREF rows, last row first, and the first failing ray is the witness.
+    Over Q only dim Z = 1 is decided, by the kernel of L_{z0} on all of
+    R: a rank mod p bounds the rank over Q from below, so it could certify
+    HOLDS but never FAILS.  Field elements are built only for witnesses.
     """
     A = ctx.algebra
     F = A.field
@@ -361,8 +359,8 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
                 entries["4"] = ConditionVerdict(
                     Verdict.FAILS, "central z with zR != R", witness=F.from_ints(bad)
                 )
-    elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one rank decides every nonzero z
-        if rank(A.mult_matrix_ints(Z._num[0], Z._den, "left")) == d:
+    elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one kernel decides every nonzero z
+        if Subspace.full(F, d).killed_by(_operator_rows(A, Z._num, "left")).is_zero():
             # "invertible" here means L_{z0} is, i.e. z0 R = R; the README
             # example and the benchmark oracle pin this text byte for byte
             entries["4"] = ConditionVerdict(
@@ -575,9 +573,10 @@ def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
     sample a (int coordinates) first runs the same packed test mod the
     fixed prime _CERT_PRIME on the int operators over A._den: a pass there
     is exact, since an int matrix has at least its rank mod p over Q.
-    Only a sample that fails mod p gets the exact stacked test on int rows
-    over Q (``_sampled_kernel``), so the report is the one the exact test
-    alone gives.
+    Only a sample that fails mod p gets the exact test over Q: the kernel
+    on all of R of the stacked L_y over the nonzero columns y of the int
+    L_a, which span aR.  So the report is the one the exact test alone
+    gives.
     Char-3 rings get a torsion warning: the equivalence with ideal-primality
     needs 3-torsion-freeness.  Reports live in A's memo, keyed over GF(p)
     by the budget and over Q by budget, samples and seed.
@@ -605,21 +604,6 @@ def _first_kernel_witness(A: Algebra, a, rows) -> tuple:
     for row in rows:
         acc.add(row)
     return tuple(F.coerce(v) for v in kernel_vectors(F, A.dim, acc)[0])
-
-
-def _sampled_kernel(A: Algebra, a) -> Subspace | None:
-    """{b : (a r) b = 0 for all r} over Q for int coordinates a, or None when
-    it is zero: the null space of the stacked L_y over the columns y of the
-    int L_a, which span aR."""
-    d = A.dim
-    acc = echelon(A.field, d)
-    for y in zip(*A.mult_ints(a, "left")):
-        if any(y):
-            for row in A.mult_ints(y, "left"):
-                acc.add(row)
-            if acc.rank == d:
-                return None
-    return null_space(A.field, d, acc)
 
 
 def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> PrimeReport:
@@ -657,8 +641,9 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
         checked += 1
         if failing_rows([x % _CERT_PRIME for x in a]) is None:
             continue
-        ker = _sampled_kernel(A, a)
-        if ker is not None:
+        columns = (y for y in zip(*A.mult_ints(a, "left")) if any(y))
+        ker = Subspace.full(F, d).killed_by(_operator_rows(A, columns, "left"))
+        if not ker.is_zero():
             return PrimeReport(
                 status=Verdict.FAILS,
                 mode="sampled",

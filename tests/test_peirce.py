@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altrings.algebra import Algebra, center, find_unit, nucleus
-from altrings.catalog import catalog, parse, serialize
+from altrings.catalog import catalog, direct_sum, parse, serialize
 from altrings.fields import GF, QQ
 from altrings.peirce import (
     PeirceError,
@@ -18,7 +18,7 @@ from altrings.peirce import (
     verify_peirce_relations,
 )
 from altrings.verdict import Verdict
-from oracles import dense_rebase, inverse, q_rebase
+from oracles import dense_rebase, inverse, q_rebase, rebase
 
 
 @pytest.fixture(scope="module")
@@ -703,6 +703,63 @@ def test_center_annihilators_and_commutants_match_enumeration(name, p, seed):
         rep = check_offdiag_commutant(ctx, side)
         assert set(rep.subspace.vectors()) == S
         assert rep.contained_in_center == (S <= center)
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("tri2", 1), ("tri2", 2), ("mat2+mat2", 1), ("mat2+mat2", 2),
+])
+def test_rational_kernel_witnesses_are_killed(name, seed):
+    """Over Q, on a rebase with det 3, so the structure constants have a
+    denominator above 1: each FAILS witness of (1)-(3) is a nonzero vector
+    of its Peirce component that every basis vector of the other one kills
+    on its side, and every basis vector of both diagonal commutants lies in
+    R11 + R22 and commutes with the other component, at least one of them
+    outside the center when the commutant is not central.  Checked with
+    Fraction arithmetic on the structure constants alone."""
+    base = (direct_sum(catalog("mat2", QQ), catalog("mat2", QQ)) if name == "mat2+mat2"
+            else catalog(name, QQ))
+    A = rebase(base, seed, det=3)
+    assert A._den > 1
+    ctx = peirce_context(A, A.idempotent)
+    d, c, e = A.dim, A.tensor, A.idempotent
+    zero = (0,) * d
+
+    def mul(x, y):
+        return tuple(sum(Fraction(x[i]) * y[j] * c[i][j][k]
+                         for i in range(d) for j in range(d)) for k in range(d))
+
+    def in_slot(x, i, j):
+        return (mul(e, x) == (tuple(x) if i == 1 else zero)
+                and mul(x, e) == (tuple(x) if j == 1 else zero))
+
+    report = check_conditions_1_to_4(ctx)
+    failures = 0
+    for key, (dom, other, side) in _ANNIHILATORS.items():
+        verdict = report[key]
+        if verdict.status is Verdict.HOLDS:
+            continue
+        failures += 1
+        w = verdict.witness
+        assert any(w) and in_slot(w, *dom)
+        for b in ctx.component(*other).basis:
+            assert in_slot(b, *other)
+            assert not any(mul(w, b) if side == "right" else mul(b, w))
+    assert failures >= 2
+
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    noncentral = 0
+    for side, slot in (("12", (1, 2)), ("21", (2, 1))):
+        rep = check_offdiag_commutant(ctx, side)
+        others = ctx.component(*slot).basis
+        assert all(in_slot(b, *slot) for b in others)
+        for s in rep.subspace.basis:
+            assert any(s) and mul(e, s) == mul(s, e)  # no R12 or R21 part
+            assert all(mul(s, b) == mul(b, s) for b in others)
+        if not rep.contained_in_center:
+            noncentral += 1
+            assert any(mul(s, u) != mul(u, s)
+                       for s in rep.subspace.basis for u in units)
+    assert noncentral >= 1
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
