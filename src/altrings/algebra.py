@@ -18,7 +18,7 @@ from operator import add
 from typing import NamedTuple
 
 from .fields import FieldError
-from .linalg import Matrix, Subspace, echelon, null_space, solve
+from .linalg import Matrix, Subspace, echelon, kernel_vectors, solve
 
 
 class AlgebraError(ValueError):
@@ -565,7 +565,7 @@ def _unit_kernel(A: Algebra, rows) -> Subspace:
             break
         if any(row):
             acc.add(row)
-    return null_space(A.field, d, acc)
+    return Subspace.from_ints(A.field, d, kernel_vectors(A.field, d, acc))
 
 
 def find_unit(A: Algebra) -> AlgebraElement | None:

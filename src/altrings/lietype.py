@@ -16,9 +16,9 @@ state (p_k, acc_k), and so is D(p_n) - acc_n, so a basis of the span of
 the states of all (n-1)-tuples gives the constraints of all d^n tuples;
 [x, y] = -[y, x] halves the first step.  Every constraint row is built
 as ints from the structure constants (``Algebra.bracket_table``,
-``leibniz_rows``), and the solution spaces are the null spaces of the
-eliminator the rows are streamed through.  The decomposition splits such
-a D into a derivation delta plus a central-valued tau vanishing on all
+``leibniz_rows``), and each solution space is ``linalg.null_space`` of a
+lazy stream of those rows.  The decomposition splits such a D into a
+derivation delta plus a central-valued tau vanishing on all
 nested-commutator values, following the constructive uniqueness argument
 at one idempotent: tau is read off the images of the diagonal Peirce
 components, delta = D - tau, and the claims of the theorem are certified
@@ -51,7 +51,6 @@ from .linalg import (
     _product_ints,
     echelon,
     null_space,
-    row_space,
 )
 from .verdict import ConditionVerdict, Verdict
 
@@ -84,14 +83,29 @@ def lie_leibniz_residual(A: Algebra, D, xs) -> AlgebraElement:
     return lhs - rhs
 
 
+def _walk_levels(F, width: int, states, step, levels: int):
+    """Walk ``levels`` levels of a linear recurrence from the int states of
+    the first, and return a lazy stream of the states of the next level.
+    Each level folds its states into one eliminator and keeps those for
+    which ``add`` returned True: they span the level, with the small ints
+    of the recurrence rather than those of a reduced basis.  ``step(s)``
+    yields the steps of a kept state by every basis vector."""
+    for _ in range(levels):
+        acc = echelon(F, width)
+        kept = [s for s in states if acc.add(s)]
+        states = (t for s in kept for t in step(s))
+    return states
+
+
 def nested_commutator_span(A: Algebra, n: int) -> Subspace:
     """Span W_n of p(e_{i1}, ..., e_{in}) over all basis tuples.
 
     By the recurrence above p_{k+1} = [p_k, x] is linear in p_k, so W_1 = A
-    and W_{k+1} is spanned by the brackets K_j w = [w, e_j] for w in a basis
-    of W_k.  W_2 is spanned by the columns K_j e_i = [e_i, e_j], i < j, read
-    from the structure constants; each later level folds at most d^2 int
-    rows into one eliminator.
+    and W_{k+1} is spanned by the brackets K_j w = [w, e_j] for w in a
+    spanning set of W_k.  W_2 is spanned by the columns K_j e_i = [e_i, e_j],
+    i < j, read from the structure constants; ``_walk_levels`` keeps a
+    spanning set of each of W_2 .. W_{n-1} from those and steps it by the
+    K_j of ``Algebra.bracket_table``, which only n > 2 builds.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -100,17 +114,14 @@ def nested_commutator_span(A: Algebra, n: int) -> Subspace:
     if n == 1:
         return Subspace.full(F, d)
     num = A._num
-    acc = echelon(F, d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            acc.add([x - y for x, y in zip(num[i][j], num[j][i])])
+    pairs = ([x - y for x, y in zip(num[i][j], num[j][i])]
+             for i in range(d) for j in range(i + 1, d))
     K = A.bracket_table() if n > 2 else ()
-    for _ in range(n - 2):
-        level, acc = list(acc.pivots.values()), echelon(F, d)
-        for w in level:
-            for Kj in K:
-                acc.add([sum(c * w[a] for a, c in terms) for terms in Kj])
-    return row_space(F, d, acc)
+
+    def step(w):
+        return ([sum(c * w[a] for a, c in terms) for terms in Kj] for Kj in K)
+
+    return Subspace.from_ints(F, d, _walk_levels(F, d, pairs, step, n - 2))
 
 
 class OperatorSpace:
@@ -149,11 +160,7 @@ class OperatorSpace:
 
 def derivation_space(A: Algebra) -> OperatorSpace:
     """All linear maps with delta(xy) = delta(x)y + x delta(y) (Leibniz)."""
-    dd = A.dim * A.dim
-    acc = echelon(A.field, dd)
-    for row in leibniz_rows(A):
-        acc.add(row)
-    return OperatorSpace(A, null_space(A.field, dd, acc), n=None)
+    return OperatorSpace(A, null_space(A.field, A.dim * A.dim, leibniz_rows(A)), n=None)
 
 
 def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
@@ -165,10 +172,11 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     D(e_j), with K_j : v -> [v, e_j] from ``Algebra.bracket_table`` (so a
     step scales the state by A._den).  Since [x, y] = -[y, x], the state of
     (j, i) is minus that of (i, j) and the state of (i, i) is 0, so the
-    first step takes only the pairs i < j.  Levels 2 .. n-1 keep the
-    eliminated basis of the steps of the last level's basis, at most
-    d + d^3 states; the states of length n give the rows D(p_n) - acc_n = 0
-    straight into the d^2-wide eliminator, so the cost is linear in n.
+    first step takes only the pairs i < j.  Levels 2 .. n-1 keep, through
+    ``_walk_levels``, the states that enlarge the span of their level, at
+    most d + d^3 of them, and step those; the states of length n give the
+    rows D(p_n) - acc_n = 0 straight to ``null_space``, so the cost is
+    linear in n.
     """
     if n < 2:
         raise ValueError("Lie-type spaces start at n = 2")
@@ -177,7 +185,7 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     F = A.field
     K = A.bracket_table()
 
-    def steps(s, js):
+    def steps(s, js=range(d)):
         p = s[:d]
         acc_rows = [s[d + a * dd:d + (a + 1) * dd] for a in range(d)]
         # K_a p = [p, e_a] is both the next p and column a of L_p - R_p
@@ -197,23 +205,16 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
         s[i] = 1
         for m in range(d):
             s[d + m * dd + m * d + i] = 1
-    states = (t for i, s in enumerate(level) for t in steps(s, range(i + 1, d)))
-    for _ in range(n - 2):
-        span = echelon(F, d + d * dd)
-        for t in states:
-            span.add(t)
-        # latest pivot first: the rows past column d have p_k = 0, so their
-        # steps carry no L_p - R_p term, and the next eliminator started on
-        # them keeps smaller integers
-        level = [span.pivots[c] for c in sorted(span.pivots, reverse=True)]
-        states = (t for s in level for t in steps(s, range(d)))
-    acc = echelon(F, dd)
-    for t in states:
-        for m in range(d):
-            row = t[d + m * dd:d + (m + 1) * dd]
-            row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
-            acc.add(row)
-    return OperatorSpace(A, null_space(F, dd, acc), n=n)
+    pairs = (t for i, s in enumerate(level) for t in steps(s, range(i + 1, d)))
+
+    def rows():
+        for t in _walk_levels(F, d + d * dd, pairs, steps, n - 2):
+            for m in range(d):
+                row = t[d + m * dd:d + (m + 1) * dd]
+                row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
+                yield row
+
+    return OperatorSpace(A, null_space(F, dd, rows()), n=n)
 
 
 def _inner_derivation(A: Algebra, y, z) -> Matrix:
@@ -320,19 +321,21 @@ def conditions_abc_subspace(ctx: PeirceContext) -> Subspace:
     A = ctx.algebra
     F = A.field
     d = A.dim
-    acc = echelon(F, d * d)
-    for _, source, post, target, _, _ in _memberships(ctx):
-        lead = target._complement()[0]
-        if post is not None:
-            lead = _product_ints(lead, post.int_form()[0])
-        for a in source._num:
-            for lrow in lead:
-                row = [0] * (d * d)
-                for m, cm in enumerate(lrow):
-                    if cm:
-                        row[m * d:(m + 1) * d] = [cm * ak for ak in a]
-                acc.add(row)
-    return null_space(F, d * d, acc)
+
+    def rows():
+        for _, source, post, target, _, _ in _memberships(ctx):
+            lead = target._complement()[0]
+            if post is not None:
+                lead = _product_ints(lead, post.int_form()[0])
+            for a in source._num:
+                for lrow in lead:
+                    row = [0] * (d * d)
+                    for m, cm in enumerate(lrow):
+                        if cm:
+                            row[m * d:(m + 1) * d] = [cm * ak for ak in a]
+                    yield row
+
+    return null_space(F, d * d, rows())
 
 
 def normalize_at_idempotent(ctx: PeirceContext, D: LinearMap):

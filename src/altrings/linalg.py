@@ -4,9 +4,12 @@ Everything is computed over one of the fields in :mod:`altrings.fields`.
 Row spaces are kept in *reduced* row echelon form with rows ordered by
 pivot column, so two subspaces are equal iff their stored bases are
 equal.  An incremental eliminator lets constraint rows be folded in as
-they are generated instead of materialising huge matrices, and
-``null_space`` reads the solution space straight off it: ``kernel``,
-``solve`` and every constraint space of the package go through it.
+they are generated instead of materialising huge matrices.
+``null_space`` takes such a stream of int rows, skips zero rows, stops
+reading once they span the whole space and reads the solution space off
+its eliminator: ``kernel``, ``Subspace.killed_by`` and every constraint
+space of the package go through it, and no other module reads an
+eliminator's pivot rows.
 
 Matrices and subspaces hold their entries as int rows over one
 denominator, in lowest terms (over GF(p): residues over 1), so equal
@@ -477,29 +480,28 @@ def rank(matrix: Matrix) -> int:
 
 def kernel(matrix: Matrix) -> "Subspace":
     """The right null space {x : M x = 0} as a subspace of F^ncols."""
-    return null_space(matrix.field, matrix.ncols, _echelon_of(matrix))
+    return null_space(matrix.field, matrix.ncols, matrix.int_form()[0])
 
 
-def row_space(field, width: int, acc) -> "Subspace":
-    """The span of the rows folded into acc, as a subspace of F^width."""
-    return Subspace._of(field, width, *acc.rref_ints(), acc.pivot_columns())
+def null_space(field, width: int, rows) -> "Subspace":
+    """{x in F^width : r . x = 0 for every int row r of rows}, in RREF.
 
-
-def null_space(field, width: int, acc) -> "Subspace":
-    """The null space of the rows folded into acc, as a subspace of F^width.
-
-    Columns past ``width`` are ignored, so an augmented eliminator [M | b]
-    without a pivot in its last column gives the null space of M.
+    The rows fold into one eliminator.  Zero rows are skipped, and once
+    the rows span F^width the answer is zero and no further row is read,
+    so rows may be a lazy stream.
     """
-    out = echelon(field, width)
-    for vec in kernel_vectors(field, width, acc):
-        out.add(vec)
-    return row_space(field, width, out)
+    acc = echelon(field, width)
+    for row in rows if width else ():
+        if any(row) and acc.add(row) and acc.rank == width:
+            return Subspace.zero(field, width)
+    return Subspace.from_ints(field, width, kernel_vectors(field, width, acc))
 
 
 def kernel_vectors(field, width: int, acc) -> list[list[int]]:
     """One null vector of acc's rows per free column of its RREF, in column
-    order, as ints (see _null_vectors); over GF(p) they are left unreduced."""
+    order, as ints (see _null_vectors); over GF(p) they are left unreduced.
+    Columns past ``width`` are ignored, so an augmented eliminator [M | b]
+    without a pivot in its last column gives the null vectors of M."""
     return _null_vectors(width, *acc.rref_ints(), acc.pivot_columns())
 
 
@@ -539,7 +541,8 @@ def solve(matrix: Matrix, rhs) -> tuple[tuple, "Subspace"] | None:
     x = [0] * matrix.ncols
     for prow, pc in zip(reduced, pivot_cols):
         x[pc] = prow[-1]
-    return F.from_ints(x, x_den), null_space(F, matrix.ncols, acc)
+    return F.from_ints(x, x_den), Subspace.from_ints(
+        F, matrix.ncols, kernel_vectors(F, matrix.ncols, acc))
 
 
 class Subspace:
@@ -591,7 +594,7 @@ class Subspace:
         acc = echelon(field, ambient)
         for row in rows:
             acc.add(row)
-        return row_space(field, ambient, acc)
+        return cls._of(field, ambient, *acc.rref_ints(), acc.pivot_columns())
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -664,10 +667,7 @@ class Subspace:
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        acc = echelon(self.field, self.ambient)
-        for row in self._num + other._num:
-            acc.add(row)
-        return row_space(self.field, self.ambient, acc)
+        return Subspace.from_ints(self.field, self.ambient, self._num + other._num)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """A cap B, solved on the coordinates of the smaller basis: its
@@ -680,23 +680,17 @@ class Subspace:
         """{x in self : r . x = 0 for every int row r of width ambient}.
 
         Solved on the coordinates c of x = sum c_k b_k over the basis rows
-        b_k: a row r becomes (r . b_k) over k, and the nonzero ones fold
-        into a dim-wide eliminator.  Once it is full the answer is zero and
-        no further row is read, so rows may be a lazy stream.  Otherwise the
-        null space of c and the basis are both RREF, so their product is too.
+        b_k: ``null_space`` of the rows (r . b_k) over k, read lazily, so
+        rows may be a lazy stream that is not read past the row that fills
+        the span.  That null space and the basis are both RREF, so their
+        product is too.
         """
         F = self.field
-        k = self.dim
         basis = self._num
-        acc = echelon(F, k)
-        for r in rows if k else ():
-            if any(r):
-                c = [sum(map(mul, r, b)) for b in basis]
-                if any(c) and acc.add(c) and acc.rank == k:
-                    break
-        if acc.rank == k:
+        coeffs = null_space(F, self.dim, ([sum(map(mul, r, b)) for b in basis]
+                                          for r in rows if any(r)))
+        if coeffs.is_zero():
             return Subspace.zero(F, self.ambient)
-        coeffs = null_space(F, k, acc)
         cols = list(zip(*basis)) or [()] * self.ambient
         out, den = _lowest_terms(
             F, [[sum(map(mul, c, col)) for col in cols] for c in coeffs._num],

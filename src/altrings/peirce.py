@@ -22,7 +22,7 @@ from .algebra import (
     center,
     is_idempotent,
 )
-from .linalg import Matrix, Subspace, _nonzero, echelon, kernel_vectors
+from .linalg import Matrix, Subspace, _nonzero, echelon, kernel_vectors, null_space
 from .verdict import ConditionVerdict, Verdict
 
 
@@ -309,16 +309,17 @@ def _kernel_condition(A: Algebra, domain: Subspace, others: Subspace,
 def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
     """Decide conditions (1)-(4); (4) may be undecided over an infinite field.
 
-    Every exact kernel here is one ``Subspace.killed_by`` call on the int
-    rows of multiplication operators (``_operator_rows``): each of the six
-    annihilators on its Peirce component, with R_b for x*b = 0 and L_b
-    for b*x = 0 over the other component's basis rows b.  (4) needs rank
-    L_z = d for every nonzero central z; as L_{cz} = c L_z, over GF(p) the
-    ray walker of ``_packed_ray_test`` decides it with stage 1 over Z's
-    RREF rows, last row first, and the first failing ray is the witness.
-    Over Q only dim Z = 1 is decided, by the kernel of L_{z0} on all of
-    R: a rank mod p bounds the rank over Q from below, so it could certify
-    HOLDS but never FAILS.  Field elements are built only for witnesses.
+    Every exact kernel here is one ``linalg.null_space`` call on the int
+    rows of multiplication operators (``_operator_rows``), through
+    ``Subspace.killed_by`` on a domain: each of the six annihilators on its
+    Peirce component, with R_b for x*b = 0 and L_b for b*x = 0 over the
+    other component's basis rows b.  (4) needs rank L_z = d for every
+    nonzero central z; as L_{cz} = c L_z, over GF(p) the ray walker of
+    ``_packed_ray_test`` decides it with stage 1 over Z's RREF rows, last
+    row first, and the first failing ray is the witness.  Over Q only
+    dim Z = 1 is decided, by the kernel of L_{z0} on all of R: a rank mod
+    p bounds the rank over Q from below, so it could certify HOLDS but
+    never FAILS.  Field elements are built only for witnesses.
     """
     A = ctx.algebra
     F = A.field
@@ -360,7 +361,7 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
                     Verdict.FAILS, "central z with zR != R", witness=F.from_ints(bad)
                 )
     elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one kernel decides every nonzero z
-        if Subspace.full(F, d).killed_by(_operator_rows(A, Z._num, "left")).is_zero():
+        if null_space(F, d, _operator_rows(A, Z._num, "left")).is_zero():
             # "invertible" here means L_{z0} is, i.e. z0 R = R; the README
             # example and the benchmark oracle pin this text byte for byte
             entries["4"] = ConditionVerdict(
@@ -642,7 +643,7 @@ def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> Prim
         if failing_rows([x % _CERT_PRIME for x in a]) is None:
             continue
         columns = (y for y in zip(*A.mult_ints(a, "left")) if any(y))
-        ker = Subspace.full(F, d).killed_by(_operator_rows(A, columns, "left"))
+        ker = null_space(F, d, _operator_rows(A, columns, "left"))
         if not ker.is_zero():
             return PrimeReport(
                 status=Verdict.FAILS,

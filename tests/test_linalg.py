@@ -304,6 +304,57 @@ def test_rref_and_kernel_match_per_scalar_reference(data):
     assert solve_ker == ker
 
 
+def _int_row(F, row):
+    """An int row with the null space of a row of field scalars: over Q the
+    row times the lcm of its denominators, over GF(p) the unreduced ints."""
+    if F is not QQ:
+        return list(row)
+    den = math.lcm(*[Fraction(v).denominator for v in row])
+    return [int(v * den) for v in row]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_kernel_and_killed_by_on_row_streams_match_per_scalar_reference(data):
+    """kernel(Matrix) and killed_by on the full space against the
+    reference above: rank-nullity, every basis vector killed, a canonical
+    RREF.  The rows mix zero rows (over GF(p) also nonzero multiples of p)
+    and repeats, and killed_by reads them from a stream that fails if read
+    past the row that makes the reference rank reach the width."""
+    F = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    k = data.draw(st.integers(1, 5))
+    raw = []
+    for _ in range(data.draw(st.integers(0, k + 4))):
+        kind = data.draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            raw.append([0 if F is QQ else F.p * data.draw(st.integers(-2, 2))
+                        for _ in range(k)])
+        elif kind == "repeat" and raw:
+            raw.append(list(data.draw(st.sampled_from(raw))))
+        else:
+            raw.append(data.draw(rows_of(F, 1, k))[0])
+    expected_rank = reference_rref(F, raw, k)[1]
+    # the number of rows a reader needs: all of them, unless a prefix fills F^k
+    needed = next((i + 1 for i in range(len(raw))
+                   if reference_rref(F, raw[:i + 1], k)[1] == k), len(raw))
+
+    def stream():
+        for i, row in enumerate(raw):
+            if i == needed:
+                raise AssertionError(f"row {i} read after the rows spanned F^{k}")
+            yield _int_row(F, row)
+
+    ker = kernel(Matrix(F, raw, ncols=k))
+    killed = Subspace.full(F, k).killed_by(stream())
+    for S in (ker, killed):
+        assert S.dim == k - expected_rank
+        for v in S.basis:
+            assert_normal_form(F, v)
+            assert all(normal(F, sum(x * y for x, y in zip(row, v))) == 0 for row in raw)
+        assert reference_rref(F, S.basis, k)[0] == list(S.basis)
+    assert killed == ker
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
