@@ -18,7 +18,7 @@ from operator import add
 from typing import NamedTuple
 
 from .fields import FieldError
-from .linalg import Matrix, Subspace, echelon, kernel_vectors, solve
+from .linalg import Matrix, Subspace, null_space, solve
 
 
 class AlgebraError(ValueError):
@@ -520,8 +520,8 @@ def nucleus(A: Algebra) -> Subspace:
     row is coordinate m of the basis associators (e_t, e_i, e_j),
     (e_i, e_t, e_j) and (e_i, e_j, e_t) as t runs over the basis: up to
     3d^3 rows of width d, read from ``_associators``; zero rows are
-    skipped.  With a declared unit the folding stops at rank d - 1 (see
-    ``_unit_kernel``).
+    skipped.  A declared unit is nuclear, so ``null_space`` is given its
+    span as the known part of the answer and stops folding at rank d - 1.
     """
     d, T = A.dim, _associators(A)
     dd = d * d
@@ -533,7 +533,7 @@ def nucleus(A: Algebra) -> Subspace:
                 yield from zip(*T[i * dd + j:(i + 1) * dd:d])  # (e_i, e_t, e_j)
                 yield from zip(*T[(i * d + j) * d:(i * d + j + 1) * d])  # (e_i, e_j, e_t)
 
-    return _unit_kernel(A, rows())
+    return null_space(A.field, d, rows(), _unit_span(A))
 
 
 def center(A: Algebra) -> Subspace:
@@ -541,31 +541,23 @@ def center(A: Algebra) -> Subspace:
 
     Its constraints are the rows of K_j : z -> [z, e_j] (see
     ``bracket_table``), read as ints straight from the structure
-    constants; with a declared unit the folding stops at rank d - 1 (see
-    ``_unit_kernel``).  Note this is the commutant only; use
+    constants.  A declared unit is central, so ``null_space`` is given its
+    span as the known part of the answer and stops folding at rank d - 1.
+    Note this is the commutant only; use
     ``center(A).intersect(nucleus(A))`` for the stricter
     commuting-and-associating notion.
     """
     d, num = A.dim, A._num
-    return _unit_kernel(A, ([num[a][j][m] - num[j][a][m] for a in range(d)]
-                            for j in range(d) for m in range(d)))
+    return null_space(A.field, d, ([num[a][j][m] - num[j][a][m] for a in range(d)]
+                                   for j in range(d) for m in range(d)), _unit_span(A))
 
 
-def _unit_kernel(A: Algebra, rows) -> Subspace:
-    """The null space of int rows of width d that every vector of span(unit)
-    satisfies.  Without a declared unit every nonzero row is folded; with
-    one the folding stops at rank d - 1, since the kernel, which holds the
-    unit, is then span(unit).  The declared unit was checked when A was
-    built, and A cannot change after that."""
-    d = A.dim
-    full = d - 1 if A.unit is not None else d
-    acc = echelon(A.field, d)
-    for row in rows:
-        if acc.rank == full:
-            break
-        if any(row):
-            acc.add(row)
-    return Subspace.from_ints(A.field, d, kernel_vectors(A.field, d, acc))
+def _unit_span(A: Algebra) -> Subspace | None:
+    """span(unit) if A declares a unit, else None.  The unit was checked
+    when A was built, and A cannot change after that."""
+    if A.unit is None:
+        return None
+    return Subspace.from_ints(A.field, A.dim, [A.field.to_ints(A.unit)[0]])
 
 
 def find_unit(A: Algebra) -> AlgebraElement | None:

@@ -3,8 +3,9 @@
 Every subcommand emits one verdict per line as ``anchor  status  detail``
 (tab-separated with --format tsv); anchors are stable machine-readable
 names of the checked property.  Exit codes: 0 all verdicts hold, 1 some
-verdict fails, 2 some verdict undecided and none fails, 3 usage or
-parse error, 141 when stdout closes early (a reader such as ``head``
+verdict fails, 2 some verdict undecided and none fails (an enumeration
+over its budget prints one undecided ``<command>:budget`` row), 3 usage
+or parse error, 141 when stdout closes early (a reader such as ``head``
 exited).
 """
 
@@ -504,10 +505,15 @@ def main(argv=None) -> int:
         em = Emitter(args.format, sys.stdout)
         with warnings.catch_warnings():
             warnings.showwarning = _note
-            _HANDLERS[args.command](args, em)
+            try:
+                _HANDLERS[args.command](args, em)
+            except BudgetError as exc:
+                # an enumeration too large to run decides nothing: the input
+                # was fine, so the rows printed so far stand
+                em.emit(f"{args.command}:budget", Verdict.UNDECIDED, str(exc))
         sys.stdout.flush()  # a closed pipe raises here, not at exit
-    # every package error but BudgetError is a ValueError
-    except (ValueError, BudgetError) as exc:
+    # every other package error is a ValueError
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

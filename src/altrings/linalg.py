@@ -4,12 +4,13 @@ Everything is computed over one of the fields in :mod:`altrings.fields`.
 Row spaces are kept in *reduced* row echelon form with rows ordered by
 pivot column, so two subspaces are equal iff their stored bases are
 equal.  An incremental eliminator lets constraint rows be folded in as
-they are generated instead of materialising huge matrices.
-``null_space`` takes such a stream of int rows, skips zero rows, stops
-reading once they span the whole space and reads the solution space off
-its eliminator: ``kernel``, ``Subspace.killed_by`` and every constraint
-space of the package go through it, and no other module reads an
-eliminator's pivot rows.
+they are generated instead of materialising huge matrices; every
+elimination here is one fold (``_fold``), which skips zero rows and reads
+no row once the rank is final.  ``null_space`` takes a stream of int rows
+and the part of its answer already known, which it returns once the rank
+reaches width - dim known: ``kernel``, ``Subspace.killed_by`` and every
+constraint space of the package go through it, and no other module reads
+an eliminator's pivot rows.
 
 Matrices and subspaces hold their entries as int rows over one
 denominator, in lowest terms (over GF(p): residues over 1), so equal
@@ -455,10 +456,15 @@ def _image(matrix: Matrix, vec) -> tuple[list[int], int]:
     return _apply_ints(matrix._num, ints), matrix._den * den
 
 
-def _echelon_of(matrix: Matrix):
-    acc = echelon(matrix.field, matrix.ncols)
-    for row in matrix.int_form()[0]:
-        acc.add(row)
+def _fold(field, width: int, rows, final: int | None = None):
+    """An eliminator of the given width with the nonzero int rows of rows
+    folded in.  No row is read once its rank reaches final (width when
+    None), so rows may be a lazy stream."""
+    acc = echelon(field, width)
+    final = width if final is None else final
+    for row in rows if final else ():
+        if any(row) and acc.add(row) and acc.rank == final:
+            break
     return acc
 
 
@@ -468,14 +474,14 @@ def rref(matrix: Matrix) -> tuple[Matrix, int]:
     The result keeps the shape of the input: non-pivot rows appear as
     trailing zero rows.  Row spaces are equal iff the nonzero parts agree.
     """
-    acc = _echelon_of(matrix)
+    acc = _fold(matrix.field, matrix.ncols, matrix.int_form()[0])
     rows, den = acc.rref_ints()
     rows += [(0,) * matrix.ncols] * (matrix.nrows - len(rows))
     return Matrix.from_ints(matrix.field, rows, den, matrix.ncols), acc.rank
 
 
 def rank(matrix: Matrix) -> int:
-    return _echelon_of(matrix).rank
+    return _fold(matrix.field, matrix.ncols, matrix.int_form()[0]).rank
 
 
 def kernel(matrix: Matrix) -> "Subspace":
@@ -483,32 +489,37 @@ def kernel(matrix: Matrix) -> "Subspace":
     return null_space(matrix.field, matrix.ncols, matrix.int_form()[0])
 
 
-def null_space(field, width: int, rows) -> "Subspace":
+def null_space(field, width: int, rows, known: "Subspace | None" = None) -> "Subspace":
     """{x in F^width : r . x = 0 for every int row r of rows}, in RREF.
 
-    The rows fold into one eliminator.  Zero rows are skipped, and once
-    the rows span F^width the answer is zero and no further row is read,
-    so rows may be a lazy stream.
+    known is a subspace of the answer that the caller already has (the
+    zero space when None).  Once the rank of the rows read reaches
+    width - dim known, the answer is known itself, which is returned
+    without reading a further row; so rows may be a lazy stream.
     """
-    acc = echelon(field, width)
-    for row in rows if width else ():
-        if any(row) and acc.add(row) and acc.rank == width:
-            return Subspace.zero(field, width)
-    return Subspace.from_ints(field, width, kernel_vectors(field, width, acc))
+    if known is None:
+        known = Subspace.zero(field, width)
+    final = width - known.dim
+    acc = _fold(field, width, rows, final)
+    if acc.rank == final:
+        return known
+    vectors = _null_vectors(width, *acc.rref_ints(), acc.pivot_columns())
+    return Subspace.from_ints(field, width, vectors)
 
 
-def kernel_vectors(field, width: int, acc) -> list[list[int]]:
-    """One null vector of acc's rows per free column of its RREF, in column
-    order, as ints (see _null_vectors); over GF(p) they are left unreduced.
-    Columns past ``width`` are ignored, so an augmented eliminator [M | b]
-    without a pivot in its last column gives the null vectors of M."""
+def kernel_vectors(field, width: int, rows) -> list[list[int]]:
+    """One null vector of the int rows of width ``width`` per free column
+    of their RREF, in column order, as ints (see _null_vectors); over
+    GF(p) they are left unreduced."""
+    acc = _fold(field, width, rows)
     return _null_vectors(width, *acc.rref_ints(), acc.pivot_columns())
 
 
 def _null_vectors(width: int, rows, den: int, pivots) -> list[list[int]]:
     """For RREF rows over den with the given pivot columns, one null vector
-    per free column f: den at f, 0 at the other free columns and -b[f] at
-    the pivot column of each row b."""
+    per free column f < width: den at f, 0 at the other free columns and
+    -b[f] at the pivot column of each row b.  So an augmented [M | b]
+    without a pivot in its last column gives the null vectors of M."""
     pivot_set = set(pivots)
     vectors = []
     for f in range(width):
@@ -527,22 +538,20 @@ def solve(matrix: Matrix, rhs) -> tuple[tuple, "Subspace"] | None:
     if len(rhs) != matrix.nrows:
         raise ValueError("right-hand side length mismatch")
     F = matrix.field
-    width = matrix.ncols + 1
+    n = matrix.ncols
     rows, den = matrix.int_form()
     b, b_den = F.to_ints([F.coerce(v) for v in rhs])
     # row . x = b_i is (b_den row) . x = den b_i on the int forms
-    acc = echelon(F, width)
-    for row, bi in zip(rows, b):
-        acc.add([v * b_den for v in row] + [bi * den])
+    acc = _fold(F, n + 1, ([v * b_den for v in row] + [bi * den] for row, bi in zip(rows, b)))
     pivot_cols = acc.pivot_columns()
-    if matrix.ncols in pivot_cols:
+    if n in pivot_cols:
         return None
     reduced, x_den = acc.rref_ints()
-    x = [0] * matrix.ncols
+    x = [0] * n
     for prow, pc in zip(reduced, pivot_cols):
         x[pc] = prow[-1]
     return F.from_ints(x, x_den), Subspace.from_ints(
-        F, matrix.ncols, kernel_vectors(F, matrix.ncols, acc))
+        F, n, _null_vectors(n, reduced, x_den, pivot_cols))
 
 
 class Subspace:
@@ -560,11 +569,12 @@ class Subspace:
     def __init__(self, field, ambient: int, basis):
         """The span of the vectors in basis, which may be field elements or
         anything the field coerces; stored as its canonical RREF basis."""
-        acc = echelon(field, ambient)
+        rows = []
         for v in basis:
             if len(v) != ambient:
                 raise ValueError("vector length mismatch")
-            acc.add(field.to_ints([field.coerce(x) for x in v])[0])
+            rows.append(field.to_ints([field.coerce(x) for x in v])[0])
+        acc = _fold(field, ambient, rows)
         self._set(field, ambient, *acc.rref_ints(), acc.pivot_columns())
 
     def _set(self, field, ambient: int, rows, den: int, pivots) -> None:
@@ -591,9 +601,7 @@ class Subspace:
     def from_ints(cls, field, ambient: int, rows) -> "Subspace":
         """The span of int rows of width ambient (any nonzero scale of a row
         spans the same line)."""
-        acc = echelon(field, ambient)
-        for row in rows:
-            acc.add(row)
+        acc = _fold(field, ambient, rows)
         return cls._of(field, ambient, *acc.rref_ints(), acc.pivot_columns())
 
     @classmethod

@@ -22,7 +22,7 @@ from .algebra import (
     center,
     is_idempotent,
 )
-from .linalg import Matrix, Subspace, _nonzero, echelon, kernel_vectors, null_space
+from .linalg import Matrix, Subspace, _nonzero, kernel_vectors, null_space
 from .verdict import ConditionVerdict, Verdict
 
 
@@ -601,10 +601,7 @@ def _first_kernel_witness(A: Algebra, a, rows) -> tuple:
     F = A.field
     if not any(sum(r * x for r, x in zip(row, a)) % F.p for row in rows):
         return tuple(a)
-    acc = echelon(F, A.dim)
-    for row in rows:
-        acc.add(row)
-    return tuple(F.coerce(v) for v in kernel_vectors(F, A.dim, acc)[0])
+    return tuple(F.coerce(v) for v in kernel_vectors(F, A.dim, rows)[0])
 
 
 def _is_prime_uncached(A: Algebra, budget: int, samples: int, seed: int) -> PrimeReport:

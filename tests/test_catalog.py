@@ -161,6 +161,13 @@ def test_name_line_is_read_but_not_written():
         (b"saf 1\nfield Q\ndim 1\nidem 1\n", 4, "idempotent"),
         (b"saf 1\nfield Q\ndim 1\nname a\nmul 1 1 1 1\nname b\n", 6, "duplicate name"),
         (b"saf 1\nfield Q\ndim 1\nname\n", 4, "name"),
+        (b"saf 1\nfeld Q\ndim 1\n", 2, "expected 'field ...'"),
+        (b"saf 1\nfield Q\ndim 2\nunit 1 x\n", 4, "bad unit coordinate"),
+        (b"saf 1\nfield GF 3\ndim 1\nmul 1 1 1 1\nidem 1/3\n", 5, "bad idem coordinate"),
+        (b"saf 1\nfield Q\ndim 1\nmul 1 1 1 1\nidem 1\nidem 1\n", 6, "duplicate idem line"),
+        (b"saf 1\nfield Q\ndim 1\nmul 1 one 1 1\n", 4, "bad index"),
+        (b"saf 1\nfield Q\ndim 1\nmul 1 1 1 x\n", 4, "bad scalar"),
+        (b"saf 1\nfield Q\ndim 1\nmul 1 1 1 1\nmult 1 1 1 1\n", 5, "unknown directive"),
     ],
 )
 def test_malformed_inputs_carry_line_numbers(payload, lineno, needle):

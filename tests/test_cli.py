@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import altrings
+from altrings.algebra import BudgetError
 from altrings.catalog import catalog, direct_sum, parse, serialize
 from altrings.cli import main
 from altrings.fields import GF, QQ
+from altrings.peirce import is_prime
 
 
 def run(capsys, *argv):
@@ -46,6 +48,21 @@ def test_check_prime_witness_printed(capsys):
     )
     assert code == 1
     assert "aRb = 0" in out
+
+
+def test_prime_over_its_budget_is_one_undecided_row(capsys):
+    # 960,800 rays: the library refuses, and the CLI reports that nothing
+    # was decided after the rows it has printed
+    with pytest.raises(BudgetError):
+        is_prime(catalog("zorn", GF(7)))
+    budget = ("check:budget                       undecided  960800 rays exceed the primality"
+              " budget 131072")
+    for props, before in (([], []), (["--prop", "alternative"],
+                                     ["check:alternative                  holds"])):
+        code, out, err = run(capsys, "check", "--catalog", "zorn", "--field", "GFp:7",
+                             *props, "--prime")
+        assert (code, err) == (2, "")
+        assert [line.rstrip() for line in out.splitlines()] == before + [budget]
 
 
 def test_peirce_conditions_tri2_exit_1(capsys):
@@ -236,6 +253,30 @@ def test_search_exhaust_contradiction_fails_even_if_incomplete(capsys, monkeypat
     assert code == 1
     assert ("search:exhaust-no-contradiction    fails      1 tables satisfy the identity"
             " but are not almost additive") in out.splitlines()
+
+
+@pytest.fixture
+def swap_table(tmp_path):
+    """A .tmap on tri2 over GF(2) swapping elements 0, 1 and 2, 3."""
+    path = tmp_path / "swap.tmap"
+    values = [1, 0, 3, 2, 4, 5, 6, 7]
+    path.write_text("tmap 1\nsize 8\n" + "".join(f"map {i} {v}\n" for i, v in enumerate(values)))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode, code, line", [
+    ("verify", 1, "search:lie-identity                fails      mode exhaustive, checked 1;"
+                  " witness ((0, 0, 0), (0, 0, 0)), residual (1, 0, 0)"),
+    ("defect", 1, "search:almost-additive             fails      checked 1 pairs;"
+                  " non-central defect (1, 0, 0) at a = (0, 0, 0), b = (0, 0, 0)"),
+    ("defect --budget 10", 2, "search:budget                      undecided  64 pairs"
+                              " exceed budget 10"),
+])
+def test_search_on_a_table_that_fails_at_zero(capsys, swap_table, mode, code, line):
+    # T(0) = e0 is not 0: the first pair (0, 0) already fails
+    got, out, err = run(capsys, "search", "--catalog", "tri2", "--field", "GFp:2",
+                        "--map", swap_table, "--mode", *mode.split())
+    assert (got, out.splitlines(), err) == (code, [line], "")
 
 
 def test_search_converse_verify_defect_pipeline(tmp_path, capsys):

@@ -288,6 +288,43 @@ def test_decompose_rejects_condition_a(mat2):
     assert exc.value.certificate == "condition_a"
 
 
+def _mat2_map(mat2, images):
+    """The map of mat2 sending e_j to images[j] (zero where not given)."""
+    zero = (0,) * 4
+    return LinearMap.from_images(mat2, [images.get(j, zero) for j in range(4)])
+
+
+# On the basis E11, E12, E21, E22 of mat2 at e1 = E11 every map meets (a) and
+# (b), as R22 = Z e2 and R11 = Z e1, and (c) asks only D(E12) in Q E12 and
+# D(E21) in Q E21.  On mat2 + mat2 at e1 = (E11, E11) a basis vector of R11
+# may send its off-diagonal image to the other block's, where the sum e1
+# does not see it.
+@pytest.mark.parametrize("case, certificate, message", [
+    ("offdiag", "no_central_solution", "diagonal image has an off-diagonal component"),
+    ("e12-only", "leibniz_failure", "delta violates the Leibniz rule"),
+    ("trace-of-e11", "tau_pn_nonzero", "tau does not vanish"),
+])
+def test_decompose_certificates_after_the_gates(mat2, case, certificate, message):
+    if case == "offdiag":
+        A = direct_sum(mat2, mat2)
+        ctx = peirce_context(A, (1, 0, 0, 0, 1, 0, 0, 0))
+        images = [(0,) * 8] * 8
+        images[0] = (0, 1, 0, 0, 0, 0, 0, 0)   # (E11, 0) -> (E12, 0)
+        images[4] = (0, -1, 0, 0, 0, 0, 0, 0)  # (0, E11) -> -(E12, 0)
+        D = LinearMap.from_images(A, images)
+    else:
+        A, ctx = mat2, peirce_context(mat2, mat2.idempotent)
+        # E12 -> E12 breaks D(E12 E21) = D(E12) E21 + E12 D(E21); E11 -> 1
+        # is central but not zero on [E12, E21] = E11 - E22
+        D = _mat2_map(mat2, {1: (0, 1, 0, 0)} if case == "e12-only" else {0: (1, 0, 0, 1)})
+    assert check_conditions_abc(ctx, D).all_hold
+    for n in (2, 3):
+        with pytest.raises(DecompositionError) as exc:
+            decompose(ctx, D, n, check_ring_conditions=False)
+        assert exc.value.certificate == certificate
+        assert str(exc.value).startswith(message)
+
+
 def test_decompose_warns_on_undecided_ring_conditions():
     P = catalog("product2", QQ)
     ctx = peirce_context(P, P.idempotent)

@@ -355,6 +355,45 @@ def test_kernel_and_killed_by_on_row_streams_match_per_scalar_reference(data):
     assert killed == ker
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_null_space_returns_its_known_part_once_the_rank_allows_no_more(data):
+    """null_space(F, k, rows, known) for a subspace known that every row
+    kills: the kernel of the rows, and known itself, unread past that row,
+    from the row at which the reference rank reaches k - dim known.  The
+    rows are combinations of a spanning set of the vectors that kill
+    known, with zero rows and repeats among them."""
+    F = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    k = data.draw(st.integers(1, 5))
+    known = Subspace(F, k, data.draw(rows_of(F, data.draw(st.integers(0, k)), k)))
+    killers = known.residual_matrix().rows
+    raw = []
+    for _ in range(data.draw(st.integers(0, k + 4))):
+        kind = data.draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "repeat" and raw:
+            raw.append(list(data.draw(st.sampled_from(raw))))
+        else:
+            coeffs = data.draw(rows_of(F, 1, len(killers)))[0] if kind == "fresh" else ()
+            raw.append([normal(F, sum((c * r[i] for c, r in zip(coeffs, killers)), 0))
+                        for i in range(k)])
+    final = k - known.dim
+    # the rows a reader needs; None: all of them, and the answer exceeds known
+    needed = 0 if final == 0 else next((i + 1 for i in range(len(raw))
+                                        if reference_rref(F, raw[:i + 1], k)[1] == final), None)
+
+    def stream():
+        for i, row in enumerate(raw):
+            if i == needed:
+                raise AssertionError(f"row {i} read after the rank reached {final}")
+            yield _int_row(F, row)
+
+    got = linalg.null_space(F, k, stream(), known)
+    assert got == kernel(Matrix(F, raw, ncols=k))
+    assert known.contains_subspace(got) == (needed is not None)
+    if needed is not None:
+        assert got is known
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")

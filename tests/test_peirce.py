@@ -229,6 +229,17 @@ def test_condition_4_three_valued():
     assert check_conditions_1_to_4(ctx2).entries["4"].status is Verdict.FAILS
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_condition_4_holds_on_a_zero_center(field):
+    # e0 e0 = e0, e0 e1 = e1: nothing commutes with both e0 and e1
+    A = Algebra(field, 2, {(0, 0, 0): 1, (0, 1, 1): 1}, idempotent=(1, 0))
+    ctx = peirce_context(A, A.idempotent)
+    assert ctx.center.is_zero()
+    assert ctx.dims == (1, 1, 0, 0)
+    assert check_conditions_1_to_4(ctx).entries["4"] == (
+        Verdict.HOLDS, "center is zero; nothing to check", None)
+
+
 def test_solved_unit_is_not_recorded_as_declared():
     """A unit that find_unit solves for never reaches the .saf bytes."""
     A = parse(b"saf 1\nfield GF 3\ndim 2\nidem 1 0\nmul 1 1 1 1\nmul 2 2 2 1\n")
