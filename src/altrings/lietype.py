@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from math import lcm
 from typing import NamedTuple
 
 from .algebra import (
@@ -250,20 +249,16 @@ class AbcReport(NamedTuple):
         return all(v.status is Verdict.HOLDS for v in self)
 
 
-class NormalizationError(ValueError):
-    """The subtracted inner map failed to make D(e1) central."""
-
-    def __init__(self, certificate: str, message: str):
-        super().__init__(message)
-        self.certificate = certificate
-
-
 class DecompositionError(ValueError):
     """Decomposition pipeline failure; certificate names the broken step."""
 
     def __init__(self, certificate: str, message: str):
         super().__init__(message)
         self.certificate = certificate
+
+
+class NormalizationError(DecompositionError):
+    """The subtracted inner map failed to make D(e1) central."""
 
 
 def _memberships(ctx: PeirceContext) -> tuple:
@@ -397,26 +392,26 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     """Split D into a derivation delta and a central tau killing p_n values.
 
     Pipeline: gate (a),(b),(c) on the input map; subtract the inner
-    normalizer f; re-certify (a),(b),(c) on D' = D - f; for each basis
-    vector a of R11 and of R22, require D'(a) to have no off-diagonal part
-    and solve for the unique central z whose action on the other diagonal
-    component is that part of D'(a); read tau off these values through the
-    pivot rows of pi11 and pi22; set delta = D - tau, so delta absorbs f
-    and delta + tau = D by construction; certify the Leibniz rule for
-    delta, central values of tau, and tau's vanishing on the span of
-    nested-commutator values.
+    normalizer f; re-certify (a),(b),(c) on D' = D - f; for R11 and for
+    R22, require D' to have no off-diagonal part on it and send each of its
+    vectors x to the unique central z whose action on the other diagonal
+    component is that part of D'(x), through the component's central lift;
+    set delta = D - tau, so delta absorbs f and delta + tau = D by
+    construction; certify the Leibniz rule for delta and tau's vanishing
+    on the span of nested-commutator values.  tau is central by
+    construction, as every column of a central lift lies in Z.
 
     Every step runs on the int forms that ``peirce_context`` derived once:
-    the projections, e1, the central action spaces and their graphs, from
-    which z e_side = t is solved; maps enter as their int matrices, each
-    check is an int mat-vec product with a membership test on ints, and
-    field elements are built only for the returned maps and failure
-    witnesses.  Conditions (1)-(4) and W_n are computed on every call.
+    the projections, e1, the central action spaces and their lifts; maps
+    enter as their int matrices, each check is an int matrix product or an
+    int mat-vec product with a membership test on ints, and field elements
+    are built only for the returned maps and failure witnesses.
+    Conditions (1)-(4) and W_n are computed on every call.
 
     Raises DecompositionError whose ``certificate`` names the first
     failing step: ring_conditions, condition_a/b/c, central_normalization,
     condition_*_normalized, no_central_solution, non_unique_z,
-    leibniz_failure, tau_not_central, tau_pn_nonzero.
+    leibniz_failure, tau_pn_nonzero.
     """
     A = ctx.algebra
     F = A.field
@@ -441,62 +436,41 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
                 )
 
     _gate(check_conditions_abc(ctx, D), "condition_{}", "input map violates ({}): {}")
-    try:
-        Dp, f = normalize_at_idempotent(ctx, D)
-    except NormalizationError as exc:
-        raise DecompositionError(exc.certificate, str(exc)) from exc
+    Dp, f = normalize_at_idempotent(ctx, D)
     _gate(check_conditions_abc(ctx, Dp), "condition_{}_normalized",
           "normalized map violates ({}): {}")
 
-    # tau sends each basis vector a of R11 (of R22) to the unique central z_a
-    # with z_a e2 = pi22 D'(a) (with z_a e1 = pi11 D'(a)) and kills R12 + R21.
-    # z_a is read off the action graph, whose rows [x | phi(x)] with
-    # phi(z e_side) = z keep that form in RREF: the residual of [t | 0] is
-    # zero on the first d columns iff t is in the action space, and then its
-    # last d columns are -graph._den * t_den * z.  A component basis is in
-    # RREF, so the coordinate of pi_ii x along a is the entry of pi_ii x at
-    # a's pivot column: tau is the sum over a of the column z_a times that
-    # row of pi_ii.
+    # tau sends x in R11 (in R22) to the central z with z e2 = pi22 D'(x)
+    # (z e1 = pi11 D'(x)), which is Phi_2 pi22 D'(x) (Phi_1 pi11 D'(x)) for
+    # the central lift Phi_side, and kills R12 + R21.  A component's basis
+    # columns B are in RREF, so pi_ii = B C with C the rows of pi_ii at B's
+    # pivot columns, and tau sums Phi_side pi_other D' B C over the two.
     pi = ctx.projections
-    pi12, pi21 = pi[(1, 2)].int_form()[0], pi[(2, 1)].int_form()[0]
-    terms = []  # (z_a ints, pi_ii row at a's pivot, their joint den)
+    offdiag = pi[(1, 2)] + pi[(2, 1)]
+    terms = []
     for slot, other, side in (((1, 1), (2, 2), 2), ((2, 2), (1, 1), 1)):
         comp = ctx.components[slot]
-        pi_rows, pi_den = pi[slot].int_form()
-        graph = ctx.action_graphs[side]
-        for a, pivot in zip(comp._num, comp._pivots):
-            img = _image(Dp.matrix, (a, comp._den))
-            if (_nonzero(_apply_ints(pi12, img[0]), p)
-                    or _nonzero(_apply_ints(pi21, img[0]), p)):
-                raise DecompositionError(
-                    "no_central_solution",
-                    "diagonal image has an off-diagonal component; "
-                    "the identity hypotheses fail upstream",
-                )
-            t, t_den = _image(pi[other], img)
-            r = graph._residual_ints(t + [0] * d)
-            if any(r[:d]):
-                raise DecompositionError(
-                    "no_central_solution",
-                    "no central element reproduces the diagonal image "
-                    "(condition (a)/(b) violated)",
-                )
-            if ctx.action_spaces[side].dim < ctx.center.dim:
-                raise DecompositionError(
-                    "non_unique_z",
-                    "central solution is not unique; the center is degenerate "
-                    "against conditions (2)/(3)",
-                )
-            terms.append(([-x for x in r[d:]], pi_rows[pivot], graph._den * t_den * pi_den))
-    den = lcm(*[t[2] for t in terms])
-    tau_rows = [[0] * d for _ in range(d)]
-    for z, row, t_den in terms:
-        k = den // t_den
-        for out, zr in zip(tau_rows, z):
-            if zr:
-                c = zr * k
-                out[:] = [x + c * y for x, y in zip(out, row)]
-    tau = Matrix._from_fresh(F, tau_rows, den, d)
+        if comp.is_zero():
+            continue
+        DB = Dp.matrix @ Matrix._from_fresh(
+            F, [list(col) for col in zip(*comp._num)], comp._den, comp.dim)
+        if not (offdiag @ DB).is_zero():
+            raise DecompositionError(
+                "no_central_solution",
+                "diagonal image has an off-diagonal component; "
+                "the identity hypotheses fail upstream",
+            )
+        lift = ctx.central_lifts[side]
+        if lift is None:
+            raise DecompositionError(
+                "non_unique_z",
+                "central solution is not unique; the center is degenerate "
+                "against conditions (2)/(3)",
+            )
+        rows, den = pi[slot].int_form()
+        C = Matrix.from_ints(F, [rows[pc] for pc in comp._pivots], den, d)
+        terms.append(lift @ (pi[other] @ DB) @ C)
+    tau = sum(terms[1:], terms[0])  # R11 holds e1, so it is never zero
     delta = LinearMap(A, D.matrix - tau)
 
     if not is_derivation(A, delta):
@@ -504,11 +478,6 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
             "leibniz_failure", "delta violates the Leibniz rule on a basis pair"
         )
     tau_rows = tau.int_form()[0]
-    for column in zip(*tau_rows):
-        if any(ctx.center._residual_ints(column)):
-            raise DecompositionError(
-                "tau_not_central", "tau has a non-central value on a basis vector"
-            )
     for w in nested_commutator_span(A, n)._num:
         if _nonzero(_apply_ints(tau_rows, w), p):
             raise DecompositionError(

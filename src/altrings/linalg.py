@@ -271,9 +271,12 @@ def _nonzero(vec, p: int) -> bool:
 
 
 def _product_ints(a, b) -> list[list[int]]:
-    """The int matrix product a b of row lists (no reduction mod p)."""
+    """The int matrix product a b of row lists (no reduction mod p); a zero
+    row of a, as in a projection or a column of central values, costs no
+    dot products."""
     cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] if any(row) else [0] * len(cols)
+            for row in a]
 
 
 def _lowest_terms(field, rows, den: int,

@@ -47,8 +47,10 @@ class PeirceContext(NamedTuple):
     ``peirce_context``: e1 as field elements and as (ints, den), the
     projections pi_ij as int-backed matrices, their images R_ij, the
     center Z, and per side 1, 2 the central action space Z e_side (z e2 =
-    z - z e1) with its graph, the span of the rows [z e_side | z] over the
-    Z basis.  Nothing is cached on the algebra or shared between contexts.
+    z - z e1) and its central lift, the d x d matrix Phi with
+    Phi(z e_side) = z on Z e_side, or None when z -> z e_side is not
+    injective on Z.  Nothing is cached on the algebra or shared between
+    contexts.
     """
 
     algebra: Algebra
@@ -58,7 +60,7 @@ class PeirceContext(NamedTuple):
     components: dict
     center: Subspace
     action_spaces: dict
-    action_graphs: dict
+    central_lifts: dict
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -83,7 +85,7 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
     e1's ints by ``Algebra.mult_matrix_ints``; the checks and the
     projections are their products and differences, and each component is
     the span of its projection's int columns.  The rows z e1 come from the
-    ints of the Z basis and of e1.
+    ints of the Z basis and of e1, and each lift from their graph rows.
     """
     coords = A._coerce_coords(e1)
     check = is_idempotent(A, coords)
@@ -138,12 +140,24 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
         components=components,
         center=Z,
         action_spaces={side: Subspace.from_ints(F, d, rows) for side, rows in actions.items()},
-        action_graphs={
-            side: Subspace.from_ints(F, 2 * d, [w + [scale * x for x in z]
-                                                for w, z in zip(rows, Z._num)])
+        central_lifts={
+            side: _central_lift(F, d, Subspace.from_ints(
+                F, 2 * d, [w + [scale * x for x in z] for w, z in zip(rows, Z._num)]))
             for side, rows in actions.items()
         },
     )
+
+
+def _central_lift(F, d: int, graph: Subspace) -> Matrix | None:
+    """Phi with Phi(z e_side) = z, from the RREF of the graph rows
+    [z e_side | z]: column pc of Phi is the last d entries of the row with
+    pivot pc, over the graph's den.  None when a pivot lies past column d,
+    that is, when some nonzero z has z e_side = 0."""
+    rows = dict(zip(graph._pivots, graph._num))
+    if any(pc >= d for pc in rows):
+        return None
+    return Matrix._from_fresh(F, [[rows[pc][d + m] if pc in rows else 0 for pc in range(d)]
+                                  for m in range(d)], graph._den, d)
 
 
 class RelationViolation(NamedTuple):
@@ -316,10 +330,12 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
     other component's basis rows b.  (4) needs rank L_z = d for every
     nonzero central z; as L_{cz} = c L_z, over GF(p) the ray walker of
     ``_packed_ray_test`` decides it with stage 1 over Z's RREF rows, last
-    row first, and the first failing ray is the witness.  Over Q only
-    dim Z = 1 is decided, by the kernel of L_{z0} on all of R: a rank mod
-    p bounds the rank over Q from below, so it could certify HOLDS but
-    never FAILS.  Field elements are built only for witnesses.
+    row first, and the first failing ray is the witness.  Over Q each of
+    Z's RREF rows, last row first, gets the exact kernel of L_z on all of
+    R: a singular row is a FAILS witness, one row and none singular HOLDS,
+    and else (4) is UNDECIDED, as a rank mod p bounds the rank over Q from
+    below, so it could certify HOLDS but never FAILS.  Field elements are
+    built only for witnesses.
     """
     A = ctx.algebra
     F = A.field
@@ -360,24 +376,23 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
                 entries["4"] = ConditionVerdict(
                     Verdict.FAILS, "central z with zR != R", witness=F.from_ints(bad)
                 )
-    elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one kernel decides every nonzero z
-        if null_space(F, d, _operator_rows(A, Z._num, "left")).is_zero():
+    else:
+        bad = next((z for z in reversed(Z._num)
+                    if not null_space(F, d, _operator_rows(A, [z], "left")).is_zero()), None)
+        if bad is not None:
+            entries["4"] = ConditionVerdict(
+                Verdict.FAILS, "central z with zR != R" if Z.dim > 1
+                else "the central generator is a zero divisor", witness=F.from_ints(bad, Z._den))
+        elif Z.dim == 1:  # L_{c z0} = c L_{z0}: one kernel decides every nonzero z
             # "invertible" here means L_{z0} is, i.e. z0 R = R; the README
             # example and the benchmark oracle pin this text byte for byte
             entries["4"] = ConditionVerdict(
-                Verdict.HOLDS,
-                "dim Z = 1 and the central generator is invertible",
-            )
+                Verdict.HOLDS, "dim Z = 1 and the central generator is invertible")
         else:
             entries["4"] = ConditionVerdict(
-                Verdict.FAILS, "the central generator is a zero divisor",
-                witness=Z.basis[0],
+                Verdict.UNDECIDED,
+                "zR = R is nonlinear in z; undecidable over an infinite field here",
             )
-    else:
-        entries["4"] = ConditionVerdict(
-            Verdict.UNDECIDED,
-            "zR = R is nonlinear in z; undecidable over an infinite field here",
-        )
 
     return ConditionsReport(entries=entries)
 

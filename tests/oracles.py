@@ -1,10 +1,10 @@
 """Helpers shared by the test modules.
 
-Maps and fixtures several modules use, basis changes that turn a catalog
-algebra into a dense copy of itself, matrix inverses written straight from
-Gauss-Jordan, the scalar strategies of the hypothesis references, and the
-plain incremental eliminator over Q that ``linalg._RationalEchelon`` must
-match int for int.
+Maps, fixtures and algebras several modules use, basis changes that turn
+a catalog algebra into a dense copy of itself, matrix inverses written
+straight from Gauss-Jordan, the scalar strategies of the hypothesis
+references, and the plain incremental eliminator over Q that
+``linalg._RationalEchelon`` must match int for int.
 """
 
 import random
@@ -28,6 +28,27 @@ def ad(A, u_index):
 @pytest.fixture(scope="module")
 def zorn():
     return catalog("zorn", QQ)
+
+
+def mat2_over_x4_plus_1():
+    """2 x 2 matrices over Q[x]/(x^4 + 1), a 16-dim Q-algebra with basis
+    E_ab x^k at 4 m + k, m indexing E11, E12, E21, E22, unit E11 + E22 and
+    idempotent E11.  Conditions (1)-(3) hold, and Z is Q[x]/(x^4 + 1) times
+    the unit, of dim 4, with every RREF row x^k (E11 + E22) invertible; as
+    x^4 + 1 is reducible mod every prime, (4) stays undecided over Q."""
+    units = ((1, 1), (1, 2), (2, 1), (2, 2))
+    triples = {}
+    for m, (a, b) in enumerate(units):
+        for n, (c, e) in enumerate(units):
+            if b == c:
+                out = 4 * units.index((a, e))
+                for k in range(4):
+                    for l in range(4):  # x^(k + l) = -x^(k + l - 4) past x^3
+                        sign = 1 if k + l < 4 else -1
+                        triples[(4 * m + k, 4 * n + l, out + (k + l) % 4)] = sign
+    unit = [0] * 16
+    unit[0] = unit[12] = 1
+    return Algebra(QQ, 16, triples, unit=unit, idempotent=[1] + [0] * 15)
 
 
 def unimodular_rebase(A, seed):

@@ -8,10 +8,11 @@ import pytest
 
 import altrings
 from altrings.algebra import BudgetError
-from altrings.catalog import catalog, direct_sum, parse, serialize
+from altrings.catalog import catalog, parse, serialize
 from altrings.cli import main
 from altrings.fields import GF, QQ
 from altrings.peirce import is_prime
+from oracles import mat2_over_x4_plus_1
 
 
 def run(capsys, *argv):
@@ -87,14 +88,16 @@ def test_peirce_explicit_idempotent(capsys):
     assert "(1, 1, 1, 1)" in out
 
 
-def test_peirce_undecided_exit_2(capsys):
-    # product2 over Q: condition (4) is undecided, (2)/(3) fail -> exit 1;
-    # restrict to commutant checks for a clean undecided-free run first
+def test_peirce_undecided_exit_2(tmp_path, capsys):
+    # product2's commutant checks all hold; on 2 x 2 matrices over
+    # Q[x]/(x^4 + 1) conditions (1)-(3) hold and (4) is undecided -> exit 2
     code, _, _ = run(capsys, "peirce", "--catalog", "product2", "--commutant")
     assert code == 0
-    code, out, _ = run(capsys, "peirce", "--catalog", "product2", "--conditions")
-    assert code == 1
-    assert "undecided" in out
+    path = tmp_path / "m2k.saf"
+    path.write_bytes(serialize(mat2_over_x4_plus_1()))
+    code, out, _ = run(capsys, "peirce", "--file", str(path), "--conditions")
+    assert code == 2
+    assert "undecided" in out and "fails" not in out
 
 
 @pytest.mark.parametrize("field", ["Q", "GF 3"])
@@ -549,14 +552,14 @@ def test_char3_primality_warning_is_one_note_line():
 
 
 def test_undecided_ring_condition_in_decompose_is_one_note_line(tmp_path, capsys):
-    # mat2 + mat2 over Q at (e11, e11): conditions (1)-(3) hold, and (4) is
-    # undecided since the center has dimension 2
-    saf, lmap = tmp_path / "m22.saf", tmp_path / "zero.lmap"
-    saf.write_bytes(serialize(direct_sum(catalog("mat2", QQ), catalog("mat2", QQ))))
-    lmap.write_text("lmap 1\ndim 8\n" + "row 0 0 0 0 0 0 0 0\n" * 8)
+    # 2 x 2 matrices over Q[x]/(x^4 + 1) at E11: conditions (1)-(3) hold,
+    # and (4) is undecided since the center has dimension 4
+    saf, lmap = tmp_path / "m2k.saf", tmp_path / "zero.lmap"
+    saf.write_bytes(serialize(mat2_over_x4_plus_1()))
+    lmap.write_text("lmap 1\ndim 16\n" + ("row" + " 0" * 16 + "\n") * 16)
     shown = warnings.showwarning
     code, out, err = run(capsys, "decompose", "--file", str(saf), "--map", str(lmap),
-                         "--idem", "1 0 0 0 1 0 0 0")
+                         "--idem", "1" + " 0" * 15)
     assert code == 0 and warnings.showwarning is shown
     assert out.splitlines()[3] == "decompose:leibniz                  holds      "
     assert err == ("note: ring condition 4 undecided: zR = R is nonlinear in z;"

@@ -347,6 +347,16 @@ def test_decompose_non_unique_z_on_degenerate_ring():
     assert dec_err in (None, "non_unique_z")
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_decompose_skips_an_empty_diagonal_component(field):
+    # e0 e0 = e0, e0 e1 = e1 at e0: R22 and the center are zero
+    A = Algebra(field, 2, {(0, 0, 0): 1, (0, 1, 1): 1}, idempotent=(1, 0))
+    ctx = peirce_context(A, A.idempotent)
+    assert ctx.dims == (1, 1, 0, 0)
+    dec = decompose(ctx, LinearMap.zero(A), 2, check_ring_conditions=False)
+    assert dec.tau.is_zero() and dec.delta.is_zero()
+
+
 coeff = st.integers(-3, 3)
 vec4 = st.tuples(coeff, coeff, coeff, coeff)
 
@@ -881,7 +891,7 @@ def test_decompose_certificates_match_own_peirce_arithmetic(name, p):
             except DecompositionError as exc:
                 got = exc.certificate
             if want == "solved":
-                assert got in ("solved", "leibniz_failure", "tau_not_central", "tau_pn_nonzero")
+                assert got in ("solved", "leibniz_failure", "tau_pn_nonzero")
             else:
                 assert got == want, (D, want, got)
     reached = {"condition_c", "central_normalization_complement"} | (
@@ -945,3 +955,45 @@ def test_abc_gates_agree_with_the_abc_space(p):
             assert gate == space.contains(D.to_vector()), (A.name, vec)
             holds += gate
     assert 0 < holds < len(algebras) * 48
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=str)
+def test_central_lifts_invert_the_action_and_tau_is_central(F):
+    """On the catalog algebras, dense rebases of mat2 and zorn, mat2 + mat2
+    at (E11, 0) and (E11, E11), and mat2 at (E11 + E12 + E21 + E22) / 2:
+    each central lift sends z e_side back to z for every basis row z of Z,
+    is None exactly when dim Z e_side < dim Z, and every tau that
+    decompose returns on admissible maps has its columns in Z."""
+    algebras = [catalog(name, QQ) for name in ("mat2", "tri2", "zorn", "product2")]
+    algebras += [rebase(catalog(name, QQ), 1) for name in ("mat2", "zorn")]
+    algebras.append(direct_sum(catalog("mat2", QQ), catalog("mat2", QQ)))
+    if F is not QQ:
+        algebras = [_mod(A, F.p) for A in algebras]
+    half = F.coerce(Fraction(1, 2))
+    cases = [(A, A.idempotent) for A in algebras]
+    cases += [(algebras[-1], (1, 0, 0, 0, 1, 0, 0, 0)), (algebras[0], (half,) * 4)]
+    lifts = set()
+    central = 0
+    for seed, (A, e1) in enumerate(cases):
+        ctx = peirce_context(A, e1)
+        Z = ctx.center
+        for side, lift in ctx.central_lifts.items():
+            assert (lift is None) == (ctx.action_spaces[side].dim < Z.dim)
+            lifts.add(lift is None)
+            if lift is None:
+                continue
+            for z in Z.basis:
+                ze1 = (A.element(z) * A.element(ctx.e1)).coords
+                ze = ze1 if side == 1 else tuple(F.sub(a, b) for a, b in zip(z, ze1))
+                assert lift.apply(ze) == z
+        space = OperatorSpace(
+            A, lie_n_derivation_space(A, 2).space.intersect(conditions_abc_subspace(ctx)))
+        rng = random.Random(seed)
+        for _ in range(3):
+            try:
+                dec = decompose(ctx, space.random_member(rng), 2, check_ring_conditions=False)
+            except DecompositionError:
+                continue
+            central += not dec.tau.is_zero()
+            assert all(Z.contains(column) for column in zip(*dec.tau.matrix.rows))
+    assert lifts == {False, True} and central > 0, (lifts, central)

@@ -18,7 +18,7 @@ from altrings.peirce import (
     verify_peirce_relations,
 )
 from altrings.verdict import Verdict
-from oracles import dense_rebase, inverse, q_rebase, rebase
+from oracles import dense_rebase, inverse, mat2_over_x4_plus_1, q_rebase, rebase
 
 
 @pytest.fixture(scope="module")
@@ -221,12 +221,17 @@ def test_conditions_tri2_failure_pattern():
 
 
 def test_condition_4_three_valued():
+    # over Q the last RREF row (0, 1) of product2's center is a zero divisor
     P = catalog("product2", QQ)
     ctx = peirce_context(P, P.idempotent)
-    assert check_conditions_1_to_4(ctx).entries["4"].status is Verdict.UNDECIDED
+    assert check_conditions_1_to_4(ctx).entries["4"] == (
+        Verdict.FAILS, "central z with zR != R", (0, 1))
     P2 = catalog("product2", GF(2))
     ctx2 = peirce_context(P2, P2.idempotent)
     assert check_conditions_1_to_4(ctx2).entries["4"].status is Verdict.FAILS
+    M = mat2_over_x4_plus_1()
+    ctx3 = peirce_context(M, M.idempotent)
+    assert check_conditions_1_to_4(ctx3).entries["4"].status is Verdict.UNDECIDED
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)

@@ -36,7 +36,7 @@ RECORDS = {
     "PeirceContext": (
         lambda: PeirceContext("A", (1, 0), ((1, 0), 1), {}, {}, "Z", {}, {}),
         "PeirceContext(algebra='A', e1=(1, 0), e1_ints=((1, 0), 1), projections={},"
-        " components={}, center='Z', action_spaces={}, action_graphs={})"),
+        " components={}, center='Z', action_spaces={}, central_lifts={})"),
     "RelationViolation": (
         lambda: RelationViolation("orthogonality", ((1, 2), (1, 2)), (0, 1), "x12 x12"),
         "RelationViolation(relation='orthogonality', source=((1, 2), (1, 2)),"
