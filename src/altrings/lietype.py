@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from math import lcm
 from typing import NamedTuple
 
 from .algebra import (
@@ -169,13 +170,17 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     ``LinearMap.to_vector``, is one int row of width d + d^3.  A step by
     e_j maps p to K_j p and Acc to K_j Acc plus L_p - R_p in the columns of
     D(e_j), with K_j : v -> [v, e_j] from ``Algebra.bracket_table`` (so a
-    step scales the state by A._den).  Since [x, y] = -[y, x], the state of
-    (j, i) is minus that of (i, j) and the state of (i, i) is 0, so the
-    first step takes only the pairs i < j.  Levels 2 .. n-1 keep, through
-    ``_walk_levels``, the states that enlarge the span of their level, at
-    most d + d^3 of them, and step those; the states of length n give the
-    rows D(p_n) - acc_n = 0 straight to ``null_space``, so the cost is
-    linear in n.
+    step scales the state by A._den).  A step reads the nonzero entries of
+    each row of Acc once and writes each row of the new Acc by index: the
+    entries of the rows that K_j combines, then the d entries of L_p - R_p.
+    Since [x, y] = -[y, x], the state of (j, i) is minus that of (i, j) and
+    the state of (i, i) is 0, so the first step takes only the pairs i < j.
+    Levels 2 .. n-1 keep, through ``_walk_levels``, the states that enlarge
+    the span of their level, at most d + d^3 of them, and step those; the
+    level eliminators are only added to, so over Q their rows stay stepped
+    (reduced only to rebuild the packed null basis).  The states of length
+    n give the rows D(p_n) - acc_n = 0 straight to ``null_space``, so the
+    cost is linear in n.
     """
     if n < 2:
         raise ValueError("Lie-type spaces start at n = 2")
@@ -186,7 +191,9 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
 
     def steps(s, js=range(d)):
         p = s[:d]
-        acc_rows = [s[d + a * dd:d + (a + 1) * dd] for a in range(d)]
+        # the nonzero entries of each row of Acc, as (index in the row, value)
+        nonzero = [[(i, v) for i, v in enumerate(s[base:base + dd]) if v]
+                   for base in range(d, d + d * dd, dd)]
         # K_a p = [p, e_a] is both the next p and column a of L_p - R_p
         ps = [[sum(c * p[a] for a, c in terms) for terms in Kj] for Kj in K]
         for j in js:
@@ -194,8 +201,11 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
             for m, terms in enumerate(K[j]):
                 row = [0] * dd
                 for a, c in terms:
-                    row = [x + c * y for x, y in zip(row, acc_rows[a])]
-                row[j::d] = [x + q[m] for x, q in zip(row[j::d], ps)]
+                    for i, v in nonzero[a]:
+                        row[i] += c * v
+                for col, q in zip(range(j, dd, d), ps):
+                    if q[m]:
+                        row[col] += q[m]
                 out += row
             yield out
 
@@ -445,16 +455,19 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     # the central lift Phi_side, and kills R12 + R21.  A component's basis
     # columns B are in RREF, so pi_ii = B C with C the rows of pi_ii at B's
     # pivot columns, and tau sums Phi_side pi_other D' B C over the two.
+    # Each column D' b of D' B runs through the chain as one int vector;
+    # its off-diagonal part is 0 iff both pi12 D' b and pi21 D' b are, as
+    # R12 and R21 meet in 0.
     pi = ctx.projections
-    offdiag = pi[(1, 2)] + pi[(2, 1)]
+    offdiag = (pi[(1, 2)].int_form()[0], pi[(2, 1)].int_form()[0])
+    Dn, D_den = Dp.matrix.int_form()
     terms = []
     for slot, other, side in (((1, 1), (2, 2), 2), ((2, 2), (1, 1), 1)):
         comp = ctx.components[slot]
         if comp.is_zero():
             continue
-        DB = Dp.matrix @ Matrix._from_fresh(
-            F, [list(col) for col in zip(*comp._num)], comp._den, comp.dim)
-        if not (offdiag @ DB).is_zero():
+        DB = [_apply_ints(Dn, b) for b in comp._num]
+        if any(_nonzero(_apply_ints(P, x), p) for x in DB for P in offdiag):
             raise DecompositionError(
                 "no_central_solution",
                 "diagonal image has an off-diagonal component; "
@@ -467,10 +480,19 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
                 "central solution is not unique; the center is degenerate "
                 "against conditions (2)/(3)",
             )
-        rows, den = pi[slot].int_form()
-        C = Matrix.from_ints(F, [rows[pc] for pc in comp._pivots], den, d)
-        terms.append(lift @ (pi[other] @ DB) @ C)
-    tau = sum(terms[1:], terms[0])  # R11 holds e1, so it is never zero
+        (lift_n, lift_den), (post_n, post_den) = lift.int_form(), pi[other].int_form()
+        zs = [_apply_ints(lift_n, _apply_ints(post_n, x)) for x in DB]
+        rows, C_den = pi[slot].int_form()
+        terms.append((_product_ints(list(zip(*zs)), [rows[pc] for pc in comp._pivots]),
+                      lift_den * post_den * D_den * comp._den * C_den))
+    # R11 holds e1, so it is never zero; the two terms meet over their lcm
+    (tau_num, tau_den), *rest = terms
+    for num, den in rest:
+        both = lcm(tau_den, den)
+        a, b = both // tau_den, both // den
+        tau_num = [[x * a + y * b for x, y in zip(r, s)] for r, s in zip(tau_num, num)]
+        tau_den = both
+    tau = Matrix._from_fresh(F, tau_num, tau_den, d)
     delta = LinearMap(A, D.matrix - tau)
 
     if not is_derivation(A, delta):

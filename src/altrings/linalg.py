@@ -1,10 +1,11 @@
 """Exact linear algebra: matrices, canonical echelon forms and subspaces.
 
 Everything is computed over one of the fields in :mod:`altrings.fields`.
-Row spaces are kept in *reduced* row echelon form with rows ordered by
+Subspaces are kept in *reduced* row echelon form with rows ordered by
 pivot column, so two subspaces are equal iff their stored bases are
 equal.  An incremental eliminator lets constraint rows be folded in as
-they are generated instead of materialising huge matrices; every
+they are generated instead of materialising huge matrices; the Q one keeps
+its rows stepped between reads and reduces them when they are read.  Every
 elimination here is one fold (``_fold``), which skips zero rows and reads
 no row once the rank is final.  ``null_space`` takes a stream of int rows
 and the part of its answer already known, which it returns once the rank
@@ -25,13 +26,17 @@ row dependent by one dot product instead of reducing it: once its span
 fills half the width it keeps the null basis of the span packed by columns
 into signed w-bit slots, and a row r with sum |r_i| times the largest null
 entry below 2^w, whose packed product is 0, is orthogonal to the null
-space and so lies in the span.  Every other row is reduced as before, and
-only that path changes the pivot rows, so they hold the same ints as a
-plain elimination after every row (see ``_RationalEchelon``).
+space and so lies in the span.  Every other row is reduced against the
+pivot rows, the only path that changes them, and a new pivot row is not
+back-substituted into the others.  A reader back-substitutes the rows
+added since the last read, so the rows it sees hold the same ints as a
+plain elimination that back-substitutes after every row (see
+``_RationalEchelon``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from itertools import compress
 from math import gcd, lcm
 from operator import lshift, mul
@@ -49,11 +54,20 @@ _REBUILD_AFTER = 8
 
 
 class _RationalEchelon:
-    """Incremental RREF over Q.
+    """Incremental RREF over Q, reduced on read.
 
     Rows are stored as integer lists cleared of common content; this keeps
     the elimination in (fast) integer arithmetic and avoids Fraction churn
-    in inner loops.  The reduced form is maintained after every insertion.
+    in inner loops.  ``add`` keeps its rows *stepped*: a new row is reduced
+    against the pivot rows in ascending pivot-column order, which clears
+    every pivot column of it, then cleared of its content and given a
+    positive lead; it is not back-substituted into the earlier rows.  The
+    readers (``pivots``, ``rref_ints``, ``_pack_null_basis``) first
+    back-substitute, once, the rows added since the last read.  A row
+    cleared at every pivot column but its own lies in a line fixed by the
+    span, so every stored row is then the primitive, positively led multiple
+    of its unique RREF row: a reader sees the same ints as a plain
+    elimination that back-substitutes after every row.
 
     Most dependent rows are told apart by one packed dot product instead of
     a reduction.  The eliminator keeps a null basis of its span, one int
@@ -65,17 +79,19 @@ class _RationalEchelon:
     r is orthogonal to the null space, so it lies in (span^perp)^perp, the
     span, and ``add`` returns False without touching anything.  Every other
     row (a nonzero sum, or entries too large for the slots) takes the
-    reduce-and-back-substitute path, the only one that changes ``pivots``,
-    so ``pivots`` and every int in it are after each call exactly those of
-    the elimination without the packed check.  The basis is built once the
-    rank reaches half the width, and built again whenever the reduce path
-    has found _REBUILD_AFTER more dependent rows; in between, a basis of an
-    earlier span still proves membership, since the span only grows.
+    reduce path, the only one that changes the rows, so what ``add``
+    returns and what a reader sees are exactly those of the elimination
+    without the packed check.  The basis is built once the rank reaches
+    half the width, and built again whenever the reduce path has found
+    _REBUILD_AFTER more dependent rows; in between, a basis of an earlier
+    span still proves membership, since the span only grows.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.pivots: dict[int, list[int]] = {}
+        self._rows: dict[int, list[int]] = {}  # pivot column -> its row
+        self._order: list[int] = []  # the pivot columns, ascending
+        self._fresh: list[int] = []  # pivot columns added since the last read
         self._null = None   # the packed null basis, once built
         self._limit = -1    # rows with sum |r_i| <= _limit fit its slots
         self._misses = 0    # dependent rows reduced since it was built
@@ -83,7 +99,13 @@ class _RationalEchelon:
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> dict[int, list[int]]:
+        """Pivot column -> its RREF row, primitive with a positive lead."""
+        self._back_substitute()
+        return self._rows
 
     @staticmethod
     def _normalise(row: list[int]) -> None:
@@ -94,20 +116,27 @@ class _RationalEchelon:
         if content != 1:
             row[:] = [v // content for v in row]
 
+    def _clear(self, row: list[int], prow: list[int], col: int, start: int) -> None:
+        # row minus a multiple of the pivot row prow of column col, scaled
+        # to stay integral, so that row[col] becomes 0; prow is 0 before col
+        # and row before start
+        v, lead = row[col], prow[col]
+        g = gcd(lead, v)
+        mult, sub = lead // g, v // g
+        if mult == 1:
+            for i in range(col, self.width):
+                row[i] -= prow[i] * sub
+        else:
+            for i in range(start, self.width):
+                row[i] = row[i] * mult - prow[i] * sub
+
     def _reduced(self, row: list[int]) -> list[int]:
-        # Pivot rows are mutually reduced, so elimination order is irrelevant.
-        for col, prow in self.pivots.items():
-            v = row[col]
-            if v:
-                lead = prow[col]
-                g = gcd(lead, v)
-                mult, sub = lead // g, v // g
-                if mult == 1:
-                    for i in range(self.width):
-                        row[i] -= prow[i] * sub
-                else:
-                    for i in range(self.width):
-                        row[i] = row[i] * mult - prow[i] * sub
+        # A pivot row is 0 before its column, so clearing the columns in
+        # ascending order never refills one already cleared.
+        rows = self._rows
+        for col in self._order:
+            if row[col]:
+                self._clear(row, rows[col], col, 0)
         if any(row):
             self._normalise(row)
         return row
@@ -135,25 +164,38 @@ class _RationalEchelon:
             # at 0.72 of the plain time packing from rank width / 2 on, 0.82
             # from width / 3 on and 1.15 from rank 0 (the q-spaces streams
             # ran alike under all three)
-            if self._misses >= _REBUILD_AFTER and 2 * len(self.pivots) >= self.width:
+            if self._misses >= _REBUILD_AFTER and 2 * len(self._rows) >= self.width:
                 self._size = max(self._size, sum(map(abs, row)))
                 self._pack_null_basis()
             return False
-        for prow in self.pivots.values():
-            v = prow[lead_col]
-            if v:
-                lead = work[lead_col]
-                g = gcd(lead, v)
-                mult, sub = lead // g, v // g
-                if mult == 1:
-                    for i in range(self.width):
-                        prow[i] -= work[i] * sub
-                else:
-                    for i in range(self.width):
-                        prow[i] = prow[i] * mult - work[i] * sub
-                self._normalise(prow)
-        self.pivots[lead_col] = work
+        self._rows[lead_col] = work
+        insort(self._order, lead_col)
+        self._fresh.append(lead_col)
         return True
+
+    def _back_substitute(self) -> None:
+        """Clear the columns added since the last read from every other
+        row.  Taken in descending pivot order, a row meets only rows of
+        larger pivots, which are already reduced: each is 0 at every pivot
+        column but its own, so clearing one column of a row refills none."""
+        fresh = self._fresh
+        if not fresh:
+            return
+        fresh.sort()
+        rows = self._rows
+        top = fresh[-1]
+        for col in reversed(self._order):
+            if col >= top:
+                continue
+            row = rows[col]
+            changed = False
+            for c in fresh[bisect_right(fresh, col):]:
+                if row[c]:
+                    self._clear(row, rows[c], c, col)
+                    changed = True
+            if changed:
+                self._normalise(row)
+        fresh.clear()
 
     def _pack_null_basis(self) -> None:
         """Pack the null basis of the current span: for each free column f,
@@ -189,13 +231,14 @@ class _RationalEchelon:
     def rref_ints(self) -> tuple[list[tuple], int]:
         """(RREF rows in pivot order, den): ints over their least common
         denominator, so every pivot entry equals den."""
-        leads = [(self.pivots[col], col) for col in sorted(self.pivots)]
+        pivots = self.pivots
+        leads = [(pivots[col], col) for col in self._order]
         den = lcm(*[row[col] for row, col in leads])
         return [tuple(row) if row[col] == den else tuple(v * (den // row[col]) for v in row)
                 for row, col in leads], den
 
     def pivot_columns(self) -> list[int]:
-        return sorted(self.pivots)
+        return list(self._order)
 
 
 class _PrimeEchelon:

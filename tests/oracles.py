@@ -3,8 +3,10 @@
 Maps, fixtures and algebras several modules use, basis changes that turn
 a catalog algebra into a dense copy of itself, matrix inverses written
 straight from Gauss-Jordan, the scalar strategies of the hypothesis
-references, and the plain incremental eliminator over Q that
-``linalg._RationalEchelon`` must match int for int.
+references, the plain incremental eliminator over Q that
+``linalg._RationalEchelon`` must match int for int, and the Lie-n
+constraint rows built by the comprehension step that
+``lietype.lie_n_derivation_space`` must match row for row.
 """
 
 import random
@@ -280,3 +282,45 @@ class ReferenceEchelon:
 
     def pivot_columns(self) -> list[int]:
         return sorted(self.pivots)
+
+
+def reference_lie_n_rows(A, n):
+    """The constraint rows of ``lietype.lie_n_derivation_space(A, n)``, in
+    order, with each state step built by one d^2-wide comprehension per
+    bracket term: a frozen copy of that function's step from before it
+    wrote the nonzero entries of each Acc row by index.  The levels are
+    walked by ``lietype._walk_levels``, which keeps states by ``add``'s
+    return values only."""
+    from altrings.lietype import _walk_levels
+
+    d = A.dim
+    dd = d * d
+    K = A.bracket_table()
+
+    def steps(s, js=range(d)):
+        p = s[:d]
+        acc_rows = [s[d + a * dd:d + (a + 1) * dd] for a in range(d)]
+        ps = [[sum(c * p[a] for a, c in terms) for terms in Kj] for Kj in K]
+        for j in js:
+            out = list(ps[j])
+            for m, terms in enumerate(K[j]):
+                row = [0] * dd
+                for a, c in terms:
+                    row = [x + c * y for x, y in zip(row, acc_rows[a])]
+                row[j::d] = [x + q[m] for x, q in zip(row[j::d], ps)]
+                out += row
+            yield out
+
+    level = [[0] * (d + d * dd) for _ in range(d)]
+    for i, s in enumerate(level):
+        s[i] = 1
+        for m in range(d):
+            s[d + m * dd + m * d + i] = 1
+    pairs = (t for i, s in enumerate(level) for t in steps(s, range(i + 1, d)))
+    rows = []
+    for t in _walk_levels(A.field, d + d * dd, pairs, steps, n - 2):
+        for m in range(d):
+            row = t[d + m * dd:d + (m + 1) * dd]
+            row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
+            rows.append(row)
+    return rows

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from altrings import lietype
 from altrings.algebra import Algebra, LinearMap, commutator, is_derivation, leibniz_rows
 from altrings.catalog import catalog, direct_sum
 from altrings.fields import GF, QQ
@@ -28,7 +29,7 @@ from altrings.lietype import (
 )
 from altrings.peirce import peirce_context
 from altrings.verdict import Verdict
-from oracles import ad, rebase, unimodular_rebase, zorn
+from oracles import ad, dense_rebase, rebase, reference_lie_n_rows, unimodular_rebase, zorn
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,33 @@ def test_lie_space_past_n_5(mat2, zorn):
     l7 = lie_n_derivation_space(zorn, 7)
     assert l7.space == lie_n_derivation_space(zorn, 2).space
     assert l7.dim == 15
+
+
+_LIE_ROW_CASES = ([(name, n) for name in ("mat2", "tri2", "product2") for n in (2, 3, 4)]
+                  + [(name, n) for name in ("zorn", "zorn~1") for n in (2, 3)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+@pytest.mark.parametrize("name, n", _LIE_ROW_CASES)
+def test_lie_n_rows_match_the_frozen_state_step(name, n, field, monkeypatch):
+    """The rows lie_n_derivation_space hands to null_space are those of the
+    comprehension-built step (oracles.reference_lie_n_rows), row for row;
+    zorn~1 is a dense rebase of zorn (det 1 over Q, seeded over GF(3))."""
+    if name == "zorn~1":
+        base = catalog("zorn", field)
+        A = unimodular_rebase(base, 1) if field is QQ else dense_rebase(base, field.p, 1)
+    else:
+        A = catalog(name, field)
+    handed = []
+    null_space = lietype.null_space
+
+    def spy(F, width, rows, known=None):
+        handed.extend(rows)
+        return null_space(F, width, handed, known)
+
+    monkeypatch.setattr(lietype, "null_space", spy)
+    lie_n_derivation_space(A, n)
+    assert handed == reference_lie_n_rows(A, n)
 
 
 def test_lie_leibniz_residual_detects_violations(mat2):

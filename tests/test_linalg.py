@@ -557,8 +557,9 @@ def test_subspace_from_int_rows_equals_and_hashes_like_fraction_rows(data):
 
 
 # The Q eliminator proves most dependent rows by a packed dot product
-# against a null basis of its span; its pivot rows must stay those of plain
-# reduction (oracles.ReferenceEchelon) int for int, after every row.
+# against a null basis of its span, and back-substitutes only when its rows
+# are read; what it returns and every row read must stay those of plain
+# reduction (oracles.ReferenceEchelon) int for int.
 
 def _row_stream(data, width):
     """Rows of one width: fresh rows of dense 15-60-bit entries, zero rows,
@@ -599,6 +600,25 @@ def test_q_eliminator_matches_plain_reduction_row_by_row(data):
         assert acc.pivots == ref.pivots
         assert row == copy
     assert acc.rref_ints() == ref.rref_ints()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_q_eliminator_reduces_on_read_as_plain_reduction(data):
+    """Between reads the Q eliminator's rows stay stepped: add's return
+    values, and the RREF rows and pivot columns read at any point, are
+    those of plain reduction."""
+    width = data.draw(st.sampled_from([1, 1, 2, 3, 4, 5, 6, 8]), label="width")
+    rows = _row_stream(data, width)
+    reads = data.draw(st.sets(st.sampled_from(range(len(rows)))), label="reads")
+    acc, ref = linalg.echelon(QQ, width), ReferenceEchelon(width)
+    for k, row in enumerate(rows):
+        assert acc.add(row) == ref.add(row)
+        if k in reads:
+            assert acc.rref_ints() == ref.rref_ints()
+            assert acc.pivot_columns() == ref.pivot_columns()
+    assert acc.rref_ints() == ref.rref_ints()
+    assert acc.pivot_columns() == ref.pivot_columns()
 
 
 def test_q_eliminator_keeps_rows_that_would_carry_between_slots():
