@@ -258,16 +258,6 @@ class LieIdentityReport(NamedTuple):
         return self.status is Verdict.HOLDS
 
 
-def _lie_step(comm, add, T, pv, acc, x):
-    """(p_{k+1}, acc_{k+1}) from (p_k, acc_k) and the next element x.
-
-    acc_k = sum_{t<=k} p_k(..., T(x_t), ...); by biadditivity of the
-    commutator acc_{k+1} = [acc_k, x] + [p_k, T(x)].  ``comm``/``add`` are
-    row tables of the ring, T a value table."""
-    cp = comm[pv]
-    return cp[x], add[comm[acc][x]][cp[T[x]]]
-
-
 def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
                           budget: int = 10 ** 7, samples: int = 2000,
                           seed: int = 0) -> LieIdentityReport:
@@ -596,7 +586,9 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
             for xs in by_last[pos]:
                 pv, acc = xs[0], table[xs[0]]
                 for x in xs[1:]:
-                    pv, acc = _lie_step(comm, add, table, pv, acc, x)
+                    # p_{k+1} = [p_k, x], acc_{k+1} = [acc_k, x] + [p_k, T(x)]
+                    cp = comm[pv]
+                    pv, acc = cp[x], add[comm[acc][x]][cp[table[x]]]
                 if table[pv] != acc:
                     ok = False
                     break

@@ -177,8 +177,8 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     the state of (i, i) is 0, so the first step takes only the pairs i < j.
     Levels 2 .. n-1 keep, through ``_walk_levels``, the states that enlarge
     the span of their level, at most d + d^3 of them, and step those; the
-    level eliminators are only added to, so over Q their rows stay stepped
-    (reduced only to rebuild the packed null basis).  The states of length
+    level eliminators are only added to, so their rows stay stepped (over
+    Q reduced only to rebuild the packed null basis, over GF(p) never).  The states of length
     n give the rows D(p_n) - acc_n = 0 straight to ``null_space``, so the
     cost is linear in n.
     """
@@ -420,8 +420,8 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
 
     Raises DecompositionError whose ``certificate`` names the first
     failing step: ring_conditions, condition_a/b/c, central_normalization,
-    condition_*_normalized, no_central_solution, non_unique_z,
-    leibniz_failure, tau_pn_nonzero.
+    central_normalization_complement, condition_*_normalized,
+    no_central_solution, non_unique_z, leibniz_failure, tau_pn_nonzero.
     """
     A = ctx.algebra
     F = A.field

@@ -4,14 +4,17 @@ Everything is computed over one of the fields in :mod:`altrings.fields`.
 Subspaces are kept in *reduced* row echelon form with rows ordered by
 pivot column, so two subspaces are equal iff their stored bases are
 equal.  An incremental eliminator lets constraint rows be folded in as
-they are generated instead of materialising huge matrices; the Q one keeps
-its rows stepped between reads and reduces them when they are read.  Every
-elimination here is one fold (``_fold``), which skips zero rows and reads
-no row once the rank is final.  ``null_space`` takes a stream of int rows
-and the part of its answer already known, which it returns once the rank
-reaches width - dim known: ``kernel``, ``Subspace.killed_by`` and every
-constraint space of the package go through it, and no other module reads
-an eliminator's pivot rows.
+they are generated instead of materialising huge matrices.  There is one
+eliminator, ``_RationalEchelon``; ``_PrimeEchelon`` gives it the
+arithmetic of GF(p).  Over both fields it keeps its rows stepped between
+reads and reduces them when they are read; only over Q does it pack a
+null basis (below).  Every elimination here is one fold (``_fold``),
+which skips zero rows and reads no row once the rank is final.
+``null_space`` takes a stream of int rows and the part of its answer
+already known, which it returns once the rank reaches width - dim known:
+``kernel``, ``Subspace.killed_by`` and every constraint space of the
+package go through it, and no other module reads an eliminator's pivot
+rows.
 
 Matrices and subspaces hold their entries as int rows over one
 denominator, in lowest terms (over GF(p): residues over 1), so equal
@@ -26,11 +29,12 @@ row dependent by one dot product instead of reducing it: once its span
 fills half the width it keeps the null basis of the span packed by columns
 into signed w-bit slots, and a row r with sum |r_i| times the largest null
 entry below 2^w, whose packed product is 0, is orthogonal to the null
-space and so lies in the span.  Every other row is reduced against the
-pivot rows, the only path that changes them, and a new pivot row is not
-back-substituted into the others.  A reader back-substitutes the rows
-added since the last read, so the rows it sees hold the same ints as a
-plain elimination that back-substitutes after every row (see
+space and so lies in the span.  (Over GF(p) a zero packed product proves
+nothing, so there every row is reduced.)  Every other row is reduced
+against the pivot rows, the only path that changes them, and a new pivot
+row is not back-substituted into the others.  A reader back-substitutes
+the rows added since the last read, so the rows it sees hold the same
+ints as a plain elimination that back-substitutes after every row (see
 ``_RationalEchelon``).
 """
 
@@ -60,19 +64,22 @@ class _RationalEchelon:
     the elimination in (fast) integer arithmetic and avoids Fraction churn
     in inner loops.  ``add`` keeps its rows *stepped*: a new row is reduced
     against the pivot rows in ascending pivot-column order, which clears
-    every pivot column of it, then cleared of its content and given a
-    positive lead; it is not back-substituted into the earlier rows.  The
-    readers (``pivots``, ``rref_ints``, ``_pack_null_basis``) first
-    back-substitute, once, the rows added since the last read.  A row
-    cleared at every pivot column but its own lies in a line fixed by the
-    span, so every stored row is then the primitive, positively led multiple
-    of its unique RREF row: a reader sees the same ints as a plain
-    elimination that back-substitutes after every row.
+    every pivot column of it, then normalised (``_normalise``: over Q
+    cleared of its content and given a positive lead); it is not
+    back-substituted into the earlier rows.  The readers (``pivots``,
+    ``rref_ints``, ``_pack_null_basis``) first back-substitute, once, the
+    rows added since the last read.  A row cleared at every pivot column but
+    its own lies in a line fixed by the span, so every stored row is then
+    the normalised multiple of its unique RREF row: a reader sees the same
+    ints as a plain elimination that back-substitutes after every row.
+    ``_PrimeEchelon`` is this eliminator over GF(p): it changes only the
+    arithmetic of ``_own``, ``_clear`` and ``_normalise``, and it keeps no
+    packed null basis.
 
-    Most dependent rows are told apart by one packed dot product instead of
-    a reduction.  The eliminator keeps a null basis of its span, one int
-    vector n_f per free column f of the RREF (``_pack_null_basis``), packed
-    by columns into signed w-bit slots: ``_null[i]`` is the sum of
+    Over Q most dependent rows are told apart by one packed dot product
+    instead of a reduction.  The eliminator keeps a null basis of its span,
+    one int vector n_f per free column f of the RREF (``_pack_null_basis``),
+    packed by columns into signed w-bit slots: ``_null[i]`` is the sum of
     n_f[i] << (w k) over the k-th free column f.  So sum_i r_i _null[i]
     holds r . n_f in slot k.  When sum |r_i| * max |n| < 2^w no slot value
     reaches 2^w in size, and then the sum is 0 only if every r . n_f is:
@@ -87,15 +94,20 @@ class _RationalEchelon:
     span still proves membership, since the span only grows.
     """
 
+    # whether to keep the packed null basis: a zero packed product proves
+    # a row dependent over Q only, so _PrimeEchelon never builds one
+    _packs = True
+    # the packed state, kept per instance once it is first written
+    _null = None   # the packed null basis, once built
+    _limit = -1    # rows with sum |r_i| <= _limit fit its slots
+    _misses = 0    # dependent rows reduced since it was built
+    _size = 0      # the largest sum |r_i| its slots must take
+
     def __init__(self, width: int):
         self.width = width
         self._rows: dict[int, list[int]] = {}  # pivot column -> its row
         self._order: list[int] = []  # the pivot columns, ascending
         self._fresh: list[int] = []  # pivot columns added since the last read
-        self._null = None   # the packed null basis, once built
-        self._limit = -1    # rows with sum |r_i| <= _limit fit its slots
-        self._misses = 0    # dependent rows reduced since it was built
-        self._size = 0      # the largest sum |r_i| its slots must take
 
     @property
     def rank(self) -> int:
@@ -103,15 +115,19 @@ class _RationalEchelon:
 
     @property
     def pivots(self) -> dict[int, list[int]]:
-        """Pivot column -> its RREF row, primitive with a positive lead."""
-        self._back_substitute()
+        """Pivot column -> its RREF row, normalised (see ``_normalise``)."""
+        if self._fresh:
+            self._back_substitute()
         return self._rows
 
+    # an incoming row as a list of its own
+    _own = list
+
     @staticmethod
-    def _normalise(row: list[int]) -> None:
-        # the nonzero row over its content, its first nonzero entry positive
+    def _normalise(row: list[int], col: int) -> None:
+        # the row, led at col, over its content with a positive lead
         content = gcd(*row)
-        if next(filter(None, row)) < 0:
+        if row[col] < 0:
             content = -content
         if content != 1:
             row[:] = [v // content for v in row]
@@ -137,8 +153,6 @@ class _RationalEchelon:
         for col in self._order:
             if row[col]:
                 self._clear(row, rows[col], col, 0)
-        if any(row):
-            self._normalise(row)
         return row
 
     def add(self, row) -> bool:
@@ -150,37 +164,40 @@ class _RationalEchelon:
             if size <= self._limit:
                 return False
             self._size = max(self._size, size)
-        work = self._reduced(list(row))
-        lead_col = -1
-        for i, v in enumerate(work):
-            if v:
-                lead_col = i
-                break
-        if lead_col < 0:
-            self._misses += 1
-            # below half rank the packed ints hold more slots than a
-            # reduction meets pivots: the eliminators of
-            # lie_n_derivation_space(zorn, 7), 520 wide at rank <= 294, ran
-            # at 0.72 of the plain time packing from rank width / 2 on, 0.82
-            # from width / 3 on and 1.15 from rank 0 (the q-spaces streams
-            # ran alike under all three)
-            if self._misses >= _REBUILD_AFTER and 2 * len(self._rows) >= self.width:
-                self._size = max(self._size, sum(map(abs, row)))
-                self._pack_null_basis()
+        work = self._reduced(self._own(row))
+        lead = next(filter(None, work), 0)
+        if not lead:
+            if self._packs:
+                self._misses += 1
+                # below half rank the packed ints hold more slots than a
+                # reduction meets pivots: the eliminators of
+                # lie_n_derivation_space(zorn, 7), 520 wide at rank <= 294,
+                # ran at 0.72 of the plain time packing from rank width / 2
+                # on, 0.82 from width / 3 on and 1.15 from rank 0 (the
+                # q-spaces streams ran alike under all three)
+                if self._misses >= _REBUILD_AFTER and 2 * len(self._rows) >= self.width:
+                    self._size = max(self._size, sum(map(abs, row)))
+                    self._pack_null_basis()
             return False
+        lead_col = work.index(lead)  # every entry before the lead is 0
+        if lead != 1:  # a row led by 1 is normalised over either field
+            self._normalise(work, lead_col)
         self._rows[lead_col] = work
-        insort(self._order, lead_col)
-        self._fresh.append(lead_col)
+        order = self._order
+        insort(order, lead_col)
+        # only a row of a smaller pivot can be nonzero at lead_col, and one
+        # added later is cleared there by _reduced
+        if order[0] != lead_col:
+            self._fresh.append(lead_col)
         return True
 
     def _back_substitute(self) -> None:
-        """Clear the columns added since the last read from every other
-        row.  Taken in descending pivot order, a row meets only rows of
+        """Clear the columns added since the last read (but for a column
+        that was the smallest pivot when added) from every other row.
+        Taken in descending pivot order, a row meets only rows of
         larger pivots, which are already reduced: each is 0 at every pivot
         column but its own, so clearing one column of a row refills none."""
         fresh = self._fresh
-        if not fresh:
-            return
         fresh.sort()
         rows = self._rows
         top = fresh[-1]
@@ -193,8 +210,8 @@ class _RationalEchelon:
                 if row[c]:
                     self._clear(row, rows[c], c, col)
                     changed = True
-            if changed:
-                self._normalise(row)
+            if changed and row[col] != 1:
+                self._normalise(row, col)
         fresh.clear()
 
     def _pack_null_basis(self) -> None:
@@ -232,8 +249,10 @@ class _RationalEchelon:
         """(RREF rows in pivot order, den): ints over their least common
         denominator, so every pivot entry equals den."""
         pivots = self.pivots
+        den = lcm(*[row[col] for col, row in pivots.items()])
+        if den == 1:  # every lead is 1, as always over GF(p)
+            return [tuple(pivots[col]) for col in self._order], 1
         leads = [(pivots[col], col) for col in self._order]
-        den = lcm(*[row[col] for row, col in leads])
         return [tuple(row) if row[col] == den else tuple(v * (den // row[col]) for v in row)
                 for row, col in leads], den
 
@@ -241,59 +260,38 @@ class _RationalEchelon:
         return list(self._order)
 
 
-class _PrimeEchelon:
-    """Incremental RREF over GF(p) with rows as int lists mod p."""
+class _PrimeEchelon(_RationalEchelon):
+    """Incremental RREF over GF(p), reduced on read: ``_RationalEchelon``
+    with each incoming row taken mod p, a column cleared by subtracting
+    row[col] times its pivot row, every stored row scaled to lead with 1
+    (so ``rref_ints`` returns residues over den 1) and no packed null
+    basis."""
+
+    _packs = False
 
     def __init__(self, field, width: int):
-        self.field = field
+        super().__init__(width)
         self.p = field.p
-        self.width = width
-        self.pivots: dict[int, list[int]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _reduced(self, row) -> list[int]:
+    def _own(self, row) -> list[int]:
         p = self.p
-        work = [v % p for v in row]
-        for col, prow in self.pivots.items():
-            v = work[col]
-            if v:
-                for i in range(self.width):
-                    work[i] = (work[i] - v * prow[i]) % p
-        return work
+        return [v % p for v in row]
 
-    def add(self, row) -> bool:
-        """Fold one int row (reduced mod p here) into the accumulator; True
-        if it enlarged the span."""
+    def _normalise(self, row: list[int], col: int) -> None:
+        # the row, led at col, scaled to lead with 1
         p = self.p
-        work = self._reduced(row)
-        lead_col = -1
-        for i, v in enumerate(work):
-            if v:
-                lead_col = i
-                break
-        if lead_col < 0:
-            return False
-        inv = pow(work[lead_col], -1, p)
-        if inv != 1:
-            for i in range(self.width):
-                work[i] = (work[i] * inv) % p
-        for prow in self.pivots.values():
-            v = prow[lead_col]
-            if v:
-                for i in range(self.width):
-                    prow[i] = (prow[i] - v * work[i]) % p
-        self.pivots[lead_col] = work
-        return True
+        inv = pow(row[col], -1, p)
+        for i in range(col, self.width):
+            row[i] = row[i] * inv % p
 
-    def rref_ints(self) -> tuple[list[tuple], int]:
-        """(RREF rows in pivot order, 1): residues, every pivot entry 1."""
-        return [tuple(self.pivots[col]) for col in sorted(self.pivots)], 1
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.pivots)
+    def _clear(self, row: list[int], prow: list[int], col: int, start: int) -> None:
+        # prow leads with 1 at col and is 0 before it; skipping its zeros
+        # replayed the GF(3) Lie-3 rows of zorn in 0.75 of a full pass's time
+        p, v = self.p, row[col]
+        for i in range(col, self.width):
+            b = prow[i]
+            if b:
+                row[i] = (row[i] - v * b) % p
 
 
 def echelon(field, width: int):

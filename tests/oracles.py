@@ -3,9 +3,10 @@
 Maps, fixtures and algebras several modules use, basis changes that turn
 a catalog algebra into a dense copy of itself, matrix inverses written
 straight from Gauss-Jordan, the scalar strategies of the hypothesis
-references, the plain incremental eliminator over Q that
-``linalg._RationalEchelon`` must match int for int, and the Lie-n
-constraint rows built by the comprehension step that
+references, the eagerly reduced incremental eliminators over Q and over
+GF(p) that ``linalg``'s one stepped, reduced-on-read eliminator must match
+int for int in both fields (only its Q form packs a null basis), and the
+Lie-n constraint rows built by the comprehension step that
 ``lietype.lie_n_derivation_space`` must match row for row.
 """
 
@@ -279,6 +280,63 @@ class ReferenceEchelon:
         den = lcm(*[row[col] for row, col in leads])
         return [tuple(row) if row[col] == den else tuple(v * (den // row[col]) for v in row)
                 for row, col in leads], den
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self.pivots)
+
+
+class ReferencePrimeEchelon:
+    """Incremental RREF over GF(p) by eager reduction: every row is taken
+    mod p, reduced against the pivot rows, scaled to lead with 1 and, if it
+    enlarges the span, back-substituted into them at once.  A frozen copy
+    of ``linalg._PrimeEchelon`` from before it became the stepped,
+    reduced-on-read eliminator of ``linalg._RationalEchelon``."""
+
+    def __init__(self, field, width: int):
+        self.p = field.p
+        self.width = width
+        self.pivots: dict[int, list[int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduced(self, row) -> list[int]:
+        p = self.p
+        work = [v % p for v in row]
+        for col, prow in self.pivots.items():
+            v = work[col]
+            if v:
+                for i in range(self.width):
+                    work[i] = (work[i] - v * prow[i]) % p
+        return work
+
+    def add(self, row) -> bool:
+        """Fold one int row into the accumulator; True if it enlarged the span."""
+        p = self.p
+        work = self._reduced(row)
+        lead_col = -1
+        for i, v in enumerate(work):
+            if v:
+                lead_col = i
+                break
+        if lead_col < 0:
+            return False
+        inv = pow(work[lead_col], -1, p)
+        if inv != 1:
+            for i in range(self.width):
+                work[i] = (work[i] * inv) % p
+        for prow in self.pivots.values():
+            v = prow[lead_col]
+            if v:
+                for i in range(self.width):
+                    prow[i] = (prow[i] - v * work[i]) % p
+        self.pivots[lead_col] = work
+        return True
+
+    def rref_ints(self) -> tuple[list[tuple], int]:
+        """(RREF rows in pivot order, 1): residues, every pivot entry 1."""
+        return [tuple(self.pivots[col]) for col in sorted(self.pivots)], 1
 
     def pivot_columns(self) -> list[int]:
         return sorted(self.pivots)

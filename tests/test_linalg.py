@@ -11,7 +11,8 @@ from altrings.catalog import catalog
 from altrings.fields import GF, QQ
 from altrings.lietype import derivation_space, lie_n_derivation_space
 from altrings.linalg import Matrix, Subspace, kernel, rank, rref, solve
-from oracles import ReferenceEchelon, normal, scalars, unimodular_rebase
+from oracles import (ReferenceEchelon, ReferencePrimeEchelon, dense_rebase, normal, scalars,
+                     unimodular_rebase)
 
 
 def mat(rows, field=QQ):
@@ -665,5 +666,75 @@ def test_dense_zorn_spaces_equal_the_reference_eliminators(seed, monkeypatch):
 
     fast = spaces()
     monkeypatch.setattr(linalg, "_RationalEchelon", ReferenceEchelon)
+    assert spaces() == fast
+    assert [S.dim for S in fast] == [14, 15, 15]
+
+
+# Over GF(p) the same stepped eliminator runs with mod-p arithmetic and no
+# packed check; what it returns and every row read must stay those of the
+# eager elimination (oracles.ReferencePrimeEchelon) residue for residue.
+
+def _prime_row_stream(data, p, width):
+    """Rows of one width over GF(p), as ints that are not residues: fresh
+    rows of entries in [-3p, 3p], zero rows, nonzero rows of multiples of p
+    (zero mod p) and mostly combinations of earlier rows, some of them
+    shifted by multiples of p."""
+    entry = st.integers(-3 * p, 3 * p)
+    fresh = st.lists(entry, min_size=width, max_size=width)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 40), label="length")):
+        kind = data.draw(st.sampled_from(["fresh", "zero", "multiple"] + ["combination"] * 4))
+        if kind == "fresh" or not rows:
+            rows.append(data.draw(fresh))
+        elif kind == "zero":
+            rows.append([0] * width)
+        elif kind == "multiple":
+            rows.append([p * v for v in data.draw(fresh)])
+        else:
+            picks = data.draw(st.lists(st.sampled_from(range(len(rows))), min_size=1, max_size=4))
+            row = [0] * width
+            for i in picks:
+                c = data.draw(entry)
+                row = [x + c * y for x, y in zip(row, rows[i])]
+            if data.draw(st.booleans()):
+                row = [v + p * w for v, w in zip(row, data.draw(fresh))]
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gfp_eliminator_reduces_on_read_as_eager_reduction(data):
+    """Between reads the GF(p) eliminator's rows stay stepped: add's return
+    values, and the RREF rows and pivot columns read at any point, are
+    those of eager reduction, over GF(2), GF(3) and GF(65521)."""
+    F = GF(data.draw(st.sampled_from([2, 3, 65521]), label="p"))
+    width = data.draw(st.sampled_from([1, 1, 2, 3, 4, 5, 6, 8]), label="width")
+    rows = _prime_row_stream(data, F.p, width)
+    reads = data.draw(st.sets(st.sampled_from(range(len(rows)))), label="reads")
+    acc, ref = linalg.echelon(F, width), ReferencePrimeEchelon(F, width)
+    for k, row in enumerate(rows):
+        copy = list(row)
+        assert acc.add(row) == ref.add(row)
+        assert row == copy
+        if k in reads:
+            assert acc.rref_ints() == ref.rref_ints()
+            assert acc.pivot_columns() == ref.pivot_columns()
+    assert acc.rref_ints() == ref.rref_ints()
+    assert acc.pivot_columns() == ref.pivot_columns()
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_gf3_zorn_spaces_equal_the_eager_eliminator(dense, monkeypatch):
+    A = catalog("zorn", GF(3))
+    if dense:
+        A = dense_rebase(A, 3, 1)
+
+    def spaces():
+        return [derivation_space(A).space, lie_n_derivation_space(A, 2).space,
+                lie_n_derivation_space(A, 3).space]
+
+    fast = spaces()
+    monkeypatch.setattr(linalg, "_PrimeEchelon", ReferencePrimeEchelon)
     assert spaces() == fast
     assert [S.dim for S in fast] == [14, 15, 15]
