@@ -97,22 +97,20 @@ def _walk_levels(F, width: int, states, step, levels: int):
     return states
 
 
-def nested_commutator_span(A: Algebra, n: int) -> Subspace:
-    """Span W_n of p(e_{i1}, ..., e_{in}) over all basis tuples.
+def _commutator_ints(A: Algebra, n: int):
+    """Int vectors, lazily, spanning W_n = span p(e_{i1}, ..., e_{in}).
 
     By the recurrence above p_{k+1} = [p_k, x] is linear in p_k, so W_1 = A
-    and W_{k+1} is spanned by the brackets K_j w = [w, e_j] for w in a
-    spanning set of W_k.  W_2 is spanned by the columns K_j e_i = [e_i, e_j],
-    i < j, read from the structure constants; ``_walk_levels`` keeps a
-    spanning set of each of W_2 .. W_{n-1} from those and steps it by the
-    K_j of ``Algebra.bracket_table``, which only n > 2 builds.
-    """
+    (its basis) and W_{k+1} is spanned by the brackets K_j w = [w, e_j] for
+    w in a spanning set of W_k.  W_2 is spanned by the columns K_j e_i =
+    [e_i, e_j], i < j, read from the structure constants; ``_walk_levels``
+    keeps a spanning set of each of W_2 .. W_{n-1} from those and steps it
+    by the K_j of ``Algebra.bracket_table``, which only n > 2 builds."""
     if n < 1:
         raise ValueError("n must be at least 1")
     d = A.dim
-    F = A.field
     if n == 1:
-        return Subspace.full(F, d)
+        return ([int(i == j) for j in range(d)] for i in range(d))
     num = A._num
     pairs = ([x - y for x, y in zip(num[i][j], num[j][i])]
              for i in range(d) for j in range(i + 1, d))
@@ -121,7 +119,12 @@ def nested_commutator_span(A: Algebra, n: int) -> Subspace:
     def step(w):
         return ([sum(c * w[a] for a, c in terms) for terms in Kj] for Kj in K)
 
-    return Subspace.from_ints(F, d, _walk_levels(F, d, pairs, step, n - 2))
+    return _walk_levels(A.field, d, pairs, step, n - 2)
+
+
+def nested_commutator_span(A: Algebra, n: int) -> Subspace:
+    """W_n in RREF: the fold of ``_commutator_ints``, which ``decompose`` reads unfolded."""
+    return Subspace.from_ints(A.field, A.dim, _commutator_ints(A, n))
 
 
 class OperatorSpace:
@@ -416,7 +419,8 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
     enter as their int matrices, each check is an int matrix product or an
     int mat-vec product with a membership test on ints, and field elements
     are built only for the returned maps and failure witnesses.
-    Conditions (1)-(4) and W_n are computed on every call.
+    Conditions (1)-(4) are computed on every call, W_n never: tau is tested
+    on the vectors of ``_commutator_ints`` that span it, unfolded.
 
     Raises DecompositionError whose ``certificate`` names the first
     failing step: ring_conditions, condition_a/b/c, central_normalization,
@@ -500,7 +504,7 @@ def decompose(ctx: PeirceContext, D: LinearMap, n: int,
             "leibniz_failure", "delta violates the Leibniz rule on a basis pair"
         )
     tau_rows = tau.int_form()[0]
-    for w in nested_commutator_span(A, n)._num:
+    for w in _commutator_ints(A, n):
         if _nonzero(_apply_ints(tau_rows, w), p):
             raise DecompositionError(
                 "tau_pn_nonzero",

@@ -11,10 +11,10 @@ reads and reduces them when they are read; only over Q does it pack a
 null basis (below).  Every elimination here is one fold (``_fold``),
 which skips zero rows and reads no row once the rank is final.
 ``null_space`` takes a stream of int rows and the part of its answer
-already known, which it returns once the rank reaches width - dim known:
-``kernel``, ``Subspace.killed_by`` and every constraint space of the
-package go through it, and no other module reads an eliminator's pivot
-rows.
+already known, which it returns once the rank reaches width - dim known,
+and else reads the kernel's RREF off the same fold (columns reversed):
+``kernel``, ``Subspace.killed_by`` and every constraint space go through
+it, and no other module reads an eliminator's pivot rows.
 
 Matrices and subspaces hold their entries as int rows over one
 denominator, in lowest terms (over GF(p): residues over 1), so equal
@@ -540,15 +540,24 @@ def null_space(field, width: int, rows, known: "Subspace | None" = None) -> "Sub
     zero space when None).  Once the rank of the rows read reaches
     width - dim known, the answer is known itself, which is returned
     without reading a further row; so rows may be a lazy stream.
+
+    Else the answer is read off that one fold, which takes the nonzero rows
+    with their columns reversed.  There the null vector of a free column f
+    (see _null_vectors) is nonzero only at f and at pivot columns before f,
+    so turned back to front it leads at the mirror of f, with 0 at the
+    mirror of every other free column: last first, these are the kernel's
+    RREF rows, and no second elimination is needed.
     """
     if known is None:
         known = Subspace.zero(field, width)
     final = width - known.dim
-    acc = _fold(field, width, rows, final)
+    acc = _fold(field, width, (row[::-1] for row in rows if any(row)), final)
     if acc.rank == final:
         return known
-    vectors = _null_vectors(width, *acc.rref_ints(), acc.pivot_columns())
-    return Subspace.from_ints(field, width, vectors)
+    (reduced, den), pivots = acc.rref_ints(), acc.pivot_columns()
+    vectors = [vec[::-1] for vec in reversed(_null_vectors(width, reduced, den, pivots))]
+    leads = sorted(set(range(width)).difference(width - 1 - pc for pc in pivots))
+    return Subspace._of(field, width, *_lowest_terms(field, vectors, den, fresh=True), leads)
 
 
 def kernel_vectors(field, width: int, rows) -> list[list[int]]:
@@ -735,15 +744,17 @@ class Subspace:
         b_k: ``null_space`` of the rows (r . b_k) over k, read lazily, so
         rows may be a lazy stream that is not read past the row that fills
         the span.  That null space and the basis are both RREF, so their
-        product is too.
+        product is too.  The zero subspace returns itself, reading no row.
         """
+        if self.is_zero():
+            return self
         F = self.field
         basis = self._num
         coeffs = null_space(F, self.dim, ([sum(map(mul, r, b)) for b in basis]
                                           for r in rows if any(r)))
         if coeffs.is_zero():
             return Subspace.zero(F, self.ambient)
-        cols = list(zip(*basis)) or [()] * self.ambient
+        cols = list(zip(*basis))
         out, den = _lowest_terms(
             F, [[sum(map(mul, c, col)) for col in cols] for c in coeffs._num],
             coeffs._den * self._den, fresh=True,

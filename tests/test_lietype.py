@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from altrings import lietype
+from altrings import lietype, linalg
 from altrings.algebra import Algebra, LinearMap, commutator, is_derivation, leibniz_rows
 from altrings.catalog import catalog, direct_sum
 from altrings.fields import GF, QQ
@@ -351,6 +351,41 @@ def test_decompose_certificates_after_the_gates(mat2, case, certificate, message
             decompose(ctx, D, n, check_ring_conditions=False)
         assert exc.value.certificate == certificate
         assert str(exc.value).startswith(message)
+
+
+def test_decompose_at_every_n(mat2, monkeypatch):
+    """The README's map on mat2: tau = E11 + E22 on E11 and E22 is not 0, so
+    n = 1, where W_1 is all of R, fails at tau_pn_nonzero; W_2 and W_3 are
+    spanned by E12, E21 and E11 - E22, which tau kills.  tau is tested on
+    the vectors that span W_n, not on a folded basis: beyond the ring
+    conditions, decompose builds one eliminator at n = 3 (for the level
+    W_2 that the walk steps to W_3) and none at n = 1 or 2."""
+    ctx = peirce_context(mat2, mat2.idempotent)
+    D = LinearMap(mat2, Matrix(QQ, [[1, 0, 0, 1], [0, 3, 0, 0], [0, 0, -3, 0], [1, 0, 0, 1]]))
+    with pytest.raises(DecompositionError) as exc:
+        decompose(ctx, D, 1)
+    assert exc.value.certificate == "tau_pn_nonzero"
+    for n in (2, 3):
+        dec = decompose(ctx, D, n)
+        assert dec.delta.matrix == Matrix(QQ, [[0] * 4, [0, 3, 0, 0], [0, 0, -3, 0], [0] * 4])
+        assert dec.tau.matrix == Matrix(QQ, [[1, 0, 0, 1], [0] * 4, [0] * 4, [1, 0, 0, 1]])
+        assert dec.normalizer.is_zero()
+    assert [nested_commutator_span(mat2, n).dim for n in (1, 2, 3)] == [4, 3, 3]
+    built, echelon = [], linalg.echelon
+
+    def counted(*args):
+        built.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    monkeypatch.setattr(lietype, "echelon", counted)
+    for n in (1, 2, 3):
+        built.clear()
+        try:
+            decompose(ctx, D, n, check_ring_conditions=False)
+        except DecompositionError:
+            assert n == 1
+        assert len(built) == (n == 3)
 
 
 def test_decompose_warns_on_undecided_ring_conditions():

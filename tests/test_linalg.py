@@ -1,16 +1,20 @@
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from altrings import linalg
-from altrings.algebra import leibniz_rows
-from altrings.catalog import catalog
+from altrings.algebra import center, leibniz_rows, nucleus
+from altrings.catalog import CATALOG_NAMES, catalog
 from altrings.fields import GF, QQ
-from altrings.lietype import derivation_space, lie_n_derivation_space
+from altrings.lietype import (conditions_abc_subspace, derivation_space, lie_n_derivation_space,
+                              nested_commutator_span)
 from altrings.linalg import Matrix, Subspace, kernel, rank, rref, solve
+from altrings.peirce import check_offdiag_commutant, peirce_context
 from oracles import (ReferenceEchelon, ReferencePrimeEchelon, dense_rebase, normal, scalars,
                      unimodular_rebase)
 
@@ -393,6 +397,113 @@ def test_null_space_returns_its_known_part_once_the_rank_allows_no_more(data):
     assert known.contains_subspace(got) == (needed is not None)
     if needed is not None:
         assert got is known
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_null_space_is_one_elimination(data):
+    """null_space(F, k, rows, known) with a null space larger than known
+    (None or a subspace every row kills) builds exactly one eliminator and
+    returns the kernel's canonical RREF, in the int form a fold of its
+    basis gives.  The rows are combinations of fewer vectors than the
+    rank k - dim known needs, with zero rows and repeats among them."""
+    F = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(65521)]))
+    k = data.draw(st.integers(1, 6))
+    known = None
+    if data.draw(st.booleans()):
+        known = Subspace(F, k, data.draw(rows_of(F, data.draw(st.integers(0, k - 1)), k)))
+    killers = (Matrix.identity(F, k) if known is None else known.residual_matrix()).rows
+    gens = [[normal(F, sum((c * r[i] for c, r in zip(coeffs, killers)), 0)) for i in range(k)]
+            for coeffs in data.draw(rows_of(F, data.draw(st.integers(0, len(killers) - 1)),
+                                            len(killers)))]
+    raw = []
+    for _ in range(data.draw(st.integers(0, k + 4))):
+        kind = data.draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "repeat" and raw:
+            raw.append(list(data.draw(st.sampled_from(raw))))
+        else:
+            coeffs = data.draw(rows_of(F, 1, len(gens)))[0] if kind == "fresh" else ()
+            raw.append([normal(F, sum((c * g[i] for c, g in zip(coeffs, gens)), 0))
+                        for i in range(k)])
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        echelon = linalg.echelon
+        mp.setattr(linalg, "echelon", lambda *args: built.append(args) or echelon(*args))
+        got = linalg.null_space(F, k, (_int_row(F, row) for row in raw), known)
+    assert len(built) == 1
+    assert got.dim == k - reference_rref(F, raw, k)[1] > (0 if known is None else known.dim)
+    for v in got.basis:
+        assert_normal_form(F, v)
+        assert all(normal(F, sum(x * y for x, y in zip(row, v))) == 0 for row in raw)
+    assert reference_rref(F, got.basis, k)[0] == list(got.basis)
+    assert Subspace.from_vectors(F, k, got.basis) == got
+    assert known is None or got.contains_subspace(known)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=str)
+def test_killed_by_on_the_zero_subspace_reads_no_row(F, monkeypatch):
+    def rows():
+        raise AssertionError("a row was read")
+        yield
+
+    built = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda *args: built.append(args) or echelon(*args))
+    zero = Subspace.zero(F, 3)
+    assert zero.killed_by(rows()) == zero
+    assert built == []
+
+
+def _kernel_records():
+    """(label, _num, _den, _pivots) of the kernels the package computes:
+    center, nucleus, Der, Lie-2, Lie-3, W_2, W_3, the (a)-(c) space and
+    both commutants of mat2, tri2, zorn, product2 and seeded dense rebases
+    of mat2 and zorn, then kernel, intersect and killed_by on seeded random
+    matrices, over Q, GF(2), GF(3) and GF(65521)."""
+    out = []
+
+    def put(label, S):
+        out.append((label, S._num, S._den, S._pivots))
+
+    for F in (QQ, GF(2), GF(3), GF(65521)):
+        algebras = [(name, catalog(name, F)) for name in CATALOG_NAMES]
+        for name in ("mat2", "zorn"):
+            base = catalog(name, F)
+            algebras.append((name + "~1", unimodular_rebase(base, 1) if F is QQ
+                             else dense_rebase(base, F.p, 1)))
+        for name, A in algebras:
+            tag = f"{name}/{F}"
+            put(tag + " center", center(A))
+            put(tag + " nucleus", nucleus(A))
+            put(tag + " Der", derivation_space(A).space)
+            for n in (2, 3):
+                put(f"{tag} Lie-{n}", lie_n_derivation_space(A, n).space)
+                put(f"{tag} W_{n}", nested_commutator_span(A, n))
+            ctx = peirce_context(A, A.idempotent)
+            put(tag + " abc", conditions_abc_subspace(ctx))
+            for side in ("12", "21"):
+                put(f"{tag} commutant {side}", check_offdiag_commutant(ctx, side).subspace)
+        rng = random.Random(11)
+        for k in range(12):
+            m, w = rng.randint(1, 6), rng.randint(1, 7)
+            rows = [[rng.randint(-3, 3) * (rng.random() < 0.7) for _ in range(w)]
+                    for _ in range(m)]
+            put(f"{F} kernel #{k}", kernel(Matrix(F, rows)))
+            a, b = (Subspace(F, w, [[rng.randint(-2, 2) for _ in range(w)]
+                                    for _ in range(rng.randint(0, w))]) for _ in range(2))
+            put(f"{F} intersect #{k}", a.intersect(b))
+            put(f"{F} killed_by #{k}",
+                a.killed_by(rows[:1] + [r for r in rows if rng.random() < 0.5]))
+    return out
+
+
+def test_kernels_are_frozen():
+    """Every int of every kernel above, frozen from a null_space that
+    folded its rows and then folded the null vectors it read off them."""
+    records = _kernel_records()
+    assert len(records) == 384
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "c7f53455c7dcf2096d7bb8aeacc2805258505822b138987b5729bc29b16bd207")
 
 
 @pytest.fixture(scope="module")
