@@ -40,6 +40,9 @@ _RAY_BUDGET = 2 ** 17  # rays of a primality or condition (4) enumeration
 # prime: an int matrix has at least its rank mod p over Q, so any prime is
 # sound, and a larger one leaves fewer samples to the exact test
 _CERT_PRIME = 251
+# bits per lane int of a ray scan: a chunk of rays shares each int, so this
+# bounds the scan's memory
+_LANE_BITS = 2 ** 16
 
 
 class PeirceContext(NamedTuple):
@@ -328,9 +331,10 @@ def check_conditions_1_to_4(ctx: PeirceContext) -> ConditionsReport:
     ``Subspace.killed_by`` on a domain: each of the six annihilators on its
     Peirce component, with R_b for x*b = 0 and L_b for b*x = 0 over the
     other component's basis rows b.  (4) needs rank L_z = d for every
-    nonzero central z; as L_{cz} = c L_z, over GF(p) the ray walker of
-    ``_packed_ray_test`` decides it with stage 1 over Z's RREF rows, last
-    row first, and the first failing ray is the witness.  Over Q each of
+    nonzero central z; as L_{cz} = c L_z, over GF(p) the lane scan of
+    ``_packed_ray_test`` decides it with stage 1 alone, a chunk of rays of
+    Z's RREF rows, last row first, at a time, and the first singular ray is
+    the witness.  Over Q each of
     Z's RREF rows, last row first, gets the exact kernel of L_z on all of
     R: a singular row is a FAILS witness, one row and none singular HOLDS,
     and else (4) is UNDECIDED, as a rank mod p bounds the rank over Q from
@@ -421,55 +425,70 @@ def _repeat(x: int, stride: int, n: int) -> int:
 
 
 class _RayKernel(NamedTuple):
-    failing_rows: Callable   # (a, X=None) -> rows | None
+    failing_rows: Callable   # (a) -> rows | None
     walk: Callable           # () -> (checked, a, rows) per failing ray
     singular_rays: Callable  # (basis) -> z per ray with rank L_z < d
 
 
 def _packed_ray_test(A: Algebra, p: int) -> _RayKernel:
-    """One odometer over the rays of a span, with ray tests packed mod p.
+    """Ray tests packed mod p: a chunk of rays at a time, or one ray.
 
-    It walks the span of k int basis rows b_0, ..., b_{k-1}: the rows, then
-    per lead position the coefficient vectors 1 there, 0 before it, with
-    the nonzero tails after it in ``product`` order.  ``walk()`` is
-    primality, both stages over e_0, ..., e_{d-1}, yielding (checked, a,
-    rows) per failing ray; ``singular_rays(basis)`` is condition (4), stage
-    1 alone, yielding the ints of z = sum a_j b_j per ray with rank L_z < d;
-    ``failing_rows(a)`` tests one ray of int coordinates a in 0..p-1 for
-    primality: None when it passes, else rows spanning the b with aRb = 0.
+    ``walk()`` is primality over the rays of e_0, ..., e_{d-1}, yielding
+    (checked, a, rows) per failing ray; ``singular_rays(basis)`` is
+    condition (4), yielding the ints of z = sum a_j b_j per ray of the span
+    of the int rows b_j with rank L_z < d; ``failing_rows(a)`` tests one ray
+    of int coordinates a in 0..p-1 for primality: None when it passes, else
+    rows spanning the b with aRb = 0.  A span of k rows has its rays in the
+    scan order: the rows, then per lead position the coefficient vectors 1
+    there, 0 before it, with the nonzero tails after it in ``product``
+    order.
 
     {b : (a r) b = 0 for all r} depends only on aR, the column space of
     L_a, so stage 1 is one rank test of L_a and, when that falls short of
-    d, stage 2 one of the stacked L_{a e_t} over the pivot columns t of
-    L_a, whose columns a e_t span aR.  rank L_a = d passes at once: then
-    aR = R, and Rb = 0 would put b in ker L_a = 0.  A row b enters as its
-    packed sum_i b_i L_{e_i} mod p; for primality each L_{e_i} carries the
-    d blocks L_{e_i e_t} mod p, so block 0 of a ray's sum is L_a and block
-    t + 1 is L_{a e_t} (e_i e_t is linear in e_i); as k <= d no slot
-    exceeds V.  The odometer's next tail raises digit j by one and clears
-    the digits after it from p - 1 to 0, so the unreduced sum X steps by
-    delta_j = X_j - (p - 1) sum_{i>j} X_i: one add and one reduce of block 0
-    per ray.  ``failing_rows(a)`` sums from a instead.  The table and the
-    stage-2 masks are built on first need, so (4) builds neither.
-    Operators are ints of w-bit slots, entry (k, j) of a d-column matrix
-    at slot k*d + j, block t of a stack at slot t*d*d; no slot exceeds V
-    before one SWAR Barrett step reduces them all mod p.  The structure
-    constants enter as their ints over A._den reduced mod p, so over Q each
-    rank is that of an int matrix mod p, a lower bound for its rank over Q.
+    d, stage 2 one of the stacked L_y over the pivot columns y of L_a,
+    which span aR.  rank L_a = d passes at once: then aR = R, and Rb = 0
+    would put b in ker L_a = 0.
+
+    The walk and (4) share one lane scan.  It cuts the scan into chunks of
+    _LANE_BITS bits per lane int, and ray r of a chunk sits in lane r, a
+    field of lw bits, the slot width w rounded up to whole bytes: one int
+    holds one matrix entry, or one coordinate, of every ray of the chunk.  The coordinate lanes are repeated bytes, and
+    stage 1 eliminates all lanes at once, column by column (``eliminate``).
+    Stage 2 packs the lanes that stage 1 leaves short of rank d together,
+    takes y_i, the i-th pivot column of each lane's L_a, from stage 1's
+    pivot masks, and eliminates the stacked L_{y_i} = sum_m y_i[m] L_{e_m}.
+    The walk then hands each failing ray to ``failing_rows``, so its rows
+    and the witness come from the single-ray test.
+
+    ``failing_rows`` packs one ray's operators into one int of w-bit slots,
+    entry (k, j) of a d-column matrix at slot k*d + j, block t of a stack at
+    slot t*d*d, and its table has L_{e_i e_t} mod p in block t + 1 of entry
+    i, so block t of sum_i a_i (table entry i) is L_{a e_t}; the table is
+    built on first need.  The structure constants enter as their ints over
+    A._den reduced mod p, so over Q each rank is that of an int matrix mod
+    p, a lower bound for its rank over Q.  In both layouts no field exceeds
+    V before one SWAR Barrett step reduces them all mod p.
     """
     d = A.dim
-    # a slot holds at most a sum of d products c*c' (a ray's sum, the table) or
-    # v*x + (p - c)*y (pivot_shifts), with all of c, c', v, x, y below p
-    V = max(d * (p - 1) ** 2, (2 * p - 1) * (p - 1))
+    # a slot or lane holds at most a sum of d products c*c' (L_a, the table),
+    # v*x + (p - c)*y (pivot_shifts), or an entry below p plus d - 1 lane
+    # clears (p - c)*y (eliminate), with all of c, c', v, x, y below p
+    V = max(d * (p - 1) ** 2, (2 * p - 1) * (p - 1), (p - 1) + (d - 1) * p * (p - 1))
     b = V.bit_length()
     s = b + p.bit_length()
-    w = b + s
+    w = b + s  # one slot
+    lw = -(-w // 8) * 8  # one lane: whole bytes, so lanes are read from bytes
+    W = lw // 8
     rw = w * d  # one row
     bw = rw * d  # one block of d rows
     m = (1 << s) // p + 1
     digit = (1 << w) - 1
+    lane = (1 << lw) - 1
     block = (1 << bw) - 1
+    chunk = max(1, _LANE_BITS // lw)  # rays per chunk
     qmask = _repeat((1 << b) - 1, w, d ** 3)
+    lane_qmask = ones = None  # over a chunk, built by the first lane scan
+    nbits = p.bit_length()
     column = _repeat(digit, rw, d * d)
     # p in the column slot of each row of a stack of r blocks of d rows, for
     # r <= 1 (stage 1); products() adds the rest, which only stage 2 reads
@@ -480,9 +499,9 @@ def _packed_ray_test(A: Algebra, p: int) -> _RayKernel:
     ]
     table = []
 
-    def reduce(x):
-        # per slot x - p*floor(x/p): exact below 2**b, where m's excess over
-        # 2**s / p costs less than 1/p in the quotient
+    def reduce(x, qmask=qmask):
+        # per field x - p*floor(x/p): exact below 2**b, where m's excess over
+        # 2**s / p costs less than 1/p in the quotient; lanes pass lane_qmask
         return x - p * (((x * m) >> s) & qmask)
 
     def products():
@@ -513,17 +532,14 @@ def _packed_ray_test(A: Algebra, p: int) -> _RayKernel:
             M = reduce(M * v + (p_column[blocks] - ((M >> shift) & column)) * prow)
         return shifts
 
-    def failing_rows(a, X=None):
-        """Rows or None for the ray of a, from the unreduced sum X of the
-        walk: L_a in block 0, L_{a e_t} in block t + 1.  Without X, L_a
-        and then the table's blocks are summed from a."""
-        U = sum(c * x for c, x in zip(a, packed) if c) if X is None else X & block
-        shifts = pivot_shifts(reduce(U), 1)
+    def failing_rows(a):
+        """Rows or None for the ray of a: L_a, then the stacked L_{a e_t}
+        at the pivot columns t, read off the table's blocks."""
+        shifts = pivot_shifts(reduce(sum(c * x for c, x in zip(a, packed) if c)), 1)
         if len(shifts) == d:
             return None
-        if X is None:
-            X = sum(c * x for c, x in zip(a, products()) if c)
-        stack = 0  # L_{a e_t} at the pivot columns t
+        X = sum(c * x for c, x in zip(a, products()) if c)
+        stack = 0
         for i, shift in enumerate(shifts):
             stack |= (X >> (bw * (1 + shift // w)) & block) << (bw * i)
         stack = reduce(stack)
@@ -532,43 +548,142 @@ def _packed_ray_test(A: Algebra, p: int) -> _RayKernel:
         return [[(stack >> (rw * k + w * j)) & digit for j in range(d)]
                 for k in range(d * len(shifts))]
 
-    def rays(ops):
-        """(a, X) per ray of the span of k basis rows in the scan order, X
-        the unreduced sum_j a_j ops[j] of their packed operators; a is
-        reused between rays."""
-        k = len(ops)
-        # delta_j: the step of X when digit j rises and those after it wrap
-        # from p - 1 to 0
-        delta = [x - (p - 1) * sum(ops[j + 1:]) for j, x in enumerate(ops)]
-        for i in range(k):
-            yield (0,) * i + (1,) + (0,) * (k - i - 1), ops[i]
+    def bits(y):
+        """Per bit t of the lanes of y, the lanes where it is set, filled."""
+        return [((y >> t) & ones) * lane for t in range(nbits)]
+
+    def times(x, y):
+        """x*y lane by lane, for lanes of y below 2**nbits: the sum over t of
+        x << t on the lanes with bit t of y set."""
+        return sum(map(int.__and__, [x << t for t in range(nbits)], bits(y)))
+
+    def eliminate(rows, n):
+        """Gauss-Jordan elimination of rows of d lane ints on n lanes at once,
+        in place: per column the top-bit mask of the lanes with a pivot
+        there, and the mask of the lanes short of rank d.
+
+        Each lane takes as pivot its first row with a nonzero entry in the
+        column, found by a top-bit test after adding 2**(lw-1) - 1 to the
+        reduced entry, and normalises it by v**(p-2).  The column is then
+        cleared from every row, the pivot row included, by adding
+        (p - entry) times the normalised pivot row, one lane product per
+        entry.  An entry takes at most d - 1 such clears before its own
+        column reduces it."""
+        top = _repeat(1 << (lw - 1), lw, n)
+        half, pn = top - _repeat(1, lw, n), _repeat(p, lw, n)
+        pivots, full = [], top
+        for j in range(d):
+            col = [reduce(row[j], lane_qmask) for row in rows]
+            found, picks = 0, []
+            for row, x in zip(rows, col):
+                new = (x + half) & (top ^ found)
+                if new:
+                    found |= new
+                    picks.append((row, x, (new >> (lw - 1)) * lane))
+            pivots.append(found)
+            full &= found
+            if j == d - 1 or not found:
+                continue
+            v = inv = sum(x & f for _, x, f in picks)
+            for bit in bin(p - 2)[3:]:  # v**(p-2), square and multiply
+                inv = reduce(times(inv, inv), lane_qmask)
+                if bit == "1":
+                    inv = reduce(times(inv, v), lane_qmask)
+            prow = []  # per later column, the bits of the normalised pivot row
+            for c in range(j + 1, d):
+                y = reduce(sum(row[c] & f for row, _, f in picks), lane_qmask)
+                prow.append(bits(reduce(times(inv, y), lane_qmask)))
+            for row, x in zip(rows, col):
+                if x:
+                    xs = [(pn - x) << t for t in range(nbits)]
+                    for c, g in enumerate(prow, j + 1):
+                        row[c] += sum(map(int.__and__, xs, g))
+        return pivots, top ^ full
+
+    def operators(basis):
+        """L_y mod p for each int row y of basis, as d lists of d ints."""
+        return [[[x % p for x in row] for row in A.mult_ints(y, "left")] for y in basis]
+
+    def combine(ops, coords):
+        """The reduced entries of sum_j coords[j] ops[j], coords lane ints."""
+        return [[reduce(sum(op[k][j] * x for op, x in zip(ops, coords) if op[k][j]),
+                        lane_qmask) for j in range(d)] for k in range(d)]
+
+    def scan(k):
+        """Per coordinate, its lane in every ray of a span of k rows, in the
+        scan order, as bytes."""
+        zero, one = bytes(W), (1).to_bytes(W, "little")
+        cols = [[zero * j + one + zero * (k - 1 - j)] for j in range(k)]
         for lead in range(k - 1):
-            a = [0] * k
-            a[lead] = 1
-            X = ops[lead]
-            for _ in range(p ** (k - lead - 1) - 1):
-                j = k - 1
-                while a[j] == p - 1:
-                    a[j] = 0
-                    j -= 1
-                a[j] += 1
-                X += delta[j]
-                yield a, X
+            tails = p ** (k - 1 - lead)  # the zero tail, a row, included
+            for j, col in enumerate(cols):
+                if j <= lead:
+                    col.append((one if j == lead else zero) * (tails - 1))
+                else:
+                    run = p ** (k - 1 - j)
+                    cycle = b"".join(v.to_bytes(W, "little") * run for v in range(p))
+                    col.append((cycle * (tails // (p * run)))[W:])
+        return [b"".join(col) for col in cols]
+
+    def lane_scan(ops):
+        """Stage 1 on the rays of sum_j a_j ops[j], a chunk at a time: the
+        chunk's first ray, its coordinate lanes as bytes, and eliminate's
+        pivot and short masks."""
+        nonlocal lane_qmask, ones
+        if ones is None:
+            lane_qmask, ones = _repeat((1 << b) - 1, lw, chunk), _repeat(1, lw, chunk)
+        cols = scan(len(ops))
+        for at in range(0, len(cols[0]), chunk * W):
+            part = [c[at:at + chunk * W] for c in cols]
+            lanes = [int.from_bytes(c, "little") for c in part]
+            yield at // W, part, *eliminate(combine(ops, lanes), len(part[0]) // W)
+
+    def set_lanes(mask, n):
+        """The lanes of n whose top bit is set in mask, in order."""
+        return [*filter(mask.to_bytes(n * W, "little")[W - 1::W].__getitem__, range(n))]
+
+    def ray(part, r):
+        return [int.from_bytes(c[r * W:(r + 1) * W], "little") for c in part]
 
     def walk():
         """(checked, a, rows) at each failing ray, in the scan order."""
-        ops = [x | t for x, t in zip(packed, products())]
-        for checked, (a, X) in enumerate(rays(ops), 1):
-            rows = failing_rows(a, X)
-            if rows is not None:
-                yield checked, tuple(a), rows
+        units = operators([[int(i == j) for j in range(d)] for i in range(d)])
+        for start, part, pivots, short in lane_scan(units):
+            if not short:
+                continue
+            n = len(part[0]) // W
+            keep = set_lanes(short, n)
+            spans = [slice(r * W, (r + 1) * W) for r in keep]
+            # stage 2 on the short lanes, packed together: coordinate j shares
+            # its lane with column j's pivot mask, as a_j < p leaves the top
+            # bit free
+            flagged = [int.from_bytes(b"".join(map(
+                (int.from_bytes(c, "little") | x).to_bytes(n * W, "little").__getitem__,
+                spans)), "little") for c, x in zip(part, pivots)]
+            top = _repeat(1 << (lw - 1), lw, len(keep))
+            La = combine(units, [x & ~top for x in flagged])
+            # ys[i][m] = y_i[m], with y_i the i-th pivot column of L_a
+            ys, with_i = [], [_repeat(lane, lw, len(keep))]  # lanes with i pivots so far
+            for j, x in enumerate(flagged):
+                f = ((x & top) >> (lw - 1)) * lane
+                for i in reversed(range(len(with_i))):
+                    if sel := with_i[i] & f:
+                        if i == len(ys):
+                            ys.append([0] * d)
+                            with_i.append(0)
+                        ys[i] = [y + (row[j] & sel) for y, row in zip(ys[i], La)]
+                        with_i[i] ^= sel
+                        with_i[i + 1] |= sel
+            stack = [row for y in ys for row in combine(units, y)]
+            for r in set_lanes(eliminate(stack, len(keep))[1], len(keep)):
+                a = ray(part, keep[r])
+                yield start + keep[r] + 1, tuple(a), failing_rows(a)
 
     def singular_rays(basis):
         """z = sum a_j b_j at each ray with rank L_z < d, in the scan order."""
-        ops = [reduce(sum(c % p * x for c, x in zip(row, packed) if c % p))
-               for row in basis]
-        for a, X in rays(ops):
-            if len(pivot_shifts(reduce(X), 1)) < d:
+        for _, part, _, short in lane_scan(operators(basis)):
+            for r in set_lanes(short, len(part[0]) // W):
+                a = ray(part, r)
                 yield [sum(c * x for c, x in zip(a, col)) for col in zip(*basis)]
 
     return _RayKernel(failing_rows, walk, singular_rays)
@@ -582,11 +697,14 @@ def is_prime(A: Algebra, budget: int = _RAY_BUDGET, samples: int = 50,
     aRb = 0 are those with yb = 0 for all y in aR, the column space of L_a.
     A ray with rank L_a = d has aR = R and passes at once; otherwise the
     stacked L_{a e_t} over the pivot columns t of L_a must have rank d.
-    The rays are walked over e_0, ..., e_{d-1} by the one ray walker of
-    ``_packed_ray_test``, which condition (4) runs over the center; each
-    ray's packed sum steps from the last by one carry delta.  Over Q the
-    loop is sampled, so "no witness" is undecided.  Each
-    sample a (int coordinates) first runs the same packed test mod the
+    The rays of e_0, ..., e_{d-1} go through the lane scan of
+    ``_packed_ray_test``, which condition (4) runs over the center: a chunk
+    of rays shares each lane int, stage 1 eliminates every lane's L_a at
+    once, and stage 2 stacks L_y over the pivot columns y of L_a on the
+    lanes stage 1 flags.  The first failing ray gets its rows, and so the
+    witness, from the single-ray ``failing_rows``.  Over Q the loop is
+    sampled, so "no witness" is undecided.  Each
+    sample a (int coordinates) first runs ``failing_rows`` mod the
     fixed prime _CERT_PRIME on the int operators over A._den: a pass there
     is exact, since an int matrix has at least its rank mod p over Q.
     Only a sample that fails mod p gets the exact test over Q: the kernel

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from altrings import peirce
 from altrings.algebra import Algebra, center, find_unit, nucleus
 from altrings.catalog import catalog, direct_sum, parse, serialize
 from altrings.fields import GF, QQ
@@ -482,25 +483,57 @@ def _mul(c, p, x, y):
     )
 
 
-def _brute_prime(c, p, d):
-    """(checked, a, b) at the first failing ray in the documented order, or
-    (rays, None, None); b is a when a kills itself, else the kernel vector
-    whose last nonzero slot comes first, scaled to 1 there."""
+def _brute_rays(p, d):
+    """The rays of GF(p)^d in the documented order: the unit vectors, then
+    per lead position the vectors 1 there and 0 before it, with the nonzero
+    tails after it in product order."""
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    rays = units + [
+    return units + [
         v for lead in range(d) for tail in product(range(p), repeat=d - lead - 1)
         if (v := (0,) * lead + (1,) + tail) not in units
     ]
+
+
+def _brute_failing(c, p, d):
+    """(checked, a, killed) at every failing ray in the documented order,
+    killed being every nonzero b with a R b = 0."""
+    units = _brute_rays(p, d)[:d]
     nonzero = [v for v in product(range(p), repeat=d) if any(v)]
-    for checked, a in enumerate(rays, 1):
+    out = []
+    for checked, a in enumerate(_brute_rays(p, d), 1):
         aR = [_mul(c, p, a, e) for e in units]
         killed = [b for b in nonzero if not any(any(_mul(c, p, y, b)) for y in aR)]
         if killed:
-            if a in killed:
-                return checked, a, a
-            last = {b: max(i for i in range(d) if b[i]) for b in killed}
-            return checked, a, min((b for b in killed if b[last[b]] == 1), key=last.get)
-    return len(rays), None, None
+            out.append((checked, a, killed))
+    return out
+
+
+def _brute_witness(a, killed):
+    """b for the ray a: a when a kills itself, else the kernel vector whose
+    last nonzero slot comes first, scaled to 1 there."""
+    if a in killed:
+        return a
+    last = {b: max(i for i, x in enumerate(b) if x) for b in killed}
+    return min((b for b in killed if b[last[b]] == 1), key=last.get)
+
+
+def _lane_runs(scan):
+    """scan() as a list, with the default chunks and with chunks of a few
+    lanes, whose seams fall inside lead blocks; scan builds its kernel,
+    which fixes its chunk size when built."""
+    runs = []
+    for bits in (peirce._LANE_BITS, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(peirce, "_LANE_BITS", bits)
+            runs.append(list(scan()))
+    return runs
+
+
+def _walked(A, p):
+    """(checked, a) at each ray the walk fails, in each of ``_lane_runs``;
+    each failing ray has the rows of the single-ray test."""
+    return [[(checked, a) for checked, a, rows in run if rows is not None]
+            for run in _lane_runs(lambda: peirce._packed_ray_test(A, p).walk())]
 
 
 @st.composite
@@ -527,13 +560,18 @@ def small_algebras(draw):
 def test_prime_scan_matches_brute_force(alg):
     p, d, c = alg
     triples = {(i, j, k): c[i][j][k] for i in range(d) for j in range(d) for k in range(d)}
-    rep = is_prime(Algebra(GF(p), d, triples))
-    checked, a, b = _brute_prime(c, p, d)
-    assert rep.mode == "exhaustive" and rep.checked == checked
-    if a is None:
+    A = Algebra(GF(p), d, triples)
+    rep = is_prime(A)
+    failing = _brute_failing(c, p, d)
+    assert _walked(A, p) == [[(checked, a) for checked, a, _ in failing]] * 2
+    assert rep.mode == "exhaustive"
+    if not failing:
         assert rep.status is Verdict.HOLDS and rep.witness is None
+        assert rep.checked == (p ** d - 1) // (p - 1)
         return
-    assert rep.status is Verdict.FAILS and rep.witness == (a, b)
+    checked, a, killed = failing[0]
+    b = _brute_witness(a, killed)
+    assert rep.status is Verdict.FAILS and rep.checked == checked and rep.witness == (a, b)
     assert any(a) and any(b)
     for r in product(range(p), repeat=d):
         assert not any(_mul(c, p, _mul(c, p, a, r), b))
@@ -553,7 +591,8 @@ def _gf_square_pair(p):
 
 
 # (base, p, seed of the dense basis); over GF(3) the pair's seeds put its
-# first failing ray at 23 and 24 of 40, past the carry (0, 2, 2) -> (1, 0, 0)
+# first failing ray at 23 and 24 of 40, deep inside the lead block of rays
+# 5 to 30
 DIM4_PRIME_CASES = [("mat2", p, seed) for p in (2, 3) for seed in (1, 2, 3)] + [
     ("square_pair", 2, 1), ("square_pair", 3, 565), ("square_pair", 3, 1409),
 ]
@@ -562,19 +601,24 @@ DIM4_PRIME_CASES = [("mat2", p, seed) for p in (2, 3) for seed in (1, 2, 3)] + [
 @pytest.mark.filterwarnings("ignore:primality loop")
 @pytest.mark.parametrize("base, p, seed", DIM4_PRIME_CASES)
 def test_prime_scan_matches_brute_force_dim4(base, p, seed):
-    """Dim 4 in dense bases, where a tail of 3 digits carries across two:
-    mat2 is prime, so every ray is walked; the pair is not."""
+    """Dim 4 in dense bases: mat2 is prime, so every ray is walked and many
+    pass only at stage 2; the pair is not, and it fails first deep inside a
+    lead block."""
     A = catalog("mat2", GF(p)) if base == "mat2" else _gf_square_pair(p)
     A = dense_rebase(A, p, seed)
     c = [[list(row) for row in plane] for plane in A.tensor]
     rep = is_prime(A)
-    checked, a, b = _brute_prime(c, p, 4)
-    assert rep.mode == "exhaustive" and rep.checked == checked
-    assert (base == "mat2") == (a is None)
-    if a is None:
+    failing = _brute_failing(c, p, 4)
+    assert _walked(A, p) == [[(checked, a) for checked, a, _ in failing]] * 2
+    assert rep.mode == "exhaustive"
+    assert (base == "mat2") == (not failing)
+    if not failing:
         assert rep.status is Verdict.HOLDS and rep.witness is None
+        assert rep.checked == (p ** 4 - 1) // (p - 1)
     else:
-        assert rep.status is Verdict.FAILS and rep.witness == (a, b)
+        checked, a, killed = failing[0]
+        assert rep.status is Verdict.FAILS and rep.checked == checked
+        assert rep.witness == (a, _brute_witness(a, killed))
 
 
 def _first_rref_vector(vectors):
@@ -799,6 +843,66 @@ def test_condition_4_fails_at_a_combination_of_passing_basis_rows(p):
     assert entry.status is Verdict.FAILS
     assert entry.witness == (1, 1)
     assert entry.detail == "central z with zR != R"
+
+
+@st.composite
+def commutative_algebras(draw):
+    """Commutative constants over GF(2), GF(3), GF(5) in dim 2 to 4 with the
+    idempotent e_0: e_0 e_i = e_i for i = 0 and i in a proper subset of
+    1..d-1, else 0, so L_{e_0} is a projection and e_0 no unit; the
+    products e_i e_j with 0 < i <= j are arbitrary."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(2, 4))
+    fixed = {0} | draw(st.sets(st.integers(1, d - 1), max_size=d - 2))
+    c = [[[int(i == 0 and j == k and k in fixed) for k in range(d)] for j in range(d)]
+         for i in range(d)]
+    for i in range(1, d):
+        c[i][0] = c[0][i]
+        for j in range(i, d):
+            c[i][j] = c[j][i] = [draw(st.integers(0, p - 1)) for _ in range(d)]
+    return p, d, c
+
+
+def _det(M, p):
+    """det M mod p by the Leibniz formula."""
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(commutative_algebras())
+def test_condition_4_matches_brute_force(alg):
+    """Z = R here, so (4) scans every ray of R over Z's RREF rows e_0, ...,
+    e_{d-1}, last row first; z fails when det L_z = 0 mod p.  The central
+    e_0 kills the e_i outside its subset, so (4) always fails here, and
+    the list of every singular ray, with both chunk sizes, is what shows
+    that the other rays pass."""
+    p, d, c = alg
+    A = Algebra(GF(p), d, {(i, j, k): c[i][j][k] for i in range(d) for j in range(d)
+                           for k in range(d) if c[i][j][k]})
+    ctx = peirce_context(A, (1,) + (0,) * (d - 1))
+    assert ctx.center.dim == d
+    singular = []
+    for a in _brute_rays(p, d):
+        z = a[::-1]
+        L = [[sum(z[i] * c[i][j][k] for i in range(d)) % p for j in range(d)]
+             for k in range(d)]
+        if _det(L, p) == 0:
+            singular.append(z)
+    entry = check_conditions_1_to_4(ctx).entries["4"]
+    if singular:
+        assert entry.status is Verdict.FAILS and entry.witness == singular[0]
+    else:
+        assert entry.status is Verdict.HOLDS
+    runs = _lane_runs(lambda: peirce._packed_ray_test(A, p).singular_rays(ctx.center._num[::-1]))
+    assert [[tuple(z) for z in run] for run in runs] == [singular] * 2
 
 
 def test_condition_4_over_budget_is_undecided_without_enumerating():
