@@ -27,11 +27,18 @@ in any ring, so
 exactly, and a tuple violates (1) iff T(p_n) != acc_n.  The states of
 all children of a node form one row, built from two commutator rows and
 S additions; at the last slot that row is compared with T(p_n) by one
-list comparison.  Everything below a node depends only on its state
-(p_k, acc_k), so the exhaustive scan skips a node whose state already
-passed at the same depth.  On a table delta + tau (delta a derivation,
-tau central and zero on p_n values) acc_k = delta(p_k), so a depth
-holds at most as many states as there are p_k values.
+list comparison.
+
+Central values drop out of every commutator: [x + z, y] = [x, y] for z in
+the commutant Z, by biadditivity.  So the commutator row of x, and
+everything below a node with state (p_k, acc_k), depend only on the
+classes x + Z, p_k + Z and acc_k + Z.  The ring solves for Z once and
+numbers each element's class by its canonical representative; elements of
+one class share one commutator row, and the exhaustive scan skips a node
+whose pair of classes already passed at the same depth.  On a table
+delta + tau (delta a derivation, tau central and zero on p_n values)
+acc_k = delta(p_k), and delta(Z) lies in Z, so a depth holds at most as
+many states as there are classes of p_k values modulo Z.
 
 The pruned search over all S^S tables assigns the entries for elements
 0, 1, ... in order.  An instance of (1) need not read every entry it mentions: the
@@ -82,11 +89,15 @@ class FiniteRing:
     """Index arithmetic on the elements of a finite algebra.
 
     Whole-ring scans read the lazily built row tables ``add_rows``,
-    ``comm_rows`` and ``negatives``.  The point ops ``add``, ``neg``,
-    ``sub`` and ``commutator`` compute from coordinates and never
-    touch a row, so sparse use (sampled checks) builds nothing.  Rows have
-    no size budget: a scan that reads them all is bounded by its own tuple
-    budget.
+    ``comm_rows`` and ``negatives``, and the class table ``reps``:
+    ``reps[i]`` is the index of the canonical representative of
+    x_i + Z, Z the commutant, solved once per ring.  Since
+    [x + z, y] = [x, y] for z in Z, ``comm_rows[i]`` is the row of
+    ``reps[i]``, one list object per class, and x_i is central iff
+    ``reps[i] == 0``.  The point ops ``add``, ``neg``, ``sub`` and
+    ``commutator`` compute from coordinates and never touch a row, so
+    sparse use (sampled checks) builds nothing.  Rows have no size budget:
+    a scan that reads them all is bounded by its own tuple budget.
     """
 
     def __init__(self, A: Algebra, budget: int = 2 ** 16):
@@ -104,6 +115,7 @@ class FiniteRing:
         self.comm_rows = _RowTable(self._comm_row)
         self._comm_cols: list[list[int]] | None = None  # [t][i]: [x_i, e_t]
         self._negatives: list[int] | None = None
+        self._reps: list[int] | None = None
         self._central: frozenset[int] | None = None
 
     def element(self, i: int) -> AlgebraElement:
@@ -140,6 +152,9 @@ class FiniteRing:
         return out
 
     def _comm_row(self, i: int) -> list[int]:
+        r = self.reps[i]
+        if r != i:  # [x + z, y] = [x, y]: the class shares one row
+            return self.comm_rows[r]
         if self._comm_cols is None:
             # x -> [x, e_t] is additive too: one table per t, from the
             # d^2 basis brackets
@@ -159,6 +174,18 @@ class FiniteRing:
                 [[-a % p for a in range(p)]] * self.algebra.dim
             )
         return self._negatives
+
+    @property
+    def reps(self) -> list[int]:
+        """reps[i] is the index of Z.residual(x_i), the canonical
+        representative of x_i + Z; the map is linear, so its table follows
+        from the d basis images."""
+        if self._reps is None:
+            Z = center(self.algebra)
+            self._reps = self._linear_row(
+                [self.index[Z.residual(b.coords)] for b in self.algebra.basis()]
+            )
+        return self._reps
 
     # ---- point ops
 
@@ -188,10 +215,7 @@ class FiniteRing:
     @property
     def central(self) -> frozenset[int]:
         if self._central is None:
-            Z = center(self.algebra)
-            self._central = frozenset(
-                self.index[tuple(v)] for v in Z.vectors()
-            )
+            self._central = frozenset(i for i, r in enumerate(self.reps) if not r)
         return self._central
 
 
@@ -265,12 +289,15 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
 
     Exhaustive mode scans tuples in lexicographic element order (slot 1
     slowest) on the ring's row tables and reports the first violation.  It
-    keeps, per depth, the states (p_k, acc_k) whose whole subtree held and
-    skips a node whose state is among them; skipped tuples hold, so the
-    first violation is unchanged and ``checked`` counts every tuple decided,
-    including the ones a passed state covers (S ** n when the identity
-    holds).  The sampled fallback builds no rows; it can only refute, never
-    confirm, so a clean sample is `undecided`.
+    keeps, per depth, the classes (p_k + Z, acc_k + Z) of the states whose
+    whole subtree held, and skips a node, the root's children included,
+    whose classes are among them: [x + z, y] = [x, y] for z in the
+    commutant Z, so every state below a node depends only on those
+    classes.  Skipped tuples hold, so the first violation is unchanged and
+    ``checked`` counts every tuple decided, including the ones a passed
+    state covers (S ** n when the identity holds).  The sampled fallback
+    builds no rows; it can only refute, never confirm, so a clean sample
+    is `undecided`.
     """
     if n < 2:
         raise ValueError("the identity needs n >= 2")
@@ -281,9 +308,9 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
     values = T.values
 
     if S ** n <= budget:
-        comm, add = ring.comm_rows, ring.add_rows
+        comm, add, reps = ring.comm_rows, ring.add_rows, ring.reps
         xs = [0] * n
-        passed = [set() for _ in range(n)]  # [k]: depth-k states whose subtree held
+        passed = [set() for _ in range(n)]  # [k]: depth-k classes whose subtree held
 
         def walk(depth, pv, acc):
             """First violating leaf below the node xs[:depth] with state
@@ -297,22 +324,25 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
                 x = next(x for x in range(S) if values[cp[x]] != accs[x])
                 xs[depth] = x
                 return cp[x], accs[x]
-            seen = passed[depth + 1]
-            for x, state in enumerate(zip(cp, accs)):
+            return first(depth + 1, zip([reps[q] for q in cp], [reps[a] for a in accs]))
+
+        def first(depth, states):
+            """First violating leaf below the sibling nodes at depth
+            `depth`, node x = xs[depth - 1] having the pair of classes
+            states[x]; the walk goes on from the representatives, whose
+            rows are those of the states."""
+            seen = passed[depth]
+            for x, state in enumerate(states):
                 if state not in seen:
-                    found = walk(depth + 1, *state)
+                    found = walk(depth, *state)
                     if found is not None:
-                        xs[depth] = x
+                        xs[depth - 1] = x
                         return found
                     seen.add(state)
             return None
 
-        for x0 in range(S):
-            found = walk(1, x0, values[x0])
-            if found is not None:
-                xs[0] = x0
-                break
-        else:
+        found = first(1, zip(reps, [reps[v] for v in values]))
+        if found is None:
             return LieIdentityReport(status=Verdict.HOLDS, mode="exhaustive", checked=S ** n)
         q, a = found
         return LieIdentityReport(
@@ -389,16 +419,19 @@ def almost_additivity_defect(A: Algebra, T: MapTable,
 
 
 def nested_value_set(ring: FiniteRing, n: int, budget: int = 10 ** 7) -> frozenset[int]:
-    """Indices of all p_n values over full element tuples (prefix-shared)."""
+    """Indices of all p_n values over full element tuples (prefix-shared).
+
+    Each level steps one representative per class modulo the commutant Z:
+    [x + z, y] = [x, y], so the other members of a class add no value."""
     if n < 2:
         raise ValueError("n must be at least 2")
     S = ring.size
     if S ** n > budget:
         raise BudgetError(f"{S ** n} tuples exceed budget {budget}")
-    comm = ring.comm_rows
+    comm, reps = ring.comm_rows, ring.reps
     level = set(range(S))
     for _ in range(n - 1):
-        level = {c for v in level for c in comm[v]}
+        level = {c for v in {reps[v] for v in level} for c in comm[v]}
     return frozenset(level)
 
 

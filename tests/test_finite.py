@@ -567,6 +567,34 @@ def test_passed_states_skip_subtrees():
     assert 0 < counting.reads < 2 * 81 ** 3 // 10
 
 
+def test_class_keyed_walk_reads_one_row_per_class():
+    """[x + z, y] = [x, y]: on delta + tau over M2(GF(3)) (centre: the 3
+    scalars) the n = 2 scan meets the 27 classes of x0, one leaf row each,
+    and on product2, its own centre, a single class.  Each leaf row reads
+    two commutator rows; all rows are built before counting."""
+    for name, classes in (("mat2", 27), ("product2", 1)):
+        A = catalog(name, GF(3))
+        T = construct_converse_example(peirce_context(A, A.idempotent), ad(A, 0), 2, seed=1)
+        ring = T.ring
+        rows = [ring.comm_rows[i] for i in range(ring.size)]
+        assert len({id(row) for row in rows}) == classes
+        counting = ring.comm_rows = _CountingRows(ring.comm_rows)
+        rep = verify_lie_n_identity(A, T, 2)
+        assert report_tuple(rep) == ("holds", "exhaustive", ring.size ** 2, None, None)
+        assert counting.reads == 2 * classes
+
+
+def test_passed_states_are_keyed_by_both_classes():
+    """The class of p_k alone does not decide a subtree: on e0 e1 = e0 over
+    GF(2) (centre 0) the first violation of this table at n = 4, tuple 103
+    of 256, lies below a node whose p_k already passed with another acc_k."""
+    A, orc = build((2, 2, {(0, 1, 0): 1}))
+    values = [0, 3, 3, 0]
+    rep = verify_lie_n_identity(A, MapTable(FiniteRing(A), values), 4)
+    assert report_tuple(rep) == orc.verify(values, 4)
+    assert rep.checked == 103
+
+
 def test_passed_states_are_kept_per_depth():
     """A state that held with one slot left can fail with two, and the other
     way round.  The first violation here (tuple 9,239 of 16^4) lies below a
@@ -580,6 +608,23 @@ def test_passed_states_are_kept_per_depth():
     rep = verify_lie_n_identity(A, MapTable(FiniteRing(A), values), 4)
     assert report_tuple(rep) == orc.verify(values, 4)
     assert rep.checked == 9239
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings())
+def test_class_table_matches_reference_centre(case):
+    """reps[i] == reps[j] exactly when x_i - x_j is central; reps picks one
+    member of each class, 0 for the centre, and the class shares its row."""
+    A, orc = build(case)
+    ring = FiniteRing(A)
+    reps = ring.reps
+    assert reps[0] == 0
+    assert [reps[r] for r in reps] == reps
+    for i in range(orc.S):
+        assert ring.comm_rows[i] is ring.comm_rows[reps[i]]
+        for j in range(orc.S):
+            assert (reps[i] == reps[j]) is (orc.sub(i, j) in orc.center)
+    assert set(ring.central) == orc.center
 
 
 @settings(max_examples=30, deadline=None)

@@ -621,6 +621,48 @@ def test_prime_scan_matches_brute_force_dim4(base, p, seed):
         assert rep.witness == (a, _brute_witness(a, killed))
 
 
+# GF(7) in dim 3 with most constants p - 1 = 6: the stacked L_y of stage 2
+# and the products table of failing_rows are sums of d products of residues
+# up to 6, so their slots and lanes reach d (p - 1)^2 = 108, the value bound
+# V of _packed_ray_test, and hold the sums 90 and 97 = -1 mod 7, which one
+# Barrett step reduces exactly only below 2^b with b = V.bit_length().  The
+# first algebra fails only at its last ray, (0, 1, 6); the second is prime.
+WORST_CASE_ALGEBRAS = [
+    [[[6, 3, 3], [5, 3, 4], [6, 6, 4]], [[6, 2, 6], [6, 3, 6], [6, 6, 6]],
+     [[6, 6, 6], [6, 6, 6], [6, 0, 6]]],
+    [[[6, 6, 3], [6, 1, 6], [2, 6, 3]], [[3, 6, 4], [3, 1, 3], [6, 6, 6]],
+     [[0, 2, 6], [6, 5, 6], [6, 6, 2]]],
+]
+
+
+@pytest.mark.parametrize("c", WORST_CASE_ALGEBRAS, ids=["fails", "prime"])
+def test_packed_ray_test_reaches_its_value_bound(c):
+    """The walk, is_prime and failing_rows at every nonzero a in 0..6
+    (rays and their multiples, as the sampled Q loop passes residues) match
+    a brute-force kernel, including the rows failing_rows returns."""
+    p, d = 7, 3
+    A = Algebra(GF(p), d, {(i, j, k): c[i][j][k]
+                           for i in range(d) for j in range(d) for k in range(d)})
+    failing = _brute_failing(c, p, d)
+    assert _walked(A, p) == [[(checked, a) for checked, a, _ in failing]] * 2
+    rep = is_prime(A)
+    if failing:
+        checked, a, killed = failing[0]
+        assert (rep.status, rep.checked) == (Verdict.FAILS, checked)
+        assert rep.witness == (a, _brute_witness(a, killed))
+    else:
+        assert rep.status is Verdict.HOLDS
+    failing_rows = peirce._packed_ray_test(A, p).failing_rows
+    units = _brute_rays(p, d)[:d]
+    nonzero = [v for v in product(range(p), repeat=d) if any(v)]
+    for a in nonzero:
+        aR = [_mul(c, p, a, e) for e in units]
+        killed = [b for b in nonzero if not any(any(_mul(c, p, y, b)) for y in aR)]
+        rows = failing_rows(list(a))
+        assert rows is None if not killed else killed == [
+            b for b in nonzero if not any(sum(x * y for x, y in zip(r, b)) % p for r in rows)]
+
+
 def _first_rref_vector(vectors):
     """Row 1 of the RREF basis of a whole subspace, from its vectors alone:
     the pivot columns are the leading positions of the nonzero vectors, and
