@@ -37,6 +37,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraError,
     LinearMap,
+    center,
     commutator,
     find_unit,
     is_derivation,
@@ -86,15 +87,26 @@ def lie_leibniz_residual(A: Algebra, D, xs) -> AlgebraElement:
 def _walk_levels(F, width: int, states, step, levels: int):
     """Walk ``levels`` levels of a linear recurrence from the int states of
     the first, and return a lazy stream of the states of the next level.
-    Each level folds its states into one eliminator and keeps those for
+    Each level folds its states into its own eliminator and keeps those for
     which ``add`` returned True: they span the level, with the small ints
     of the recurrence rather than those of a reduced basis.  ``step(s)``
-    yields the steps of a kept state by every basis vector."""
+    yields the steps of a kept state by every basis vector.  The levels are
+    chained generators, so a state is stepped as soon as it is kept and a
+    reader that stops early leaves the rest of every level unread; the
+    stream holds the same states in the same order as a walk that finishes
+    each level before it starts the next."""
     for _ in range(levels):
-        acc = echelon(F, width)
-        kept = [s for s in states if acc.add(s)]
-        states = (t for s in kept for t in step(s))
+        states = _kept_steps(echelon(F, width), states, step)
     return states
+
+
+def _kept_steps(acc, states, step):
+    """The steps of the states that enlarge acc's span, in order.  Each
+    level's eliminator is bound here, once per call: a generator expression
+    in the loop of ``_walk_levels`` would read the loop's last one."""
+    for s in states:
+        if acc.add(s):
+            yield from step(s)
 
 
 def _commutator_ints(A: Algebra, n: int):
@@ -182,14 +194,42 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     the span of their level, at most d + d^3 of them, and step those; the
     level eliminators are only added to, so their rows stay stepped (over
     Q reduced only to rebuild the packed null basis, over GF(p) never).  The states of length
-    n give the rows D(p_n) - acc_n = 0 straight to ``null_space``, so the
-    cost is linear in n.
+    n give the rows D(p_n) - acc_n = 0 straight to ``null_space``.
+
+    For n >= 3 that call is given the lower bound Lie_2 + T_n as the known
+    part of its answer, T_n the maps tau : A -> Z, Z = ``center(A)``, with
+    tau(W_n) = 0, W_n = ``nested_commutator_span(A, n)``.  Both parts are
+    Lie-n derivations, in any algebra:
+
+    - Lie_2 lies in Lie_n.  If D([a, b]) = [D a, b] + [a, D b], then
+      D(p_{k+1}) = D([p_k, x]) = [D p_k, x] + [p_k, D x], and with
+      D(p_k) = acc_k by induction from D(p_1) = D(x_1) this is
+      [acc_k, x] + [p_k, D x] = acc_{k+1}; no associativity is used.
+    - T_n lies in Lie_n.  tau(p_n) = 0 as p_n lies in W_n, and the term t
+      of acc_n nests [p_{t-1}, tau(x_t)] (for t = 1, [tau(x_1), x_2]),
+      which is 0 as tau(x_t) commutes with everything, so acc_n = 0.
+
+    The two meet (in T_2 at least), so their sum is reduced
+    (``Subspace.sum_with``).  Where the theorem's split D = delta + tau
+    holds, Lie_n = Der + T_n, and Der lies in Lie_2, so the bound is the
+    answer: ``null_space`` returns it as soon as the rows read reach rank
+    d^2 - dim(Lie_2 + T_n), and the levels, being lazy, stop with it.
+    Where Lie_n is larger (zorn over GF(3) at n = 4: dim 16, bound 15) the
+    rank never reaches that and every row is folded, as without the bound.
+    Either way the answer is the same canonical RREF.
     """
     if n < 2:
         raise ValueError("Lie-type spaces start at n = 2")
     d = A.dim
     dd = d * d
     F = A.field
+    known = None
+    if n > 2:
+        Z, W = center(A), nested_commutator_span(A, n)
+        # tau = sum z (x) f over Z's basis rows z and the functionals f
+        # killing W_n; vec(tau) puts z_m f at m * d
+        taus = [[zm * fj for zm in z for fj in f] for z in Z._num for f in W._complement()[0]]
+        known = lie_n_derivation_space(A, 2).space.sum_with(Subspace.from_ints(F, dd, taus))
     K = A.bracket_table()
 
     def steps(s, js=range(d)):
@@ -226,7 +266,7 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
                 row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
                 yield row
 
-    return OperatorSpace(A, null_space(F, dd, rows()), n=n)
+    return OperatorSpace(A, null_space(F, dd, rows(), known), n=n)
 
 
 def _inner_derivation(A: Algebra, y, z) -> Matrix:

@@ -5,9 +5,10 @@ a catalog algebra into a dense copy of itself, matrix inverses written
 straight from Gauss-Jordan, the scalar strategies of the hypothesis
 references, the eagerly reduced incremental eliminators over Q and over
 GF(p) that ``linalg``'s one stepped, reduced-on-read eliminator must match
-int for int in both fields (only its Q form packs a null basis), and the
-Lie-n constraint rows built by the comprehension step that
-``lietype.lie_n_derivation_space`` must match row for row.
+int for int in both fields (only its Q form packs a null basis), the
+eager level walk that ``lietype._walk_levels`` must match state for state,
+and the Lie-n constraint rows built by the comprehension step, of which
+``lietype.lie_n_derivation_space`` must read a prefix row for row.
 """
 
 import random
@@ -342,15 +343,41 @@ class ReferencePrimeEchelon:
         return sorted(self.pivots)
 
 
-def reference_lie_n_rows(A, n):
-    """The constraint rows of ``lietype.lie_n_derivation_space(A, n)``, in
-    order, with each state step built by one d^2-wide comprehension per
-    bracket term: a frozen copy of that function's step from before it
-    wrote the nonzero entries of each Acc row by index.  The levels are
-    walked by ``lietype._walk_levels``, which keeps states by ``add``'s
-    return values only."""
-    from altrings.lietype import _walk_levels
+def reference_walk_levels(F, width, states, step, levels):
+    """The states of ``lietype._walk_levels``, as a list: a frozen copy of
+    that walk from before it chained its levels as generators, which
+    finishes each level's eliminator before it steps the kept states."""
+    from altrings.linalg import echelon
 
+    for _ in range(levels):
+        acc = echelon(F, width)
+        kept = [s for s in states if acc.add(s)]
+        states = [t for s in kept for t in step(s)]
+    return list(states)
+
+
+def commutator_walk(A):
+    """(width, first states, step) of the walk of W_n in
+    ``lietype._commutator_ints``: the brackets [e_i, e_j], i < j, and the
+    step w -> [w, e_j] over every j, as comprehensions."""
+    d = A.dim
+    num = A._num
+    K = A.bracket_table()
+    pairs = [[x - y for x, y in zip(num[i][j], num[j][i])]
+             for i in range(d) for j in range(i + 1, d)]
+
+    def step(w):
+        return [[sum(c * w[a] for a, c in terms) for terms in Kj] for Kj in K]
+
+    return d, pairs, step
+
+
+def lie_n_walk(A):
+    """(width, first states, step) of the walk of Lie-n states in
+    ``lietype.lie_n_derivation_space``, with each state step built by one
+    d^2-wide comprehension per bracket term: a frozen copy of that
+    function's step from before it wrote the nonzero entries of each Acc
+    row by index.  The first states are those of the pairs i < j."""
     d = A.dim
     dd = d * d
     K = A.bracket_table()
@@ -374,9 +401,21 @@ def reference_lie_n_rows(A, n):
         s[i] = 1
         for m in range(d):
             s[d + m * dd + m * d + i] = 1
-    pairs = (t for i, s in enumerate(level) for t in steps(s, range(i + 1, d)))
+    pairs = [t for i, s in enumerate(level) for t in steps(s, range(i + 1, d))]
+    return d + d * dd, pairs, steps
+
+
+def reference_lie_n_rows(A, n):
+    """The constraint rows of identity L at all basis n-tuples, in the order
+    ``lietype.lie_n_derivation_space(A, n)`` builds them: the states of
+    ``lie_n_walk`` walked by ``reference_walk_levels``, each giving the d
+    rows D(p_n) - acc_n.  That function may stop reading them early; with
+    no known part it reads all."""
+    d = A.dim
+    dd = d * d
+    width, pairs, steps = lie_n_walk(A)
     rows = []
-    for t in _walk_levels(A.field, d + d * dd, pairs, steps, n - 2):
+    for t in reference_walk_levels(A.field, width, pairs, steps, n - 2):
         for m in range(d):
             row = t[d + m * dd:d + (m + 1) * dd]
             row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]

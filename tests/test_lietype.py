@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from altrings import lietype, linalg
-from altrings.algebra import Algebra, LinearMap, commutator, is_derivation, leibniz_rows
-from altrings.catalog import catalog, direct_sum
+from altrings.algebra import (Algebra, LinearMap, center, commutator, is_derivation,
+                              leibniz_rows)
+from altrings.catalog import catalog, direct_sum, opposite
 from altrings.fields import GF, QQ
 from altrings.linalg import Matrix
 from altrings.lietype import (
@@ -26,10 +27,13 @@ from altrings.lietype import (
     nested_commutator_span,
     normalize_at_idempotent,
     standard_inner_derivation,
+    _commutator_ints,
+    _walk_levels,
 )
 from altrings.peirce import peirce_context
 from altrings.verdict import Verdict
-from oracles import ad, dense_rebase, rebase, reference_lie_n_rows, unimodular_rebase, zorn
+from oracles import (ad, commutator_walk, dense_rebase, lie_n_walk, rebase, reference_lie_n_rows,
+                     reference_walk_levels, unimodular_rebase, zorn)
 
 
 @pytest.fixture(scope="module")
@@ -154,24 +158,101 @@ _LIE_ROW_CASES = ([(name, n) for name in ("mat2", "tri2", "product2") for n in (
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
 @pytest.mark.parametrize("name, n", _LIE_ROW_CASES)
 def test_lie_n_rows_match_the_frozen_state_step(name, n, field, monkeypatch):
-    """The rows lie_n_derivation_space hands to null_space are those of the
-    comprehension-built step (oracles.reference_lie_n_rows), row for row;
-    zorn~1 is a dense rebase of zorn (det 1 over Q, seeded over GF(3))."""
+    """The rows lie_n_derivation_space reads in its last d^2-wide null_space
+    call, the one that carries the bound Lie_2 + T_n when n >= 3, are a
+    prefix of those of the comprehension-built step
+    (oracles.reference_lie_n_rows), row for row; with known dropped that
+    call reads all of them and returns the same space.  zorn~1 is a dense
+    rebase of zorn (det 1 over Q, seeded over GF(3))."""
     if name == "zorn~1":
         base = catalog("zorn", field)
         A = unimodular_rebase(base, 1) if field is QQ else dense_rebase(base, field.p, 1)
     else:
         A = catalog(name, field)
-    handed = []
+    dd = A.dim ** 2
     null_space = lietype.null_space
 
-    def spy(F, width, rows, known=None):
-        handed.extend(rows)
-        return null_space(F, width, handed, known)
+    def run(drop_known):
+        calls = []
 
-    monkeypatch.setattr(lietype, "null_space", spy)
-    lie_n_derivation_space(A, n)
-    assert handed == reference_lie_n_rows(A, n)
+        def tap(rows, read):
+            for row in rows:
+                read.append(row)
+                yield row
+
+        def spy(F, width, rows, known=None):
+            if width == dd:
+                calls.append([])
+                rows = tap(rows, calls[-1])
+            return null_space(F, width, rows, None if drop_known else known)
+
+        monkeypatch.setattr(lietype, "null_space", spy)
+        space = lie_n_derivation_space(A, n).space
+        assert len(calls) == (1 if n == 2 else 2)
+        return space, calls[-1]
+
+    expected = reference_lie_n_rows(A, n)
+    stopped, read = run(False)
+    assert read == expected[:len(read)]
+    if (name, n, field) == ("zorn", 3, QQ):
+        assert len(read) < len(expected) // 4  # the bound is reached early
+    full, read = run(True)
+    assert read == expected
+    assert full == stopped
+
+
+def _bound_case(name, F):
+    """A catalog algebra, an opposite (^op), a direct sum (+), a dense
+    rebase (~1), or nil4: e0 e1 = e2, e0 e2 = e3, whose centre span(e3) is
+    W_3, so W_4 = 0 is smaller and T_3 is not T_4."""
+    if name == "nil4":
+        return Algebra(F, 4, {(0, 1, 2): 1, (0, 2, 3): 1})
+    if "+" in name:
+        return direct_sum(*(catalog(part, F) for part in name.split("+")))
+    if name.endswith("^op"):
+        return opposite(catalog(name[:-3], F))
+    if name.endswith("~1"):
+        base = catalog(name[:-2], F)
+        return unimodular_rebase(base, 1) if F is QQ else dense_rebase(base, F.p, 1)
+    return catalog(name, F)
+
+
+_BOUND_CASES = ([(name, n) for name in ("mat2", "tri2", "product2", "zorn", "mat2^op", "tri2^op",
+                                        "mat2+tri2", "product2+tri2", "mat2~1", "tri2~1", "nil4")
+                 for n in (3, 4, 5)]
+                + [("zorn^op", 3), ("zorn~1", 3)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("name, n", _BOUND_CASES)
+def test_lie_n_space_stopped_at_the_bound_is_the_unstopped_space(name, n, field):
+    """The Lie-n space, whose fold stops at Lie_2 + T_n, equals null_space
+    of every reference row with no known part.  It fails if T_n is built
+    from W_{n+1} (nil4 at n = 3), if Lie_{n-1} stands for Lie_2 (mat2 over
+    GF(2) at n = 4, where Lie_3 is larger than Lie_4), or if the fold stops
+    one rank early (zorn over GF(3) at n = 4, one dimension above the
+    bound)."""
+    A = _bound_case(name, field)
+    if name == "nil4" and n == 3:
+        assert center(A).dim == 1
+        assert nested_commutator_span(A, 4).dim < nested_commutator_span(A, 3).dim
+    expected = linalg.null_space(field, A.dim ** 2, reference_lie_n_rows(A, n))
+    assert lie_n_derivation_space(A, n).space == expected
+
+
+def test_walk_levels_matches_the_eager_walk(zorn, mat2):
+    """The lazy level walk gives the states of the walk that finishes each
+    level first (oracles.reference_walk_levels), in order, over 2 and 3
+    levels: zorn's W_4 and W_5 streams and mat2's Lie-5 states.  Chained
+    generators that read one eliminator variable late share the last
+    level's eliminator, and fail here."""
+    width, first, step = commutator_walk(zorn)
+    for n in (4, 5):
+        eager = reference_walk_levels(zorn.field, width, first, step, n - 2)
+        assert list(_commutator_ints(zorn, n)) == eager
+    width, first, step = lie_n_walk(mat2)
+    eager = reference_walk_levels(mat2.field, width, first, step, 3)
+    assert list(_walk_levels(mat2.field, width, first, step, 3)) == eager
 
 
 def test_lie_leibniz_residual_detects_violations(mat2):
@@ -724,6 +805,16 @@ def test_nested_commutator_span_matches_all_basis_tuples(case):
         basis = [[orc.norm(v) for v in w] for w in W.basis]
         assert len(basis) == orc.rank(values)
         assert all(orc.rank(basis + [v]) == len(basis) for v in values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_structures(), st.integers(3, 5))
+def test_lie_n_space_stopped_at_the_bound_on_small_structures(case, n):
+    """As test_lie_n_space_stopped_at_the_bound_is_the_unstopped_space, on
+    random structure constants over Q, GF(2), GF(3) and GF(5)."""
+    A, _ = _algebra(case)
+    expected = linalg.null_space(A.field, A.dim ** 2, reference_lie_n_rows(A, n))
+    assert lie_n_derivation_space(A, n).space == expected
 
 
 @settings(max_examples=25, deadline=None)
