@@ -1,20 +1,21 @@
 """Finite-dimensional algebras given by structure constants.
 
-An algebra over a field F with basis e_1..e_d is described by the tensor
-c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k.  Elements are coordinate
-vectors; all products, commutators, associators, centres and nuclei are
-computed exactly from the tensor.
+An algebra over a field F with basis e_1..e_d is described by the
+structure constants c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k.
+Elements are coordinate vectors.
 
-The tensor is also held once as integers over one common denominator
-(the field's ``to_ints``), so products and operator matrices
-multiply-accumulate plain ints and normalise each coordinate once, at
-the field's ``from_ints``.
+The constants are held once, as integers over one common denominator
+(the field's ``to_ints``), from the moment they are given: all products,
+commutators, associators, centres and nuclei are computed exactly from
+those ints, multiply-accumulating plain ints and normalising each
+coordinate once, at the field's ``from_ints``.  The tensor of field
+elements is built on first read, like ``Matrix.rows``.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .fields import FieldError
@@ -29,11 +30,21 @@ class BudgetError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed its budget."""
 
 
-class Algebra:
-    """A structure-constant algebra over an exact field.  It cannot change
-    once built, and what is derived from it is memoised in its ``_memo``."""
+def _vanish(ints, p: int) -> bool:
+    """Whether every int is zero in a field of characteristic p."""
+    return not any(v % p for v in ints) if p else not any(ints)
 
-    __slots__ = ("field", "dim", "name", "tensor", "_den", "_num", "_pairs",
+
+class Algebra:
+    """A structure-constant algebra over an exact field.
+
+    The constants are held as ints ``_num`` over one denominator ``_den``
+    (residues mod p over GF(p), with ``_den`` 1), and sparsely as
+    ``_pairs``; ``tensor``, the same constants as field elements, is built
+    on first read.  It cannot change once built, and what is derived from
+    it, the tensor included, is memoised in its ``_memo``."""
+
+    __slots__ = ("field", "dim", "name", "_den", "_num", "_pairs",
                  "unit", "idempotent", "_memo")
 
     def __init__(self, field, dim: int, triples, unit=None, idempotent=None,
@@ -43,35 +54,30 @@ class Algebra:
         self.field = field
         self.dim = dim
         self.name = name
-        zero = field.zero
-        tensor = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         if isinstance(triples, dict):
             items = triples.items()
         else:
             items = [((i, j, k), c) for (i, j, k, c) in triples]
+        p, coerce = field.characteristic, field.coerce
+        given = {}  # (i d + j) d + k -> the sum of the constants given there
         for (i, j, k), c in items:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise AlgebraError(f"structure index ({i},{j},{k}) out of range")
-            tensor[i][j][k] = field.add(tensor[i][j][k], field.coerce(c))
-        self.tensor = tuple(
-            tuple(tuple(row) for row in plane) for plane in tensor
-        )
+            if p or type(c) is not int:  # over Q an int stays an int
+                c = coerce(c)
+            at = (i * dim + j) * dim + k
+            given[at] = given[at] + c if at in given else c
         # c[i][j][k] = _num[i][j][k] / _den, with every _num an int
-        flat, self._den = field.to_ints(
-            [c for plane in tensor for row in plane for c in row]
-        )
-        self._num = tuple(
-            tuple(tuple(flat[(i * dim + j) * dim:(i * dim + j + 1) * dim])
-                  for j in range(dim))
-            for i in range(dim)
-        )
+        ints, self._den = field.to_ints(list(given.values()))
+        flat = [0] * dim ** 3
+        for at, n in zip(given, ints):
+            flat[at] = n % p if p else n
+        rows = [tuple(flat[at:at + dim]) for at in range(0, dim ** 3, dim)]
+        self._num = tuple(tuple(rows[i * dim:(i + 1) * dim]) for i in range(dim))
         # sparse view: _pairs[i][j] lists the nonzero (k, _num[i][j][k])
         self._pairs = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(self._num[i][j]) if c)
-                for j in range(dim)
-            )
-            for i in range(dim)
+            tuple(tuple([(k, c) for k, c in enumerate(row) if c]) for row in plane)
+            for plane in self._num
         )
         if unit is not None:
             unit = self._coerce_coords(unit)
@@ -80,7 +86,7 @@ class Algebra:
         self.unit = unit
         if idempotent is not None:
             idempotent = self._coerce_coords(idempotent)
-            if self.mul_coords(idempotent, idempotent) != idempotent:
+            if not self._squares_to_itself(idempotent):
                 raise AlgebraError("declared idempotent does not square to itself")
         self.idempotent = idempotent
         self._memo = {}  # set last: from here on every assignment raises
@@ -147,8 +153,18 @@ class Algebra:
                     out[k] += scale * c
         return out
 
+    @property
+    def tensor(self) -> tuple:
+        """c[i][j][k] as field elements, built from _num over _den on first
+        read and kept in _memo."""
+        def build():
+            from_ints, den = self.field.from_ints, self._den
+            return tuple(tuple(from_ints(row, den) for row in plane) for plane in self._num)
+
+        return self._memoised("tensor", build)
+
     def basis_product(self, i: int, j: int) -> tuple:
-        return self.tensor[i][j]
+        return self.field.from_ints(self._num[i][j], self._den)
 
     def mult_ints(self, ys, side: str) -> list[list[int]]:
         """Int rows of x -> y * x (side "left") or x -> x * y ("right") for
@@ -190,11 +206,27 @@ class Algebra:
                  for m in range(d)] for j in range(d)]
 
     def _is_unit(self, u) -> bool:
-        for i in range(self.dim):
-            e = self.basis_element(i).coords
-            if self.mul_coords(u, e) != e or self.mul_coords(e, u) != e:
+        """Whether u e_j = e_j u = e_j for every j, decided on ints: the
+        operators of u on either side, over u's den times _den, must be
+        that scale times the identity (mod p over GF(p))."""
+        us, u_den = self.field.to_ints(u)
+        scale = u_den * self._den
+        for side in ("left", "right"):
+            rows = self.mult_ints(us, side)
+            for k, row in enumerate(rows):
+                row[k] -= scale
+            if not _vanish((v for row in rows for v in row), self.field.characteristic):
                 return False
         return True
+
+    def _squares_to_itself(self, e) -> bool:
+        """Whether e e = e, decided on ints: e e over e's den squared times
+        _den must be e over its den, times that den and _den (mod p over
+        GF(p))."""
+        es, e_den = self.field.to_ints(e)
+        scale = e_den * self._den
+        return _vanish(map(sub, self._mul_ints(es, es), (v * scale for v in es)),
+                       self.field.characteristic)
 
     def elements(self):
         """Enumerate all elements (finite fields only).
@@ -421,7 +453,7 @@ def is_derivation(A: Algebra, g: LinearMap) -> bool:
             for b, y in gj:  # e_i g(e_j)
                 for m, c in pairs[i][b]:
                     out[m] -= y * c
-            if any(v % p for v in out) if p else any(out):
+            if not _vanish(out, p):
                 return False
     return True
 
@@ -493,7 +525,7 @@ def classify_identities(A: Algebra) -> IdentityReport:
         return IdentityReport(True, True, True)
 
     def cancel(s, t):  # s + t = 0
-        return not any(v % p for v in map(add, s, t)) if p else not any(map(add, s, t))
+        return _vanish(map(add, s, t), p)
 
     strides = (d * d, d, 1)
 
@@ -573,12 +605,13 @@ def find_unit(A: Algebra) -> AlgebraElement | None:
 
 def _solve_unit(A: Algebra) -> tuple | None:
     """The coordinates of the two-sided identity, or None if there is none."""
-    d, F, c = A.dim, A.field, A.tensor
-    # u e_j = e_j and e_j u = e_j: sum_i u_i c[i][j][m] = sum_i u_i c[j][i][m] = delta_jm
+    d, F, c = A.dim, A.field, A._num
+    # u e_j = e_j and e_j u = e_j: sum_i u_i c[i][j][m] = sum_i u_i c[j][i][m] = delta_jm,
+    # with c = _num / _den
     rows = [[c[i][j][m] for i in range(d)] for j in range(d) for m in range(d)]
     rows += [[c[j][i][m] for i in range(d)] for j in range(d) for m in range(d)]
     rhs = [F.one if m == j else F.zero for j in range(d) for m in range(d)] * 2
-    result = solve(Matrix(F, rows), rhs)
+    result = solve(Matrix._from_fresh(F, rows, A._den, d), rhs)
     return None if result is None else result[0]
 
 
@@ -594,7 +627,7 @@ def is_idempotent(A: Algebra, e) -> IdempotentCheck:
     coords = A._coerce_coords(e)
     if all(A.field.is_zero(v) for v in coords):
         return IdempotentCheck(False, None)
-    if A.mul_coords(coords, coords) != coords:
+    if not A._squares_to_itself(coords):
         return IdempotentCheck(False, None)
     unit = find_unit(A)
     nontrivial = unit is None or unit.coords != coords

@@ -15,6 +15,8 @@ skipped, and every error is a ``SafError`` naming the line at fault.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import Algebra, AlgebraError, LinearMap
 from .fields import FieldError, parse_field
 from .linalg import Matrix
@@ -118,10 +120,12 @@ def catalog(name: str, field) -> Algebra:
 
 
 def _triples(A: Algebra) -> dict:
-    """The nonzero structure constants of A as {(i, j, k): c}, in index order."""
-    F = A.field
-    return {(i, j, k): c for i, plane in enumerate(A.tensor) for j, row in enumerate(plane)
-            for k, c in enumerate(row) if not F.is_zero(c)}
+    """The nonzero structure constants of A as {(i, j, k): c}, in index order:
+    A's ints themselves when its _den is 1, else each one over _den."""
+    den = A._den
+    return {(i, j, k): c if den == 1 else Fraction(c, den)
+            for i, plane in enumerate(A._pairs) for j, pairs in enumerate(plane)
+            for k, c in pairs}
 
 
 def direct_sum(A: Algebra, B: Algebra) -> Algebra:

@@ -7,8 +7,10 @@ references, the eagerly reduced incremental eliminators over Q and over
 GF(p) that ``linalg``'s one stepped, reduced-on-read eliminator must match
 int for int in both fields (only its Q form packs a null basis), the
 eager level walk that ``lietype._walk_levels`` must match state for state,
-and the Lie-n constraint rows built by the comprehension step, of which
-``lietype.lie_n_derivation_space`` must read a prefix row for row.
+the Lie-n constraint rows built by the comprehension step, of which
+``lietype.lie_n_derivation_space`` must read a prefix row for row, and the
+eager structure-constant constructor, whose tensor of field elements,
+ints and unit and idempotent checks ``Algebra`` must match.
 """
 
 import random
@@ -18,7 +20,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import strategies as st
 
-from altrings.algebra import Algebra, LinearMap
+from altrings.algebra import Algebra, AlgebraError, LinearMap
 from altrings.catalog import catalog
 from altrings.fields import QQ
 
@@ -53,6 +55,59 @@ def mat2_over_x4_plus_1():
     unit = [0] * 16
     unit[0] = unit[12] = 1
     return Algebra(QQ, 16, triples, unit=unit, idempotent=[1] + [0] * 15)
+
+
+def reference_algebra(field, dim, triples, unit=None, idempotent=None):
+    """The constructor as it was when every constant was a field element:
+    (tensor, _num, _den, _pairs, unit, idempotent), or the error it raised.
+    All d^3 entries are field elements, repeated triples add in the field,
+    _num and _den come from all d^3 entries, and the declared unit and
+    idempotent are checked by products of field elements."""
+    if dim < 1:
+        raise AlgebraError("dimension must be at least 1")
+    zero = field.zero
+    tensor = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    if isinstance(triples, dict):
+        items = triples.items()
+    else:
+        items = [((i, j, k), c) for (i, j, k, c) in triples]
+    for (i, j, k), c in items:
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise AlgebraError(f"structure index ({i},{j},{k}) out of range")
+        tensor[i][j][k] = field.add(tensor[i][j][k], field.coerce(c))
+    tensor = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
+    flat, den = field.to_ints([c for plane in tensor for row in plane for c in row])
+    num = tuple(tuple(tuple(flat[(i * dim + j) * dim:(i * dim + j + 1) * dim])
+                      for j in range(dim)) for i in range(dim))
+    pairs = tuple(tuple(tuple((k, c) for k, c in enumerate(num[i][j]) if c)
+                        for j in range(dim)) for i in range(dim))
+
+    def coords(v):
+        vec = tuple(field.coerce(x) for x in v)
+        if len(vec) != dim:
+            raise AlgebraError("coordinate length mismatch")
+        return vec
+
+    def mul(x, y):
+        out = [zero] * dim
+        for i in range(dim):
+            for j in range(dim):
+                xy = field.mul(x[i], y[j])
+                for k in range(dim):
+                    out[k] = field.add(out[k], field.mul(xy, tensor[i][j][k]))
+        return tuple(out)
+
+    if unit is not None:
+        unit = coords(unit)
+        for i in range(dim):
+            e = tuple(field.one if k == i else zero for k in range(dim))
+            if mul(unit, e) != e or mul(e, unit) != e:
+                raise AlgebraError("declared unit is not a two-sided identity")
+    if idempotent is not None:
+        idempotent = coords(idempotent)
+        if mul(idempotent, idempotent) != idempotent:
+            raise AlgebraError("declared idempotent does not square to itself")
+    return tensor, num, den, pairs, unit, idempotent
 
 
 def unimodular_rebase(A, seed):

@@ -28,7 +28,7 @@ from altrings.algebra import (
 from altrings.catalog import _triples, catalog, direct_sum
 from altrings.fields import GF, QQ, FieldError
 from altrings.linalg import Matrix, Subspace
-from oracles import dense_rebase, normal, rebase, scalars, zorn
+from oracles import ad, dense_rebase, normal, rebase, reference_algebra, scalars, zorn
 
 
 @pytest.fixture(scope="module")
@@ -487,3 +487,209 @@ def test_is_derivation_matches_structure_constant_reference(case, data):
         expected = reference([[normal(F, v) for v in row] for row in g.matrix.rows])
         assert is_derivation(A, g) is expected
     assert all(is_derivation(A, g) for g in maps[1:])
+
+
+# ------------------------------------------------ the int constructor
+
+PARITY_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(65521)]
+
+
+def _spelling(F, v):
+    """Ways to give the field value v as a constant: over Q an int (when v
+    is integral), a Fraction or a string; over GF(p) an int or string off
+    by a multiple of p (negative, or at least p) or a Fraction whose
+    denominator is invertible mod p."""
+    if F is QQ:
+        v = Fraction(v)
+        ways = [st.just(v), st.just(str(v))]
+        if v.denominator == 1:
+            ways.append(st.just(v.numerator))
+        return st.one_of(ways)
+    p = F.p
+    shift = st.integers(-3, 3)
+    invertible = st.integers(1, 12).filter(lambda m: m % p)
+    return st.one_of(
+        shift.map(lambda t: v + t * p),
+        shift.map(lambda t: str(v + t * p)),
+        st.tuples(invertible, shift).map(lambda mt: Fraction(v * mt[0] + mt[1] * p, mt[0])),
+    )
+
+
+def _field_values(F):
+    if F is QQ:
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.integers(0, F.p - 1)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """(F, d, triples, unit, idempotent) in every form the constructor takes.
+
+    The constants are those of a catalog algebra times a scalar s, whose
+    unit and idempotent over s are declared (or spoiled), or random ones
+    with random unit and idempotent.  Each constant may be split into
+    repeated triples, a zero may be spelled as a pair that cancels, and a
+    bad index or constant may be slipped in."""
+    F = draw(st.sampled_from([QQ, QQ] + PARITY_FIELDS))  # Q has dens: thrice the weight
+    values = _field_values(F)
+    if draw(st.integers(0, 2)):
+        A = catalog(draw(st.sampled_from(["product2", "tri2", "mat2"])), F)
+        d = A.dim
+        if F is QQ:
+            s = draw(st.sampled_from([Fraction(3, 2), Fraction(-2, 5), Fraction(1, 3), 2, -1, 1]))
+        else:
+            s = draw(st.integers(1, F.p - 1))
+        s = F.coerce(s)
+        consts = {key: F.mul(c, s) for key, c in _triples(A).items()}
+        unit = [F.div(v, s) for v in A.unit]
+        idem = [F.div(v, s) for v in A.idempotent]
+        if draw(st.integers(0, 3)) == 0:
+            unit[draw(st.integers(0, d - 1))] = draw(values)
+        if draw(st.integers(0, 3)) == 0:
+            idem[draw(st.integers(0, d - 1))] = draw(values)
+    else:
+        d = draw(st.integers(1, 3))
+        index = st.tuples(*[st.integers(0, d - 1)] * 3)
+        consts = draw(st.dictionaries(index, values, max_size=2 * d))
+        vector = st.lists(values, min_size=d, max_size=d)
+        unit, idem = draw(vector), draw(vector)
+    triples = []
+    for key, c in consts.items():
+        parts = [draw(values) for _ in range(draw(st.integers(0, 2)))]
+        rest = F.sub(c, sum(parts, F.zero))
+        triples += [(key, part) for part in parts + [rest]]
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.tuples(*[st.integers(0, d - 1)] * 3))
+        c = draw(values)
+        triples += [(key, c), (key, F.neg(c))]
+    spelled = [(key, draw(_spelling(F, c))) for key, c in triples]
+    if draw(st.integers(0, 9)) == 0:
+        spelled.append(((0, draw(st.sampled_from([-1, d])), 0), 1))
+    if draw(st.integers(0, 9)) == 0:
+        spelled.append(((0, 0, 0), 0.5 if F is QQ else Fraction(1, F.p)))
+    spelled = draw(st.permutations(spelled))
+    keys = [key for key, _ in spelled]
+    if draw(st.booleans()) and len(set(keys)) == len(keys):
+        triples = dict(spelled)
+    else:
+        triples = [(*key, c) for key, c in spelled]
+
+    def declared(vec):
+        choice = draw(st.integers(0, 5))
+        if choice == 0:
+            return None
+        if choice == 1:
+            return tuple(vec) + (0,)  # one coordinate too many
+        return tuple(draw(_spelling(F, v)) for v in vec)
+
+    return F, d, triples, declared(unit), declared(idem)
+
+
+def _typed(value):
+    """A value with the type of each of its scalars, for exact comparison."""
+    if isinstance(value, tuple):
+        return tuple(map(_typed, value))
+    return type(value), value
+
+
+def _constructed(build):
+    try:
+        A = build()
+    except (AlgebraError, FieldError) as exc:
+        return "raised", type(exc), str(exc)
+    if isinstance(A, Algebra):
+        A = (A.tensor, A._num, A._den, A._pairs, A.unit, A.idempotent)
+    return "built", _typed(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructor_inputs())
+# e0 e0 = 3/2 e0 with unit and idempotent 2/3: _den 2, and the unit's den 3
+@example((QQ, 1, [(0, 0, 0, Fraction(3, 2))], ("2/3",), (Fraction(2, 3),)))
+@example((QQ, 1, [(0, 0, 0, Fraction(3, 2))], (1,), None))
+@example((QQ, 2, [(0, 0, 0, 1), (0, 0, 0, "1/2"), (1, 1, 1, 3), (1, 1, 1, -3)],
+          None, ("2/3", 0)))
+@example((GF(5), 1, [(0, 0, 0, 3), (0, 0, 0, 4)], (3,), (-2,)))
+@example((GF(3), 2, {(0, 0, 0): -1, (1, 1, 1): Fraction(7, 2)}, (-1, 2), None))
+@example((GF(5), 1, {(0, 0, 0): Fraction(2, 5)}, None, None))
+@example((GF(65521), 1, [(0, 0, 0, 65520), (0, 0, 0, 65522)], None, (1,)))
+@example((GF(2), 2, [(0, 0, 0, 1), (2, 0, 0, 1)], None, None))
+def test_constructor_matches_the_eager_one(case):
+    F, d, triples, unit, idem = case
+    kept = list(triples) if isinstance(triples, list) else dict(triples)
+    got = _constructed(lambda: Algebra(F, d, triples, unit=unit, idempotent=idem))
+    assert got == _constructed(lambda: reference_algebra(F, d, kept, unit, idem))
+
+
+def test_constructor_example_cases_decide_as_stated():
+    # the explicit examples above exercise both outcomes: the scaled unit
+    # is accepted, the unscaled one rejected, and GF(5) refuses a den of 5
+    A = Algebra(QQ, 1, [(0, 0, 0, Fraction(3, 2))], unit=("2/3",), idempotent=("2/3",))
+    assert (A._den, A.unit) == (2, (Fraction(2, 3),))
+    with pytest.raises(AlgebraError, match="not a two-sided identity"):
+        Algebra(QQ, 1, [(0, 0, 0, Fraction(3, 2))], unit=(1,))
+    with pytest.raises(FieldError, match="vanishes mod 5"):
+        Algebra(GF(5), 1, {(0, 0, 0): Fraction(2, 5)})
+
+
+def _reads_without_the_tensor(A):
+    """Run the package's verdicts, spaces and writers on A."""
+    from altrings.catalog import opposite, serialize
+    from altrings.lietype import (DecompositionError, decompose, derivation_space,
+                                  lie_n_derivation_space)
+    from altrings.peirce import PeirceError, is_prime, peirce_context
+
+    derivation_space(A)
+    lie_n_derivation_space(A, 3)
+    classify_identities(A)
+    center(A)
+    nucleus(A)
+    is_prime(A, samples=5)
+    find_unit(A)
+    find_unit(Algebra(A.field, A.dim, _triples(A)))
+    serialize(A)
+    made = [opposite(A), direct_sum(A, A), Algebra(A.field, A.dim, _triples(A))]
+    find_unit(made[-1])
+    try:
+        decompose(peirce_context(A, A.idempotent), ad(A, 0), 2)
+    except (DecompositionError, PeirceError):
+        pass
+    return made
+
+
+@pytest.mark.filterwarnings("ignore:primality loop")
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=str)
+def test_no_verdict_reads_the_tensor(F):
+    algebras = [catalog(name, F) for name in ("mat2", "tri2", "zorn", "product2")]
+    if F is QQ:
+        algebras.append(rebase(catalog("mat2", QQ), 1, det=3))
+    else:
+        algebras.append(dense_rebase(catalog("mat2", F), F.p, 1, unit=True))
+    made = []
+    for A in algebras:
+        made += _reads_without_the_tensor(A)
+    for A in algebras + made:
+        assert "tensor" not in A._memo, A
+    A = algebras[-1]
+    assert A.tensor is A.tensor
+    assert A.basis_product(0, 1) == A.tensor[0][1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog("zorn", QQ),
+    lambda: catalog("zorn", GF(3)),
+    lambda: _rebased("mat2"),
+    lambda: _shifted_zorn(),
+    lambda: dense_rebase(catalog("tri2", GF(5)), 5, 2),
+], ids=["zorn/Q", "zorn/GF(3)", "mat2/den-3", "zorn/shifted", "tri2/GF(5)/dense"])
+def test_triples_read_off_the_ints_are_the_nonzero_tensor_entries(build):
+    from altrings.catalog import serialize
+
+    A = build()
+    triples = _triples(A)
+    F = A.field
+    expected = {(i, j, k): c for i, plane in enumerate(A.tensor) for j, row in enumerate(plane)
+                for k, c in enumerate(row) if not F.is_zero(c)}
+    assert list(triples.items()) == list(expected.items())
+    lines = [f"mul {i + 1} {j + 1} {k + 1} {F.format(c)}" for (i, j, k), c in expected.items()]
+    assert serialize(A).decode().splitlines()[-len(lines):] == lines
