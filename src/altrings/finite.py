@@ -38,7 +38,10 @@ one class share one commutator row, and the exhaustive scan skips a node
 whose pair of classes already passed at the same depth.  On a table
 delta + tau (delta a derivation, tau central and zero on p_n values)
 acc_k = delta(p_k), and delta(Z) lies in Z, so a depth holds at most as
-many states as there are classes of p_k values modulo Z.
+many states as there are classes of p_k values modulo Z.  That scan is
+one class walk over plain value lists; it serves ``verify_lie_n_identity``,
+the search's re-checks of its leaves and summaries, and the final check of
+``construct_converse_example``.
 
 The pruned search over all S^S tables assigns the entries for elements
 0, 1, ... in order.  An instance of (1) need not read every entry it mentions: the
@@ -252,7 +255,7 @@ class MapTable:
 
     def is_additive(self) -> bool:
         """Whether every additivity defect is zero (see ``_first_defect``)."""
-        return _first_defect(self, frozenset())[1] is None
+        return _first_defect(self.ring, self.values, frozenset())[1] is None
 
     def __eq__(self, other):
         return (
@@ -282,22 +285,60 @@ class LieIdentityReport(NamedTuple):
         return self.status is Verdict.HOLDS
 
 
+def _first_violation(ring: FiniteRing, values, n: int) -> tuple | None:
+    """The exhaustive class walk of ``verify_lie_n_identity`` on the table
+    ``values`` (S indices): the first violating tuple as (xs, q, acc), with
+    values[q] = T(p_n) != acc, or None.  A depth-k node xs[:k] has the state
+    (p_k + Z, acc_k + Z); ``passed[k]`` holds the states whose subtree held,
+    and ``frames[k - 1]`` the depth-k children still to visit on the path.
+    """
+    comm, add, reps = ring.comm_rows, ring.add_rows, ring.reps
+    leaf = n - 1
+    passed = [set() for _ in range(n)]
+    frames = [enumerate(zip(reps, [reps[v] for v in values]))]
+    path = []  # (x, state) of each node above the frame being walked
+    while frames:
+        depth = len(frames)
+        seen = passed[depth]
+        for x, state in frames[-1]:
+            if state in seen:
+                continue
+            cp = comm[state[0]]
+            accs = [add[a][b] for a, b in zip(comm[state[1]], [cp[t] for t in values])]
+            if depth < leaf:
+                path.append((x, state))
+                frames.append(enumerate(zip([reps[q] for q in cp], [reps[a] for a in accs])))
+                break
+            if [values[q] for q in cp] != accs:
+                y = next(y for y, q in enumerate(cp) if values[q] != accs[y])
+                return [x for x, _ in path] + [x, y], cp[y], accs[y]
+            seen.add(state)
+        else:
+            frames.pop()
+            if path:
+                passed[depth - 1].add(path.pop()[1])
+    return None
+
+
 def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
                           budget: int = 10 ** 7, samples: int = 2000,
                           seed: int = 0) -> LieIdentityReport:
     """Test identity (1) at all element tuples, or a sample when too many.
 
-    Exhaustive mode scans tuples in lexicographic element order (slot 1
-    slowest) on the ring's row tables and reports the first violation.  It
-    keeps, per depth, the classes (p_k + Z, acc_k + Z) of the states whose
-    whole subtree held, and skips a node, the root's children included,
-    whose classes are among them: [x + z, y] = [x, y] for z in the
-    commutant Z, so every state below a node depends only on those
-    classes.  Skipped tuples hold, so the first violation is unchanged and
-    ``checked`` counts every tuple decided, including the ones a passed
-    state covers (S ** n when the identity holds).  The sampled fallback
-    builds no rows; it can only refute, never confirm, so a clean sample
-    is `undecided`.
+    Exhaustive mode runs ``_first_violation``, the one class walk over
+    value lists that also re-checks the pruned search's leaves and
+    summaries and, through this function, the table that
+    ``construct_converse_example`` returns.  It scans tuples in
+    lexicographic element order (slot 1 slowest) on the ring's row tables
+    and reports the first violation.  It keeps, per depth, the classes
+    (p_k + Z, acc_k + Z) of the states whose whole subtree held, and skips
+    a node, the root's children included, whose classes are among them:
+    [x + z, y] = [x, y] for z in the commutant Z, so every state below a
+    node depends only on those classes.  Skipped tuples hold, so the first
+    violation is unchanged and ``checked`` counts every tuple decided,
+    including the ones a passed state covers (S ** n when the identity
+    holds).  The sampled fallback builds no rows; it can only refute,
+    never confirm, so a clean sample is `undecided`.
     """
     if n < 2:
         raise ValueError("the identity needs n >= 2")
@@ -308,43 +349,10 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
     values = T.values
 
     if S ** n <= budget:
-        comm, add, reps = ring.comm_rows, ring.add_rows, ring.reps
-        xs = [0] * n
-        passed = [set() for _ in range(n)]  # [k]: depth-k classes whose subtree held
-
-        def walk(depth, pv, acc):
-            """First violating leaf below the node xs[:depth] with state
-            (pv, acc), or None.  The children's states form one row:
-            p_{k+1} = comm[pv][x], acc_{k+1} = [acc, x] + [pv, T(x)]."""
-            cp = comm[pv]
-            accs = [add[a][b] for a, b in zip(comm[acc], [cp[t] for t in values])]
-            if depth == n - 1:
-                if [values[q] for q in cp] == accs:
-                    return None
-                x = next(x for x in range(S) if values[cp[x]] != accs[x])
-                xs[depth] = x
-                return cp[x], accs[x]
-            return first(depth + 1, zip([reps[q] for q in cp], [reps[a] for a in accs]))
-
-        def first(depth, states):
-            """First violating leaf below the sibling nodes at depth
-            `depth`, node x = xs[depth - 1] having the pair of classes
-            states[x]; the walk goes on from the representatives, whose
-            rows are those of the states."""
-            seen = passed[depth]
-            for x, state in enumerate(states):
-                if state not in seen:
-                    found = walk(depth, *state)
-                    if found is not None:
-                        xs[depth - 1] = x
-                        return found
-                    seen.add(state)
-            return None
-
-        found = first(1, zip(reps, [reps[v] for v in values]))
+        found = _first_violation(ring, values, n)
         if found is None:
             return LieIdentityReport(status=Verdict.HOLDS, mode="exhaustive", checked=S ** n)
-        q, a = found
+        xs, q, a = found
         return LieIdentityReport(
             status=Verdict.FAILS,
             mode="exhaustive",
@@ -379,16 +387,14 @@ class AdditivityReport(NamedTuple):
     witness: tuple | None = None  # (a, b, defect) coordinate tuples
 
 
-def _first_defect(T: MapTable, allowed) -> tuple[int, tuple | None]:
+def _first_defect(ring: FiniteRing, values, allowed) -> tuple[int, tuple | None]:
     """Scan the pairs a <= b of element indices in order for the additivity
-    defect T(a + b) - T(a) - T(b): (pairs checked, (a, b, defect) at the
-    first defect outside allowed, or None).  A pair with T(a + b) = T(a) +
-    T(b) has defect zero and passes without forming it, so allowed need
-    only hold the nonzero defects that pass.
+    defect T(a + b) - T(a) - T(b) of the table ``values``: (pairs checked,
+    (a, b, defect) at the first defect outside allowed, or None).  A pair
+    with T(a + b) = T(a) + T(b) has defect zero and passes without forming
+    it, so allowed need only hold the nonzero defects that pass.
     """
-    ring = T.ring
     S = ring.size
-    values = T.values
     add = ring.add_rows
     for a in range(S):
         ra, rta = add[a], add[values[a]]
@@ -402,6 +408,15 @@ def _first_defect(T: MapTable, allowed) -> tuple[int, tuple | None]:
     return S * (S + 1) // 2, None
 
 
+def _central_defect(ring: FiniteRing, values) -> tuple[int, tuple | None]:
+    """``_first_defect`` outside the centre; when the centre is the whole
+    ring every defect is central and the scan's report needs no scan."""
+    S = ring.size
+    if len(ring.central) == S:
+        return S * (S + 1) // 2, None
+    return _first_defect(ring, values, ring.central)
+
+
 def almost_additivity_defect(A: Algebra, T: MapTable,
                              budget: int = 10 ** 7) -> AdditivityReport:
     ring = T.ring
@@ -410,10 +425,7 @@ def almost_additivity_defect(A: Algebra, T: MapTable,
     S = ring.size
     if S * S > budget:
         raise BudgetError(f"{S * S} pairs exceed budget {budget}")
-    central = ring.central
-    if len(central) == S:  # every defect is central: the scan's report
-        return AdditivityReport(all_central=True, checked=S * (S + 1) // 2)
-    checked, first = _first_defect(T, central)
+    checked, first = _central_defect(ring, T.values)
     witness = None if first is None else tuple(ring.elements[i] for i in first)
     return AdditivityReport(all_central=first is None, checked=checked, witness=witness)
 
@@ -536,7 +548,8 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
     (1).  When the center is the whole ring every additivity defect is
     central, so those completions are counted in closed form as
     (True, True); otherwise they are enumerated, and each such leaf is
-    re-verified with ``verify_lie_n_identity`` and
+    re-verified on its value list by the class walk of
+    ``verify_lie_n_identity`` and the defect scan of
     ``almost_additivity_defect`` and tallied by the result.  ``summaries``
     are the first ``max_summaries`` leaves in lexicographic order, each
     re-verified; one inside a closed-form block that is not (True, True)
@@ -569,12 +582,10 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
     nodes, node_budget = 0, budget - report.instances
 
     def verified() -> TableSummary:
-        T = MapTable(ring, table)
         return TableSummary(
             values=tuple(table),
-            # exhaustive at any n: a leaf's lie_ok is decided, never sampled
-            lie_ok=verify_lie_n_identity(A, T, n, budget=S ** n).ok,
-            additive_ok=almost_additivity_defect(A, T).all_central,
+            lie_ok=_first_violation(ring, table, n) is None,
+            additive_ok=_central_defect(ring, table)[1] is None,
         )
 
     def leaf():

@@ -320,14 +320,50 @@ def test_pruned_search_tri2_frozen():
 
 
 def test_closed_form_summary_failing_reverification_raises(monkeypatch):
+    """The additivity re-check of a summary, through the helper that also
+    serves almost_additivity_defect, finds a non-central defect."""
     import altrings.finite as fin
 
-    monkeypatch.setattr(
-        fin, "almost_additivity_defect",
-        lambda A, T, budget=10 ** 7: fin.AdditivityReport(all_central=False, checked=0),
-    )
+    monkeypatch.setattr(fin, "_central_defect", lambda ring, values: (1, (0, 0, 1)))
     with pytest.raises(AssertionError, match="closed form"):
         pruned_exhaustive_search(catalog("product2", GF(2)), 2)
+
+
+def test_closed_form_summary_failing_lie_walk_raises(monkeypatch):
+    """The class walk re-checking a summary reports a violation."""
+    import altrings.finite as fin
+
+    monkeypatch.setattr(fin, "_first_violation", lambda ring, values, n: ([0] * n, 0, 1))
+    with pytest.raises(AssertionError, match="closed form"):
+        pruned_exhaustive_search(catalog("product2", GF(2)), 2)
+
+
+def test_search_rechecks_summaries_on_value_lists(monkeypatch):
+    """The default search on product2 over GF(3) re-checks each of its 256
+    summaries by one class walk on the value list it built, with no table
+    or report object; verify_lie_n_identity runs the same walk."""
+    import altrings.finite as fin
+
+    A = catalog("product2", GF(3))
+    T = MapTable(FiniteRing(A), [0] * 9)
+    built, walks = Counter(), []
+    monkeypatch.setattr(fin.MapTable, "__init__",
+                        lambda self, *args, _init=fin.MapTable.__init__:
+                        built.update(["MapTable"]) or _init(self, *args))
+    for cls in (fin.LieIdentityReport, fin.AdditivityReport):
+        monkeypatch.setattr(cls, "__new__",
+                            lambda cls, *args, _new=cls.__new__, **kwargs:
+                            built.update([cls.__name__]) or _new(cls, *args, **kwargs))
+    walk = fin._first_violation
+    monkeypatch.setattr(fin, "_first_violation",
+                        lambda *args: walks.append(tuple(args[1])) or walk(*args))
+    rep = pruned_exhaustive_search(A, 2)
+    assert len(rep.summaries) == 256 and rep.complete
+    assert not built
+    assert walks == [s.values for s in rep.summaries]
+    assert verify_lie_n_identity(A, T, 2).ok
+    assert len(walks) == 257 and walks[-1] == T.values
+    assert built == {"LieIdentityReport": 1}
 
 
 def test_verified_tables_almost_additive_on_good_rings(ring2):
@@ -522,11 +558,11 @@ def test_ring_ops_and_rows_match_coordinate_arithmetic(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_rings(), st.integers(0, 2 ** 16), st.sampled_from([2, 3, 4]))
+@given(small_rings(), st.integers(0, 2 ** 16), st.sampled_from([2, 3, 4, 5]))
 def test_verify_matches_per_tuple_reference(case, seed, n):
-    """Also checks the exhaustive scan's memo of passed (p_k, acc_k) states
-    down to depth 4: on the bent tables the first violation can lie behind
-    nodes that the memo skipped."""
+    """Also checks the exhaustive walk's memo of passed (p_k, acc_k) states
+    and its stack down to depth 5: on the bent tables the first violation
+    can lie behind nodes that the memo skipped."""
     A, orc = build(case)
     while orc.S ** n > 20000:
         n -= 1
@@ -679,6 +715,23 @@ def test_sampled_verify_builds_no_rows(monkeypatch):
     assert rep.residual != (0,) * 8
     assert built == []
     assert not ring.add_rows and not ring.comm_rows and ring._negatives is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tri2_summaries_match_reference(n):
+    """Each re-checked summary of tri2 over GF(2) (S = 8, centre of 2
+    elements, so every leaf is enumerated) agrees with the per-tuple
+    identity check and the pair-by-pair defect scan of the oracle."""
+    A = catalog("tri2", GF(2))
+    # basis E11, E12, E22: E11 E11 = E11, E11 E12 = E12, E12 E22 = E12, E22 E22 = E22
+    orc = Oracle(2, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1})
+    ring = FiniteRing(A)
+    assert [ring.comm_rows[i] for i in range(8)] == orc.comm_t
+    rep = pruned_exhaustive_search(A, n)
+    assert len(rep.summaries) == 256
+    for s in rep.summaries:
+        assert (s.lie_ok, s.additive_ok) == (
+            orc.verify(s.values, n)[0] == "holds", orc.defect(s.values)[0])
 
 
 @settings(max_examples=40, deadline=None)
