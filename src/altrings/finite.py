@@ -40,7 +40,7 @@ delta + tau (delta a derivation, tau central and zero on p_n values)
 acc_k = delta(p_k), and delta(Z) lies in Z, so a depth holds at most as
 many states as there are classes of p_k values modulo Z.  That scan is
 one class walk over plain value lists; it serves ``verify_lie_n_identity``,
-the search's re-checks of its leaves and summaries, and the final check of
+the search's re-checks of its leaves, and the final check of
 ``construct_converse_example``.
 
 The pruned search over all S^S tables assigns the entries for elements
@@ -48,10 +48,17 @@ The pruned search over all S^S tables assigns the entries for elements
 term of slot i is f_i(T(x_i)) for the additive map
 f_i(y) = [[[p_{i-1}, y], x_{i+1}], ..., x_n], so the instance reads T(p_n)
 and only those T(x_i) whose f_i is not zero on the basis.  Each instance
-is checked once the last entry it reads is assigned, and every completion
-past the last entry any instance reads satisfies (1).  When the center is
-the whole ring those completions are all almost additive, and the search
-counts them in closed form.
+is checked once the last entry it reads is assigned.
+
+The search walks orbits modulo the centre.  Let P_n be the set of p_n
+values and tau any map R -> Z with tau(P_n) = 0.  Then T and T + tau get
+the same verdicts: central values drop out of every commutator, so the
+right side of every instance is unchanged; tau vanishes at p_n, the
+argument of the left side; and each additivity defect moves by
+tau(a + b) - tau(a) - tau(b), an element of Z.  So the search branches over
+all S values at positions in P_n and over one representative per class
+modulo Z elsewhere, and each table it reaches stands for the
+|Z|^(S - |P_n|) tables of its orbit.
 """
 
 from __future__ import annotations
@@ -326,8 +333,8 @@ def verify_lie_n_identity(A: Algebra, T: MapTable, n: int,
     """Test identity (1) at all element tuples, or a sample when too many.
 
     Exhaustive mode runs ``_first_violation``, the one class walk over
-    value lists that also re-checks the pruned search's leaves and
-    summaries and, through this function, the table that
+    value lists that also re-checks the pruned search's leaves and,
+    through this function, the table that
     ``construct_converse_example`` returns.  It scans tuples in
     lexicographic element order (slot 1 slowest) on the ring's row tables
     and reports the first violation.  It keeps, per depth, the classes
@@ -495,8 +502,10 @@ class TableSummary(NamedTuple):
 
 class SearchReport:
     """Tally of completed tables from the pruned exhaustive search, filled in
-    as it runs: ``covered`` counts the tables accounted for (leaves and
-    pruned subtrees), ``instances`` the identity instances filed."""
+    as it runs.  ``tally``, ``leaves`` and ``covered`` count tables:
+    ``covered`` those accounted for (leaves and pruned subtrees).
+    ``nodes`` counts the orbit nodes assigned, ``summaries`` holds orbit
+    representatives and ``instances`` the identity instances filed."""
 
     def __init__(self, tally: Counter | None = None, summaries: list | None = None,
                  leaves: int = 0, covered: int = 0, total: int = 0,
@@ -543,17 +552,18 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
     order.  The instance of (1) at xs reads T(p_n) and each T(x_i) whose
     slot map y -> [[[p_{i-1}, y], x_{i+1}], ..., x_n] is not identically
     zero; it is checked as soon as the largest position it reads is
-    assigned, so every table counted in ``leaves`` satisfies (1).  Past
-    the last position that any instance reads, all completions satisfy
-    (1).  When the center is the whole ring every additivity defect is
-    central, so those completions are counted in closed form as
-    (True, True); otherwise they are enumerated, and each such leaf is
-    re-verified on its value list by the class walk of
+    assigned, so every table counted in ``leaves`` satisfies (1).
+
+    The walk is over orbits modulo the centre Z (see the module
+    docstring): a position in the p_n value set P_n takes all S values,
+    any other one representative per class modulo Z, with weight |Z|.  A
+    leaf stands for its prefix weight, the product of the weights above
+    it, and a pruned node for its prefix weight times S^(S - pos - 1).
+    Each leaf is re-checked on its value list by the class walk of
     ``verify_lie_n_identity`` and the defect scan of
-    ``almost_additivity_defect`` and tallied by the result.  ``summaries``
-    are the first ``max_summaries`` leaves in lexicographic order, each
-    re-verified; one inside a closed-form block that is not (True, True)
-    raises ``AssertionError``.
+    ``almost_additivity_defect``, and its weight is tallied under the
+    result.  ``summaries`` are the first ``max_summaries`` orbit
+    representatives in lexicographic order.
 
     ``budget`` bounds the work: the identity instances filed (S^n) plus
     the assignment ``nodes``.  Running out of it, while filing or while
@@ -575,53 +585,35 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
             return report
         report.instances += 1
         by_last[_last_read(comm, basis, xs)].append(xs)
-    last = max(pos for pos in range(S) if by_last[pos])
-    closed = len(ring.central) == S
+
+    P = nested_value_set(ring, n, budget)  # S^n <= budget once filed
+    reps = sorted(set(ring.reps))
+    branches = [(range(S), 1) if pos in P else (reps, len(ring.central))
+                for pos in range(S)]
 
     table = [0] * S
     nodes, node_budget = 0, budget - report.instances
 
-    def verified() -> TableSummary:
-        return TableSummary(
+    def leaf(weight: int):
+        summary = TableSummary(
             values=tuple(table),
             lie_ok=_first_violation(ring, table, n) is None,
             additive_ok=_central_defect(ring, table)[1] is None,
         )
-
-    def leaf():
-        summary = verified()
-        report.tally[(summary.lie_ok, summary.additive_ok)] += 1
-        report.leaves += 1
-        report.covered += 1
+        report.tally[(summary.lie_ok, summary.additive_ok)] += weight
+        report.leaves += weight
+        report.covered += weight
         if len(report.summaries) < max_summaries:
             report.summaries.append(summary)
 
-    def unread_block(pos: int):
-        """All S^(S - pos) completions of table[:pos], counted at once."""
-        need = max_summaries - len(report.summaries)
-        for tail in itertools.islice(itertools.product(range(S), repeat=S - pos), need):
-            table[pos:] = tail
-            summary = verified()
-            if not (summary.lie_ok and summary.additive_ok):
-                raise AssertionError(
-                    "a table counted in closed form fails re-verification;"
-                    " the search is broken"
-                )
-            report.summaries.append(summary)
-        count = S ** (S - pos)
-        report.tally[(True, True)] += count
-        report.leaves += count
-        report.covered += count
-
-    def assign(pos: int):
+    def assign(pos: int, weight: int):
         nonlocal nodes
-        if closed and pos > last:
-            unread_block(pos)
-            return
         if pos == S:
-            leaf()
+            leaf(weight)
             return
-        for v in range(S):
+        choices, orbit = branches[pos]
+        weight *= orbit
+        for v in choices:
             if nodes == node_budget:  # every later node is refused too
                 return
             nodes += 1
@@ -637,11 +629,11 @@ def pruned_exhaustive_search(A: Algebra, n: int, budget: int = 10 ** 6,
                     ok = False
                     break
             if ok:
-                assign(pos + 1)
+                assign(pos + 1, weight)
             else:
-                report.covered += S ** (S - pos - 1)
+                report.covered += weight * S ** (S - pos - 1)
 
-    assign(0)
+    assign(0, 1)
     report.nodes = nodes
     report.complete = report.covered == total
     return report

@@ -229,14 +229,16 @@ def test_search_exhaust_budget_detail_names_what_ran_out(capsys):
 
 
 def test_search_exhaust_incomplete_without_contradiction_is_undecided(capsys):
-    # 20,484 of 2^24 tables covered: no contradiction among them proves nothing
+    # 148,224 of 2^24 tables covered: no contradiction among them proves nothing
     code, out, _ = run(
         capsys, "search", "--catalog", "tri2", "--field", "GFp:2",
-        "--mode", "exhaust", "--budget", "200",
+        "--mode", "exhaust", "--budget", "100",
     )
     assert code == 2
     lines = out.splitlines()
-    assert "search:exhaust-coverage            holds      17 leaves, 20484/16777216 tables covered" in lines
+    assert "search:exhaust-coverage            holds      128 leaves, 148224/16777216 tables covered" in lines
+    assert ("search:exhaust-complete            undecided  budget hit after"
+            " 64 identity instances and 36 nodes") in lines
     assert ("search:exhaust-no-contradiction    undecided  0 tables satisfy the identity"
             " but are not almost additive in the covered part") in lines
 

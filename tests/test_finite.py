@@ -260,22 +260,20 @@ def test_pruned_search_product_ring():
     assert rep.leaves == 64
     assert rep.tally[(True, True)] == 64
     assert (True, False) not in rep.tally
-    # non-additive tables do appear among the leaves
-    ring = FiniteRing(A)
-    assert any(
-        not MapTable(ring, s.values).is_additive() for s in rep.summaries
-    )
 
 
 def test_pruned_search_budget_paths():
     A = catalog("product2", GF(2))
     rep = pruned_exhaustive_search(A, 2, budget=0)
     assert rep.leaves == 0 and rep.covered == 0
-    # 64 identity instances, then 136 of the 2,064 nodes a full search takes
-    partial = pruned_exhaustive_search(catalog("tri2", GF(2)), 2, budget=200)
+    # 64 identity instances, then 36 of the 124 orbit nodes a full search takes
+    tri2 = catalog("tri2", GF(2))
+    partial = pruned_exhaustive_search(tri2, 2, budget=100)
     assert not partial.complete
     assert 0 < partial.covered < partial.total
-    assert (partial.instances, partial.nodes) == (64, 136)
+    assert (partial.instances, partial.nodes) == (64, 36)
+    assert not pruned_exhaustive_search(tri2, 2, budget=64 + 123).complete
+    assert pruned_exhaustive_search(tri2, 2, budget=64 + 124).complete
 
 
 def test_pruned_search_budget_bounds_the_constraint_table():
@@ -297,51 +295,30 @@ def test_pruned_search_validates_n_first(n):
 
 
 def test_pruned_search_product2_gf3_completes_in_closed_form():
-    """Every instance reads only T(0) on a commutative ring, and Z = R: the
-    8 positions after it are counted in closed form."""
+    """Every instance reads only T(0) on a commutative ring, and Z = R: P_2
+    is {0}, every other position has the one class representative 0, and
+    the one orbit counts 9^8 tables in closed form."""
     rep = pruned_exhaustive_search(catalog("product2", GF(3)), 2)
     assert rep.complete and rep.covered == rep.total == 9 ** 9
-    assert (rep.instances, rep.nodes) == (81, 9)
+    assert (rep.instances, rep.nodes) == (81, 17)
     assert rep.leaves == 9 ** 8
     assert rep.tally == {(True, True): 9 ** 8}
-    assert len(rep.summaries) == 256
-    assert [s.values for s in rep.summaries] == [
-        (0, 0, 0, 0, 0, 0) + tail for tail in itertools.product(range(9), repeat=3)
-    ][:256]
-    assert all(s.lie_ok and s.additive_ok for s in rep.summaries)
+    assert [tuple(s) for s in rep.summaries] == [((0,) * 9, True, True)]
 
 
 def test_pruned_search_tri2_frozen():
-    """Z != R: the unread tail is enumerated and every leaf re-verified."""
+    """Z != R: |Z| = 2 and P_2 holds 2 of the 8 elements, so each of the
+    4 orbit leaves stands for 2^6 tables."""
     rep = pruned_exhaustive_search(catalog("tri2", GF(2)), 2)
     assert rep.complete
-    assert (rep.instances, rep.nodes, rep.leaves) == (64, 2064, 256)
+    assert (rep.instances, rep.nodes, rep.leaves) == (64, 124, 256)
     assert rep.tally == {(True, True): 256}
 
 
-def test_closed_form_summary_failing_reverification_raises(monkeypatch):
-    """The additivity re-check of a summary, through the helper that also
-    serves almost_additivity_defect, finds a non-central defect."""
-    import altrings.finite as fin
-
-    monkeypatch.setattr(fin, "_central_defect", lambda ring, values: (1, (0, 0, 1)))
-    with pytest.raises(AssertionError, match="closed form"):
-        pruned_exhaustive_search(catalog("product2", GF(2)), 2)
-
-
-def test_closed_form_summary_failing_lie_walk_raises(monkeypatch):
-    """The class walk re-checking a summary reports a violation."""
-    import altrings.finite as fin
-
-    monkeypatch.setattr(fin, "_first_violation", lambda ring, values, n: ([0] * n, 0, 1))
-    with pytest.raises(AssertionError, match="closed form"):
-        pruned_exhaustive_search(catalog("product2", GF(2)), 2)
-
-
 def test_search_rechecks_summaries_on_value_lists(monkeypatch):
-    """The default search on product2 over GF(3) re-checks each of its 256
-    summaries by one class walk on the value list it built, with no table
-    or report object; verify_lie_n_identity runs the same walk."""
+    """The default search on product2 over GF(3) re-checks its one orbit
+    leaf by one class walk on the value list it built, with no table or
+    report object; verify_lie_n_identity runs the same walk."""
     import altrings.finite as fin
 
     A = catalog("product2", GF(3))
@@ -358,11 +335,11 @@ def test_search_rechecks_summaries_on_value_lists(monkeypatch):
     monkeypatch.setattr(fin, "_first_violation",
                         lambda *args: walks.append(tuple(args[1])) or walk(*args))
     rep = pruned_exhaustive_search(A, 2)
-    assert len(rep.summaries) == 256 and rep.complete
+    assert len(rep.summaries) == 1 and rep.complete
     assert not built
     assert walks == [s.values for s in rep.summaries]
     assert verify_lie_n_identity(A, T, 2).ok
-    assert len(walks) == 257 and walks[-1] == T.values
+    assert len(walks) == 2 and walks[-1] == T.values
     assert built == {"LieIdentityReport": 1}
 
 
@@ -719,16 +696,16 @@ def test_sampled_verify_builds_no_rows(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_tri2_summaries_match_reference(n):
-    """Each re-checked summary of tri2 over GF(2) (S = 8, centre of 2
-    elements, so every leaf is enumerated) agrees with the per-tuple
-    identity check and the pair-by-pair defect scan of the oracle."""
+    """Each re-checked orbit representative of tri2 over GF(2) (S = 8,
+    centre of 2 elements) agrees with the per-tuple identity check and the
+    pair-by-pair defect scan of the oracle."""
     A = catalog("tri2", GF(2))
     # basis E11, E12, E22: E11 E11 = E11, E11 E12 = E12, E12 E22 = E12, E22 E22 = E22
     orc = Oracle(2, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1})
     ring = FiniteRing(A)
     assert [ring.comm_rows[i] for i in range(8)] == orc.comm_t
     rep = pruned_exhaustive_search(A, n)
-    assert len(rep.summaries) == 256
+    assert len(rep.summaries) == {2: 4, 3: 8}[n]
     for s in rep.summaries:
         assert (s.lie_ok, s.additive_ok) == (
             orc.verify(s.values, n)[0] == "holds", orc.defect(s.values)[0])
@@ -738,8 +715,10 @@ def test_tri2_summaries_match_reference(n):
 @given(small_rings(shapes=((2, 1), (2, 2), (3, 1))), st.sampled_from([2, 3]),
        st.integers(0, 40))
 def test_pruned_search_matches_full_enumeration(case, n, max_summaries):
-    """All S^S tables (S <= 4) checked by the oracle: the search's tally,
-    leaves and first summaries agree, whatever it filed or counted."""
+    """All S^S tables (S <= 4) checked by the oracle: the search's tally
+    and leaves agree, whatever it filed or counted, and its first summaries
+    are the first leaves whose entries off P_n are class representatives
+    (the class table is checked against the oracle's centre above)."""
     A, orc = build(case)
     S = orc.S
     leaves = [(values, True, orc.defect(values)[0])
@@ -749,5 +728,82 @@ def test_pruned_search_matches_full_enumeration(case, n, max_summaries):
     assert rep.complete and rep.covered == rep.total == S ** S
     assert rep.leaves == len(leaves)
     assert rep.tally == Counter((lie, additive) for _, lie, additive in leaves)
+    P, reps = orc.value_set(n), set(FiniteRing(A).reps)
+    orbit_reps = [leaf for leaf in leaves
+                  if all(v in reps for i, v in enumerate(leaf[0]) if i not in P)]
     assert [(s.values, s.lie_ok, s.additive_ok)
-            for s in rep.summaries] == leaves[:max_summaries]
+            for s in rep.summaries] == orbit_reps[:max_summaries]
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_rings(), st.integers(0, 2 ** 16), st.sampled_from([2, 3]))
+def test_central_shift_off_value_set_keeps_verdicts(case, seed, n):
+    """The lemma behind the search's orbits, on the oracle alone: for any
+    tau into the centre with tau(P_n) = 0, T and T + tau get the same
+    identity report and the same defect verdict, at the same pair."""
+    A, orc = build(case)
+    while orc.S ** n > 20000:
+        n -= 1
+    rng = random.Random(seed)
+    P, central = orc.value_set(n), sorted(orc.center)
+    for values in tables(A, orc, rng, n):
+        shifted = [v if i in P else orc.add_t[v][rng.choice(central)]
+                   for i, v in enumerate(values)]
+        assert orc.verify(shifted, n) == orc.verify(values, n)
+        ok, checked, witness = orc.defect(values)
+        shifted_ok, shifted_checked, shifted_witness = orc.defect(shifted)
+        assert (shifted_ok, shifted_checked) == (ok, checked)
+        assert (shifted_witness and shifted_witness[:2]) == (witness and witness[:2])
+
+
+E012 = (2, 3, {(0, 1, 2): 1})  # e0 e1 = e2: no unit and no idempotent
+NIL4 = (2, 4, {(0, 1, 2): 1, (0, 2, 3): 1})  # e0 e1 = e2, e0 e2 = e3
+
+
+@pytest.mark.parametrize("case, values, members", [
+    (E012, {0, 4}, None),  # P_2 = {0, e2}
+    (NIL4, {0, 4, 8, 12}, 16),  # P_2 = span(e2, e3)
+], ids=["e0e1=e2", "nil4"])
+def test_search_orbits_match_reference(case, values, members):
+    """With P_n and Z from the oracle, the n = 2 search has exactly
+    leaves / |Z|^(S - |P_n|) summaries, one per orbit, and every member of
+    each orbit (on nil4 a seeded sample of 16 per orbit, of 4,096) satisfies
+    the identity with its summary's defect verdict.  Some members are not
+    additive."""
+    A, orc = build(case)
+    P, central = orc.value_set(2), sorted(orc.center)
+    assert P == values and len(central) == 2
+    free = [i for i in range(orc.S) if i not in P]
+    rep = pruned_exhaustive_search(A, 2)
+    assert rep.complete
+    assert len(rep.summaries) * len(central) ** len(free) == rep.leaves
+    rng = random.Random(0)
+    non_additive = 0
+    for s in rep.summaries:
+        taus = (itertools.product(central, repeat=len(free)) if members is None else
+                [[rng.choice(central) for _ in free] for _ in range(members)])
+        for tau in taus:
+            member = list(s.values)
+            for i, z in zip(free, tau):
+                member[i] = orc.add_t[member[i]][z]
+            assert orc.verify(member, 2)[0] == "holds"
+            assert orc.defect(member)[0] is s.additive_ok
+            non_additive += not orc.additive(member)
+    assert non_additive
+
+
+def test_search_completes_off_the_papers_hypotheses():
+    """e0 e1 = e2 over GF(2) has no unit and no idempotent.  At n = 3 the
+    search completes, and 2,088,960 of the tables that satisfy the
+    identity have a non-central additivity defect: without the paper's
+    hypotheses a Lie-3 derivation need not be almost additive."""
+    A, orc = build(E012)
+    rep = pruned_exhaustive_search(A, 3, max_summaries=2 ** 16)
+    assert rep.complete and rep.covered == rep.total == 8 ** 8
+    assert (rep.instances, rep.nodes) == (512, 21852)
+    assert rep.tally == {(True, True): 8192, (True, False): 2088960}
+    assert orc.value_set(3) == {0}
+    assert len(rep.summaries) * len(orc.center) ** 7 == rep.leaves
+    s = next(s for s in rep.summaries if not s.additive_ok)
+    assert s.lie_ok and orc.verify(s.values, 3)[0] == "holds"
+    assert not orc.defect(s.values)[0]
