@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from itertools import compress
 from math import lcm
 from typing import NamedTuple
 
@@ -174,8 +175,189 @@ class OperatorSpace:
 
 
 def derivation_space(A: Algebra) -> OperatorSpace:
-    """All linear maps with delta(xy) = delta(x)y + x delta(y) (Leibniz)."""
-    return OperatorSpace(A, null_space(A.field, A.dim * A.dim, leibniz_rows(A)), n=None)
+    """All linear maps with delta(xy) = delta(x)y + x delta(y) (Leibniz).
+
+    The rows are ``leibniz_rows``, solved in three blocks through the
+    Peirce grading where ``_grading`` gives one (see ``_graded_space``),
+    else by one d^2-wide ``null_space``.
+    """
+    return OperatorSpace(A, _graded_space(A, leibniz_rows), n=None)
+
+
+# the degree mod 3 of each Peirce component in the grading of ``_grading``
+_WEIGHTS = {(1, 1): 0, (1, 2): 2, (2, 1): 1, (2, 2): 0}
+# The least dimension at which Der and Lie_2 go through the grading.  Its
+# set-up (the projections, the adapted constants, the map back and one
+# RREF) is O(d^4) int work against O(d^6) for the d^2-wide fold.  Paired
+# in-process runs on dense det-1 rebases over Q found it about even with
+# the fold at d = 4 (mat2: Der 1.03-1.09x, Lie_2 0.85-1.19x, Lie_3
+# 0.91-0.93x) and d = 5 (tri2 + product2: Der 1.21x, Lie_2 0.65x), and
+# ahead from d = 6 on (tri2 + tri2: 1.41x and 0.99x; mat2 + product2:
+# 2.02x and 1.30x; mat2 + tri2: 1.65x and 1.76x; zorn: 2.4x and 2.2x).
+_GRADED_FROM = 6
+
+
+class _Grading(NamedTuple):
+    """A in a basis f_0 .. f_{d-1} of vectors homogeneous for its Peirce
+    Z/3-grading (see ``_grading``).  ``algebra`` holds the constants of
+    that basis, f_a f_b = sum_k c'[a][b][k] f_k, times one common
+    denominator, and ``weights[k]`` is the degree of f_k.  ``basis`` lists
+    the f_r as int rows in A's coordinates, and ``coords`` the int rows of
+    a common multiple Q of the inverse change of basis: the f-coordinates
+    of x are Q x over one den for all of them."""
+
+    algebra: Algebra
+    weights: tuple
+    basis: list
+    coords: list
+
+
+def _grading(A: Algebra) -> _Grading | None:
+    """A's Z/3-grading at its declared idempotent e1, in a basis that
+    differs from A's, or None.
+
+    At an idempotent of an alternative ring the Peirce components multiply
+    by R_ij R_jk in R_ik, R_ij R_ij in R_ji for i != j, and every other
+    product of two components is 0 (Schafer, *An Introduction to
+    Nonassociative Algebras*, 1966, ch. III; ``verify_peirce_relations``
+    checks these).  Give R11 and R22 weight 0, R12 weight 2 and R21 weight
+    1: R11 R11, R11 R12, R12 R21, R12 R22, R21 R11, R21 R12, R22 R21 and
+    R22 R22 land in the component of the sum of the two weights, R12 R12
+    (2 + 2 = 1 mod 3) in R21 and R21 R21 (1 + 1 = 2) in R12, and the rest
+    are 0.  So R_g R_h lies in R_{g+h}: A is Z/3-graded.
+
+    The basis is the RREF rows of the four components, from the Peirce
+    projections of ``peirce._decomposition``, which build exactly when
+    ``peirce_context`` does.  The row of pivot pc of R_s is 1 at pc and 0
+    at the other pivots of R_s, so its coefficient in x is pi_s(x)[pc]:
+    the inverse change of basis is read off the projections' int rows at
+    the pivots, with no inversion.  The constants are Q (f_a f_b), as int
+    products.  Nothing assumes the ring alternative: the grading is used
+    only where it is checked, so this is None unless A declares an
+    idempotent, the projections build, R12 + R21 is not 0 (else every
+    weight is 0), and every nonzero adapted constant c'[a][b][k] (a
+    residue over GF(p)) has weights[k] = weights[a] + weights[b] mod 3.
+    It is None as well where each e_i in the support of e1 multiplies
+    every e_j, on either side, into span(e_j): then L_{e1} and R_{e1} are
+    diagonal, so each e_j lies in one component (or the projections do not
+    build), each row of the d^2-wide fold already has columns of one
+    degree only, and the grading would repeat that fold in pieces.  The
+    result is memoised on A.
+    """
+    return A._memoised("grading", lambda: _build_grading(A))
+
+
+def _build_grading(A: Algebra) -> _Grading | None:
+    if A.idempotent is None:
+        return None
+    F, d, pairs = A.field, A.dim, A._pairs
+    if all(k == j for i, c in enumerate(A.idempotent) if c for j in range(d)
+           for k, _ in pairs[i][j] + pairs[j][i]):
+        return None
+    # imported here, so that only this path loads the Peirce module
+    from .peirce import PeirceError, _decomposition
+
+    try:
+        _, pi, comps = _decomposition(A, A.idempotent)
+    except PeirceError:
+        return None
+    if comps[(1, 2)].is_zero() and comps[(2, 1)].is_zero():
+        return None
+    rows = [(s, pc) for s in _WEIGHTS for pc in comps[s]._pivots]
+    weights = tuple(_WEIGHTS[s] for s, _ in rows)
+    basis = [row for s in _WEIGHTS for row in comps[s]._num]
+    # the coefficient of the basis row of pivot pc of R_s in x is
+    # pi_s(x)[pc] over the den of R_s; Q puts them all over one den
+    scales = [pi[s]._den * comps[s]._den for s, _ in rows]
+    den = lcm(*scales)
+    Q = [[v * (den // k) for v in pi[s]._num[pc]] for (s, pc), k in zip(rows, scales)]
+    # Q e_i e_j at i d + j; then sum_i f_a[i] Q e_i e_j at a, j d + k; then
+    # sum_j f_b[j] of that, at a, b, k: Q (f_a f_b)
+    out = _product_ints([row for plane in A._num for row in plane], list(zip(*Q)))
+    left = _product_ints(basis, [sum(out[i * d:(i + 1) * d], []) for i in range(d)])
+    G = Algebra(F, d, {(a, b, k): c
+                       for a, row in enumerate(left)
+                       for b, prod in enumerate(_product_ints(
+                           basis, [row[j * d:(j + 1) * d] for j in range(d)]))
+                       for k, c in enumerate(prod) if c})
+    for a, plane in enumerate(G._pairs):
+        for b, terms in enumerate(plane):
+            if any(weights[k] != (weights[a] + weights[b]) % 3 for k, _ in terms):
+                return None
+    return _Grading(G, weights, basis, Q)
+
+
+def _graded_space(A: Algebra, rows_of) -> Subspace:
+    """The null space of the int rows rows_of(A) on vec(D), for the rows
+    of Der (``leibniz_rows``) or of Lie_2 (``_lie_2_rows``): through the
+    grading (``_graded_null_space``) where d >= _GRADED_FROM and
+    ``_grading`` gives one, else one d^2-wide ``null_space``."""
+    G = _grading(A) if A.dim >= _GRADED_FROM else None
+    if G is None:
+        return null_space(A.field, A.dim ** 2, rows_of(A))
+    return _graded_null_space(G, rows_of)
+
+
+def _graded_null_space(G: _Grading, rows_of) -> Subspace:
+    """The null space on vec(D) of the rows rows_of gives, Der's or Lie_2's,
+    solved in the graded basis of G as three folds and mapped back.
+
+    Let A = A_0 + A_1 + A_2 be graded, A_g A_h in A_{g+h} (mod 3), with a
+    basis f_r of homogeneous vectors of weights w(r).  A linear D splits as
+    D_0 + D_1 + D_2, with D_g(A_h) in A_{g+h}; in the basis f the entry
+    D[m][i] (coordinate m d + i of vec(D)) belongs to D_g for g = w(m) -
+    w(i).  For x in A_h and y in A_k the part of D(xy) - D(x) y - x D(y)
+    in A_{g+h+k} is D_g(xy) - D_g(x) y - x D_g(y), so D is a derivation
+    iff every D_g is.  On the rows: the Leibniz row of (f_i, f_j) at
+    coordinate m reads D[m][k] where c_ij^k != 0, so w(k) = w(i) + w(j),
+    D[a][i] where c_aj^m != 0, so w(a) = w(m) - w(j), and D[b][j] where
+    c_ib^m != 0, so w(b) = w(m) - w(i): every column of the row has
+    degree w(m) - w(i) - w(j).  The bracket [x, y] = xy - yx is graded as
+    the product is, [A_g, A_h] in A_{g+h}, so the same holds for the
+    Lie-2 row D([f_i, f_j]) - [D f_i, f_j] - [f_i, D f_j] at m (Elduque and
+    Kochetov, *Gradings on Simple Lie Algebras*, AMS 2013, ch. 1).  So
+    each nonzero row is filed under the degree of its first nonzero
+    column, as its entries at the columns of that degree, and the null
+    space is the direct sum of the three blocks' null spaces.
+
+    The rows are those rows_of gives for the adapted algebra, whose
+    product is A's in the basis f times a nonzero constant; both identities
+    are linear in the product, so the scale changes no solution.  A
+    block's null vector D' maps back to D = B D' Q, B the basis f as
+    columns, by int products over the nonzero entries of D' (Q carries one
+    factor for every D', which leaves the span as it is); the blocks'
+    vectors make one ``Subspace.from_ints``, the canonical RREF that the
+    d^2-wide fold gives.
+    """
+    F, d = G.algebra.field, G.algebra.dim
+    dd = d * d
+    w = G.weights
+    degree = [(w[m] - w[i]) % 3 for m in range(d) for i in range(d)]
+    cols = [[c for c in range(dd) if degree[c] == g] for g in range(3)]
+    filed = ([], [], [])
+    index = range(dd)
+    for row in rows_of(G.algebra):
+        lead = next(compress(index, row), None)
+        if lead is not None:
+            g = degree[lead]
+            filed[g].append(list(map(row.__getitem__, cols[g])))
+    Q, basis = G.coords, G.basis
+    vectors = []
+    for col, block in zip(cols, filed):
+        for vec in null_space(F, len(col), block)._num:
+            X = {}  # the nonzero rows of D' Q
+            for c, v in zip(col, vec):
+                if v:
+                    m, i = divmod(c, d)
+                    X[m] = [x + v * q for x, q in zip(X.get(m, [0] * d), Q[i])]
+            out = [0] * dd  # vec(B D' Q)
+            for m, xm in X.items():
+                for k, f in enumerate(basis[m]):
+                    if f:
+                        at = slice(k * d, (k + 1) * d)
+                        out[at] = [o + f * x for o, x in zip(out[at], xm)]
+            vectors.append(out)
+    return Subspace.from_ints(F, dd, vectors)
 
 
 def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
@@ -194,12 +376,15 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
     the span of their level, at most d + d^3 of them, and step those; the
     level eliminators are only added to, so their rows stay stepped (over
     Q reduced only to rebuild the packed null basis, over GF(p) never).  The states of length
-    n give the rows D(p_n) - acc_n = 0 straight to ``null_space``.
+    n give the rows D(p_n) - acc_n = 0 (``_lie_n_rows``).  At n = 2 these
+    go to ``_graded_space``: three folds through the Peirce grading where
+    it is checked, else one d^2-wide ``null_space``; for n >= 3 they go
+    straight to ``null_space``.
 
-    For n >= 3 that call is given the lower bound Lie_2 + T_n as the known
-    part of its answer, T_n the maps tau : A -> Z, Z = ``center(A)``, with
-    tau(W_n) = 0, W_n = ``nested_commutator_span(A, n)``.  Both parts are
-    Lie-n derivations, in any algebra:
+    For n >= 3 that call is given the lower bound Lie_2 + T_n (+ F id) as
+    the known part of its answer, T_n the maps tau : A -> Z, Z =
+    ``center(A)``, with tau(W_n) = 0, W_n = ``nested_commutator_span(A,
+    n)``.  Each part is a Lie-n derivation, in any algebra:
 
     - Lie_2 lies in Lie_n.  If D([a, b]) = [D a, b] + [a, D b], then
       D(p_{k+1}) = D([p_k, x]) = [D p_k, x] + [p_k, D x], and with
@@ -209,27 +394,53 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
       of acc_n nests [p_{t-1}, tau(x_t)] (for t = 1, [tau(x_1), x_2]),
       which is 0 as tau(x_t) commutes with everything, so acc_n = 0.
 
-    The two meet (in T_2 at least), so their sum is reduced
+    - id lies in Lie_n where the characteristic divides n - 1.  For
+      D = id, D(p_n) - sum_t p_n(..., D x_t, ...) = p_n - n p_n =
+      (1 - n) p_n, as p_n is multilinear, so id is a Lie-n derivation iff
+      (n - 1) W_n = 0, which holds in every algebra when (n - 1) 1 = 0.
+      The paper's hypothesis that the ring be (n - 1)-torsion free rules
+      this map out.  So there F id joins the bound.
+
+    The parts meet (in T_2 at least), so their sum is reduced
     (``Subspace.sum_with``).  Where the theorem's split D = delta + tau
     holds, Lie_n = Der + T_n, and Der lies in Lie_2, so the bound is the
     answer: ``null_space`` returns it as soon as the rows read reach rank
-    d^2 - dim(Lie_2 + T_n), and the levels, being lazy, stop with it.
-    Where Lie_n is larger (zorn over GF(3) at n = 4: dim 16, bound 15) the
-    rank never reaches that and every row is folded, as without the bound.
-    Either way the answer is the same canonical RREF.
+    d^2 - dim(bound), and the levels, being lazy, stop with it.  On the
+    catalog algebras over GF(p), p <= 7, at 3 <= n <= 9, Lie_n exceeds
+    Lie_2 + T_n only where p | n - 1, and there by F id alone (zorn over
+    GF(3) at n = 4: dim 16, Lie_2 + T_n 15), so the bound is the answer.
+    Where Lie_n is larger still (mat2 + tri2 over GF(3) at n = 4, where
+    the identity on one summand is a Lie-4 derivation too) the rank never
+    reaches that and every row is folded, as without the bound.  Either
+    way the answer is the same canonical RREF.
     """
     if n < 2:
         raise ValueError("Lie-type spaces start at n = 2")
+    if n == 2:
+        return OperatorSpace(A, _graded_space(A, _lie_2_rows), n=2)
     d = A.dim
     dd = d * d
     F = A.field
-    known = None
-    if n > 2:
-        Z, W = center(A), nested_commutator_span(A, n)
-        # tau = sum z (x) f over Z's basis rows z and the functionals f
-        # killing W_n; vec(tau) puts z_m f at m * d
-        taus = [[zm * fj for zm in z for fj in f] for z in Z._num for f in W._complement()[0]]
-        known = lie_n_derivation_space(A, 2).space.sum_with(Subspace.from_ints(F, dd, taus))
+    Z, W = center(A), nested_commutator_span(A, n)
+    # tau = sum z (x) f over Z's basis rows z and the functionals f
+    # killing W_n; vec(tau) puts z_m f at m * d
+    taus = [[zm * fj for zm in z for fj in f] for z in Z._num for f in W._complement()[0]]
+    if F.characteristic and (n - 1) % F.characteristic == 0:
+        taus.append([int(c % (d + 1) == 0) for c in range(dd)])  # vec(id)
+    known = lie_n_derivation_space(A, 2).space.sum_with(Subspace.from_ints(F, dd, taus))
+    return OperatorSpace(A, null_space(F, dd, _lie_n_rows(A, n), known), n=n)
+
+
+def _lie_2_rows(A: Algebra):
+    """The Lie-2 rows of A, as ``_graded_space`` takes them."""
+    return _lie_n_rows(A, 2)
+
+
+def _lie_n_rows(A: Algebra, n: int):
+    """The rows D(p_n) - acc_n = 0 of ``lie_n_derivation_space``, lazily:
+    the states of the pairs i < j walked n - 2 levels, d rows each."""
+    d = A.dim
+    dd = d * d
     K = A.bracket_table()
 
     def steps(s, js=range(d)):
@@ -259,14 +470,11 @@ def lie_n_derivation_space(A: Algebra, n: int) -> OperatorSpace:
             s[d + m * dd + m * d + i] = 1
     pairs = (t for i, s in enumerate(level) for t in steps(s, range(i + 1, d)))
 
-    def rows():
-        for t in _walk_levels(F, d + d * dd, pairs, steps, n - 2):
-            for m in range(d):
-                row = t[d + m * dd:d + (m + 1) * dd]
-                row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
-                yield row
-
-    return OperatorSpace(A, null_space(F, dd, rows(), known), n=n)
+    for t in _walk_levels(A.field, d + d * dd, pairs, steps, n - 2):
+        for m in range(d):
+            row = t[d + m * dd:d + (m + 1) * dd]
+            row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
+            yield row
 
 
 def _inner_derivation(A: Algebra, y, z) -> Matrix:

@@ -91,6 +91,38 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
     ints of the Z basis and of e1, and each lift from their graph rows.
     """
     coords = A._coerce_coords(e1)
+    e, pi, components = _decomposition(A, coords)
+    F = A.field
+    d = A.dim
+    Z = center(A)
+    # z e1 is over Z._den * scale, and so are scale * z and z e2 = z - z e1
+    scale = e[1] * A._den
+    ze1 = [A._mul_ints(z, e[0]) for z in Z._num]
+    actions = {
+        1: ze1,
+        2: [[scale * x - y for x, y in zip(z, w)] for z, w in zip(Z._num, ze1)],
+    }
+    return PeirceContext(
+        algebra=A,
+        e1=coords,
+        e1_ints=e,
+        projections=pi,
+        components=components,
+        center=Z,
+        action_spaces={side: Subspace.from_ints(F, d, rows) for side, rows in actions.items()},
+        central_lifts={
+            side: _central_lift(F, d, Subspace.from_ints(
+                F, 2 * d, [w + [scale * x for x in z] for w, z in zip(rows, Z._num)]))
+            for side, rows in actions.items()
+        },
+    )
+
+
+def _decomposition(A: Algebra, coords) -> tuple:
+    """(e1 as (ints, den), the projections pi_ij, their images R_ij) at the
+    idempotent with the given coordinates, or PeirceError.  Everything of
+    ``peirce_context`` that can fail is here: the rest of it always builds.
+    """
     check = is_idempotent(A, coords)
     if not check.idempotent:
         raise PeirceError("not_idempotent", "e1 does not satisfy e1*e1 = e1 (or is zero)")
@@ -127,28 +159,7 @@ def peirce_context(A: Algebra, e1) -> PeirceContext:
     }
     components = {slot: Subspace.from_ints(F, d, zip(*m.int_form()[0]))
                   for slot, m in pi.items()}
-    Z = center(A)
-    # z e1 is over Z._den * scale, and so are scale * z and z e2 = z - z e1
-    scale = e[1] * A._den
-    ze1 = [A._mul_ints(z, e[0]) for z in Z._num]
-    actions = {
-        1: ze1,
-        2: [[scale * x - y for x, y in zip(z, w)] for z, w in zip(Z._num, ze1)],
-    }
-    return PeirceContext(
-        algebra=A,
-        e1=coords,
-        e1_ints=e,
-        projections=pi,
-        components=components,
-        center=Z,
-        action_spaces={side: Subspace.from_ints(F, d, rows) for side, rows in actions.items()},
-        central_lifts={
-            side: _central_lift(F, d, Subspace.from_ints(
-                F, 2 * d, [w + [scale * x for x in z] for w, z in zip(rows, Z._num)]))
-            for side, rows in actions.items()
-        },
-    )
+    return e, pi, components
 
 
 def _central_lift(F, d: int, graph: Subspace) -> Matrix | None:

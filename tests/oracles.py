@@ -10,7 +10,8 @@ eager level walk that ``lietype._walk_levels`` must match state for state,
 the Lie-n constraint rows built by the comprehension step, of which
 ``lietype.lie_n_derivation_space`` must read a prefix row for row, and the
 eager structure-constant constructor, whose tensor of field elements,
-ints and unit and idempotent checks ``Algebra`` must match.
+ints and unit and idempotent checks ``Algebra`` must match, and a plain
+Gauss-Jordan elimination on field elements for kernels and row spaces.
 """
 
 import random
@@ -476,3 +477,39 @@ def reference_lie_n_rows(A, n):
             row[m * d:(m + 1) * d] = [x - y for x, y in zip(row[m * d:(m + 1) * d], t)]
             rows.append(row)
     return rows
+
+
+def gauss_jordan(F, rows, width):
+    """(reduced nonzero rows, pivot columns) of the rows as field elements,
+    by plain Gauss-Jordan elimination with the field's own operations."""
+    M = [[F.coerce(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if not F.is_zero(M[i][c])), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = F.inv(M[r][c])
+        M[r] = [F.mul(inv, v) for v in M[r]]
+        for i, row in enumerate(M):
+            if i != r and not F.is_zero(row[c]):
+                f = row[c]
+                M[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(row, M[r])]
+        pivots.append(c)
+    return M[:len(pivots)], pivots
+
+
+def kernel_basis(F, rows, width):
+    """A basis of {x : r . x = 0 for every row r}, one vector per free
+    column of ``gauss_jordan``."""
+    reduced, pivots = gauss_jordan(F, rows, width)
+    basis = []
+    for f in range(width):
+        if f not in pivots:
+            v = [F.zero] * width
+            v[f] = F.one
+            for row, pc in zip(reduced, pivots):
+                v[pc] = F.neg(row[f])
+            basis.append(v)
+    return basis
